@@ -1,4 +1,4 @@
-"""Design-choice ablations (DESIGN.md experiment `ablations`).
+"""Design-choice ablations (experiment id `ablations`).
 
 Covers the knobs the paper exercises implicitly but never isolates:
 sampling mode, reclustering algorithm, candidate weights, combiner use,

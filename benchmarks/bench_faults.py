@@ -1,18 +1,12 @@
 #!/usr/bin/env python
-"""Fault-tolerance benchmark: recovery overhead vs kill rate, speculation wins.
+"""Fault-tolerance benchmark: recovery overhead vs kill rate.
 
 Runs the full ``mr_scalable_kmeans`` + MR-Lloyd pipeline on the real
-process backend (shared broadcasts + pinned affinity) under a
-deterministic :class:`~repro.exec.ChaosInjector` and measures what
-surviving random worker deaths costs:
-
-* **recovery overhead** — wall clock and fault telemetry (retries,
-  pool rebuilds, blacklistings, lineage bytes recomputed) at kill
-  rates 0 / 0.05 / 0.20, against the fault-free run of the same
-  configuration;
-* **speculation** — the same pipeline with chaos *delays* instead of
-  kills, with and without speculative straggler duplication, reporting
-  launched/won counts and the wall-clock delta.
+process backend (shared broadcasts) under a deterministic
+:class:`~repro.exec.ChaosInjector` and measures what surviving random
+worker deaths costs: wall clock and fault telemetry (retries, pool
+rebuilds, lineage bytes recomputed) at kill rates 0 / 0.05 / 0.20,
+against the fault-free run of the same configuration.
 
 Every configuration is checked bit-identical to the serial reference
 (the run fails otherwise).  Results land in
@@ -52,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--chaos-seed", type=int, default=11,
                         help="ChaosInjector seed (same seed = same kills)")
-    parser.add_argument("--delay-s", type=float, default=0.4,
-                        help="straggler injection: per-hit sleep, seconds")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     parser.add_argument(
         "--quick", action="store_true",
@@ -68,8 +60,7 @@ def _pipeline(path, args, *, backend, retry_policy=None):
     return mr_scalable_kmeans(
         path, args.k, l=2.0 * args.k, r=args.rounds, n_splits=args.splits,
         seed=args.seed, lloyd_max_iter=args.lloyd, workers=args.workers,
-        backend=backend, shared_broadcast=True, affinity="pinned",
-        retry_policy=retry_policy,
+        backend=backend, shared_broadcast=True, retry_policy=retry_policy,
     )
 
 
@@ -77,7 +68,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.quick:
         args.n, args.k, args.lloyd, args.repeat = 10_000, 8, 2, 1
-        args.delay_s = 0.15
 
     import numpy as np
 
@@ -155,48 +145,18 @@ def main(argv=None) -> int:
               f"recomputed={report.faults['state_recomputed_bytes']:,}B  "
               f"identical={identical}", flush=True)
 
-    # ---- speculation vs stragglers -----------------------------------
-    # Chaos delays (no kills): a fraction of first attempts sleep; with
-    # speculation on, idle pinned lanes duplicate the stragglers and the
-    # first result wins.  On a 1-core container the wall-clock win is
-    # noisy; launched/won counts are the stable signal.
-    delayer = ChaosInjector(rate=0.0, seed=args.chaos_seed,
-                            delay_rate=0.15, delay_s=args.delay_s)
-    speculation: dict[str, dict] = {}
-    for label, spec in (("off", False), ("on", True)):
-        wall, report = timed(
-            delayer,
-            retry_policy=RetryPolicy(
-                max_task_retries=3, backoff_s=0.0, speculation=spec,
-                speculation_quantile=0.25, speculation_multiplier=1.5,
-            ),
-        )
-        identical = check(report)
-        all_identical = all_identical and identical
-        speculation[label] = {
-            "wall_s": wall,
-            "identical_to_serial": identical,
-            "speculative_launched": report.faults["speculative_launched"],
-            "speculative_won": report.faults["speculative_won"],
-        }
-        print(f"  speculation={label:3}  {wall:7.3f}s  "
-              f"launched={report.faults['speculative_launched']} "
-              f"won={report.faults['speculative_won']}  "
-              f"identical={identical}", flush=True)
-
     payload = {
         "meta": {
             "n": args.n, "d": args.d, "k": args.k, "n_splits": args.splits,
             "rounds": args.rounds, "lloyd_max_iter": args.lloyd,
             "workers": args.workers, "repeat": args.repeat,
-            "chaos_seed": args.chaos_seed, "delay_s": args.delay_s,
+            "chaos_seed": args.chaos_seed,
             "numpy": np.__version__,
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
         },
         "recovery": recovery,
-        "speculation": speculation,
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -9,10 +9,10 @@ copy plane removes, two ways:
   reduce call and result through ``pickle`` (the faithful stand-in for
   the process boundary) and counts the bytes, per job; the plane's own
   telemetry (publish-once broadcast bytes, shipped vs resident state
-  bytes, pinned-dispatch steals) is recorded alongside;
+  bytes) is recorded alongside;
 * **wall clock** — the same pipeline on the real process backend with
-  the plane off (legacy pickle path), on (shared broadcasts + resident
-  state), and on with pinned affinity.  On a 1-core CI container the
+  the plane off (legacy pickle path) and on (shared broadcasts +
+  resident state).  On a 1-core CI container the
   wall numbers mostly show dispatch overhead; the IPC volumes are
   machine-independent.
 
@@ -74,7 +74,7 @@ class _MeteringBackend:
                 self.job_bytes: list[int] = []  # one entry per region
                 self.total_bytes = 0
 
-            def run_calls(self, fn, calls, *, parallelism=None, affinity=None, **kwargs):
+            def run_calls(self, fn, calls, *, parallelism=None, **kwargs):
                 region = 0
                 results = []
                 for args in calls:
@@ -90,13 +90,13 @@ class _MeteringBackend:
         return Meter()
 
 
-def _pipeline(path, args, *, backend, shared, affinity):
+def _pipeline(path, args, *, backend, shared):
     from repro.mapreduce.kmeans_mr import mr_scalable_kmeans
 
     return mr_scalable_kmeans(
         path, args.k, l=2.0 * args.k, r=args.rounds, n_splits=args.splits,
         seed=args.seed, lloyd_max_iter=args.lloyd, workers=args.workers,
-        backend=backend, shared_broadcast=shared, affinity=affinity,
+        backend=backend, shared_broadcast=shared,
     )
 
 
@@ -117,9 +117,7 @@ def main(argv=None) -> int:
     path = os.path.join(tmpdir, "data.npy")
     np.save(path, X)
 
-    reference = _pipeline(
-        path, args, backend=SerialBackend(), shared=False, affinity="none"
-    )
+    reference = _pipeline(path, args, backend=SerialBackend(), shared=False)
 
     def check(report) -> bool:
         return bool(
@@ -131,8 +129,7 @@ def main(argv=None) -> int:
     ipc: dict[str, dict] = {}
     for label, shared in (("pickle", False), ("shared", True)):
         meter = _MeteringBackend()
-        report = _pipeline(path, args, backend=meter, shared=shared,
-                           affinity="none")
+        report = _pipeline(path, args, backend=meter, shared=shared)
         assert check(report), f"IPC run ({label}) diverged from reference"
         per_job = meter.job_bytes
         ipc[label] = {
@@ -150,20 +147,18 @@ def main(argv=None) -> int:
     # ---- wall clock on the real process backend ----------------------
     walls: dict[str, dict] = {}
     configs = [
-        ("process+pickle", False, "none"),
-        ("process+shared", True, "none"),
-        ("process+shared+pinned", True, "pinned"),
+        ("process+pickle", False),
+        ("process+shared", True),
     ]
     all_identical = True
-    for label, shared, affinity in configs:
+    for label, shared in configs:
         best = float("inf")
         report = None
         for _ in range(args.repeat):
             backend = ProcessBackend(budget=WorkerBudget(args.workers))
             try:
                 start = time.perf_counter()
-                report = _pipeline(path, args, backend=backend, shared=shared,
-                                   affinity=affinity)
+                report = _pipeline(path, args, backend=backend, shared=shared)
                 best = min(best, time.perf_counter() - start)
             finally:
                 backend.shutdown()
@@ -175,8 +170,7 @@ def main(argv=None) -> int:
             "plane": report.plane,
             "simulated_minutes": report.simulated_minutes,
         }
-        print(f"  {label:24} {best:7.3f}s  identical={identical} "
-              f"steals={report.plane['steals']}", flush=True)
+        print(f"  {label:24} {best:7.3f}s  identical={identical}", flush=True)
 
     payload = {
         "meta": {

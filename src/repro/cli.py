@@ -45,16 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
             "in MiB; past it the shuffle spills to disk), "
             "REPRO_SHARED_BROADCAST (1 = zero-copy data plane: broadcasts "
             "published once to shared memory, split state resident behind "
-            "descriptors), REPRO_AFFINITY (none|pinned — pin splits to "
-            "home worker processes on the process backend), REPRO_MR_ASYNC "
-            "(1 = async dataflow scheduler: consecutive MapReduce jobs "
-            "overlap through a DAG frontier, bit-identical results), and "
-            "the fault-"
+            "descriptors), and the fault-"
             "tolerance knobs: REPRO_FAULTS_MAX_RETRIES (crash-class retries "
             "per task), REPRO_FAULTS_TASK_TIMEOUT (seconds per process-"
-            "backend task attempt), REPRO_FAULTS_SPECULATION (1 = duplicate "
-            "stragglers on idle pinned slots), REPRO_FAULTS_BACKOFF_S / "
-            "REPRO_FAULTS_BLACKLIST_AFTER, and REPRO_FAULTS_CHAOS / "
+            "backend task attempt), REPRO_FAULTS_BACKOFF_S, and "
+            "REPRO_FAULTS_CHAOS / "
             "REPRO_FAULTS_CHAOS_RATE / REPRO_FAULTS_CHAOS_SEED "
             "(deterministic fault injection for chaos testing)."
         ),
@@ -129,32 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--affinity",
-        choices=("none", "pinned"),
-        default=None,
-        help=(
-            "worker affinity for MapReduce map tasks: 'pinned' gives every "
-            "split a home worker process (split %% workers, Spark-style "
-            "preferred locations) with work-stealing fallback — page cache "
-            "and shared-memory attachments stay warm per split. Only the "
-            "process backend places tasks; others ignore it (default: "
-            "$REPRO_AFFINITY or 'none')"
-        ),
-    )
-    parser.add_argument(
-        "--async-scheduler",
-        action="store_true",
-        help=(
-            "overlap consecutive MapReduce jobs through the async dataflow "
-            "scheduler: each job's maps start as soon as their per-split "
-            "inputs exist, so round T's cost aggregation runs concurrently "
-            "with round T+1's sampling maps and Lloyd iterations pipeline. "
-            "Centers, costs, counters, and simulated minutes stay "
-            "bit-identical to the sequential schedule (default: "
-            "$REPRO_MR_ASYNC or off)"
-        ),
-    )
-    parser.add_argument(
         "--max-task-retries",
         type=int,
         default=None,
@@ -177,16 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
             "wall-clock limit per process-backend task attempt; a hung "
             "worker is killed and the task retried (default: "
             "$REPRO_FAULTS_TASK_TIMEOUT, else no limit)"
-        ),
-    )
-    parser.add_argument(
-        "--speculation",
-        action="store_true",
-        help=(
-            "speculatively duplicate slowest-quantile straggler tasks onto "
-            "idle pinned worker slots (process backend + --affinity pinned); "
-            "first result wins, so output is unchanged (default: "
-            "$REPRO_FAULTS_SPECULATION or off)"
         ),
     )
     parser.add_argument(
@@ -479,9 +438,7 @@ def _configure_engine(parser: argparse.ArgumentParser, args: argparse.Namespace)
 
     from repro.plane import (
         ENV_SHARED_BROADCAST,
-        resolve_affinity,
         resolve_shared_broadcast,
-        set_default_affinity,
         set_default_shared_broadcast,
     )
 
@@ -498,20 +455,6 @@ def _configure_engine(parser: argparse.ArgumentParser, args: argparse.Namespace)
             set_default_shared_broadcast(True)
         else:
             resolve_shared_broadcast()  # fail fast on a bad env value
-        if args.affinity is not None:
-            set_default_affinity(args.affinity)
-        else:
-            resolve_affinity()  # fail fast on a bad $REPRO_AFFINITY
-    except ValidationError as exc:
-        parser.error(str(exc))
-
-    from repro.exec import resolve_async_scheduler, set_default_async_scheduler
-
-    try:
-        if args.async_scheduler:
-            set_default_async_scheduler(True)
-        else:
-            resolve_async_scheduler()  # fail fast on a bad $REPRO_MR_ASYNC
     except ValidationError as exc:
         parser.error(str(exc))
 
@@ -526,8 +469,6 @@ def _configure_engine(parser: argparse.ArgumentParser, args: argparse.Namespace)
             overrides["max_task_retries"] = args.max_task_retries
         if args.task_timeout is not None:
             overrides["task_timeout_s"] = args.task_timeout
-        if args.speculation:
-            overrides["speculation"] = True
         if overrides:
             set_default_retry_policy(dataclasses.replace(policy, **overrides))
     except ValidationError as exc:
@@ -563,20 +504,16 @@ def _run_mr(args: argparse.Namespace) -> int:
           f"candidates={report.n_candidates}")
     plane = report.plane
     if plane:
-        print(f"    plane mode={plane['mode']} affinity={plane['affinity']} "
+        print(f"    plane mode={plane['mode']} "
               f"bc_published={plane['broadcast_bytes_published']}B "
               f"bc_per_task={plane['broadcast_bytes_per_task']}B "
               f"state_shipped={plane['state_bytes_shipped']}B "
-              f"state_resident={plane['state_bytes_resident']}B "
-              f"steals={plane['steals']}")
+              f"state_resident={plane['state_bytes_resident']}B")
     faults = report.faults
     if faults and any(faults.values()):
         print(f"    faults retries={faults['retries']} "
               f"crashes={faults['crashes']} timeouts={faults['timeouts']} "
               f"pool_rebuilds={faults['pool_rebuilds']} "
-              f"blacklisted={faults['workers_blacklisted']} "
-              f"speculative={faults['speculative_won']}/"
-              f"{faults['speculative_launched']} "
               f"state_recomputed={faults['state_recomputed_bytes']}B")
     for phase, minutes in report.breakdown.items():
         print(f"    {phase:<10} {minutes:10.2f} simulated min")

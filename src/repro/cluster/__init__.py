@@ -14,8 +14,8 @@ The pieces, bottom-up:
   as ``"cluster"`` in the exec registry (resolved lazily by
   ``resolve_backend``).
 
-Everything above the backend — MapReduce runtime, async scheduler,
-retry/lineage machinery — is unchanged: the cluster is just another
+Everything above the backend — MapReduce runtime, retry/lineage
+machinery — is unchanged: the cluster is just another
 ``ExecBackend`` whose ``run_calls`` happens to cross machines, and the
 standing invariant holds: results are bit-identical across
 ``serial × thread × process × cluster``.

@@ -10,13 +10,12 @@ semantics, the shared :class:`_FaultContext` retry loop (crash-class
 :class:`WorkerLostError` retries, user errors fail fast, lineage
 ``retry_args`` hooks), and deterministic chaos schedules.
 
-Task→worker assignment is deterministic: task ``i``'s home is
-``affinity.owners[i]`` (else ``i``) taken modulo the live worker set in
-index order.  Routing happens per *attempt*, so retries after a worker
-loss land on survivors; when the whole fleet is gone the attempt runs
-inline on the driver — bit-identical because daemons initialize as
-serial leaves with the driver's engine chunking, and the engine is
-worker-count invariant.
+Task→worker assignment is deterministic: task ``i``'s home is ``i``
+taken modulo the live worker set in index order.  Routing happens per
+*attempt*, so retries after a worker loss land on survivors; when the
+whole fleet is gone the attempt runs inline on the driver —
+bit-identical because daemons initialize as serial leaves with the
+driver's engine chunking, and the engine is worker-count invariant.
 
 Regions whose ``(fn, args)`` cannot pickle degrade to the inherited
 thread scheduler, mirroring the process backend — and so do regions
@@ -196,15 +195,14 @@ class ClusterBackend(ThreadBackend):
         return all(_module_remote_portable(m) for m in scanner.modules)
 
     def _exec_remote(
-        self, fleet: WorkerPool, ctx: _FaultContext, home: int,
-        index: int, args: tuple,
+        self, fleet: WorkerPool, ctx: _FaultContext, index: int, args: tuple,
     ) -> Any:
         def submit(task_fn, task_args):
-            worker = fleet.route(home)
+            worker = fleet.route(index)
             if worker is None:
                 # Whole fleet lost mid-region: degrade this attempt to
-                # inline driver execution (the process backend's move) —
-                # bit-identical, just not remote.
+                # inline driver execution — bit-identical, just not
+                # remote.
                 return task_fn(*task_args)
             return fleet.execute(worker, task_fn, task_args, ctx)
 
@@ -216,7 +214,6 @@ class ClusterBackend(ThreadBackend):
         calls,
         *,
         parallelism=None,
-        affinity=None,
         retry=None,
         faults=None,
         retry_args=None,
@@ -236,30 +233,16 @@ class ClusterBackend(ThreadBackend):
             )
         fleet = self._get_fleet()
         ctx = _FaultContext(fn, retry=retry, faults=faults, retry_args=retry_args)
-        owners = tuple(affinity.owners) if affinity is not None else tuple(range(n))
 
         def exec_unit(unit: tuple):
             i, args = unit
-            return self._exec_remote(fleet, ctx, owners[i], i, args)
+            return self._exec_remote(fleet, ctx, i, args)
 
         # Lanes spend their time blocked on sockets, so the same
         # work-sharing scheduler pipelines tasks across workers.
         return self._schedule(
             list(enumerate(calls)), exec_unit, exec_unit, parallelism
         )
-
-    def run_one(self, fn, args, *, index=0, retry=None, faults=None,
-                retry_args=None):
-        """One task to one remote worker — the dataflow node path."""
-        args = tuple(args)
-        if not self._remote_portable(fn, args):
-            return super().run_one(
-                fn, args, index=index, retry=retry, faults=faults,
-                retry_args=retry_args,
-            )
-        fleet = self._get_fleet()
-        ctx = _FaultContext(fn, retry=retry, faults=faults, retry_args=retry_args)
-        return self._exec_remote(fleet, ctx, index, index, args)
 
 
 BACKENDS.setdefault(ClusterBackend.name, ClusterBackend)

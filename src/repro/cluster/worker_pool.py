@@ -397,7 +397,7 @@ class WorkerPool:
         ``home % len(live)`` in live-index order: stable while the fleet
         is stable, and collapses predictably onto survivors after a
         loss.  ``None`` means the whole fleet is gone — callers degrade
-        to inline driver execution, mirroring the process backend.
+        to inline driver execution.
         """
         live = self.live_workers()
         if not live:

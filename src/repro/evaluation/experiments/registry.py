@@ -1,7 +1,9 @@
 """Registry mapping experiment ids to their runner functions.
 
-The ids match DESIGN.md's experiment index and the ``benchmarks/``
-modules one-to-one; ``python -m repro run <id>`` dispatches through here.
+The ids match the ``benchmarks/`` modules one-to-one (``table1`` is
+``benchmarks/bench_table1.py``, ``ablations`` is
+``benchmarks/bench_ablations.py``); ``python -m repro list`` prints them
+and ``python -m repro run <id>`` dispatches through here.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ k-means|| l=2k     69.8      86.7
 k-means|| l=10k    75.7      101.0
 =================  ========  ========
 
-Method (recorded in DESIGN.md): the algorithm-dependent quantities —
+Method: the algorithm-dependent quantities —
 Lloyd iterations to convergence, intermediate-set sizes, reclustering
 refinement iterations — are *measured* by really running every method on
 the scaled KDD workload; simulated minutes are then computed at paper

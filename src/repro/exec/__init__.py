@@ -15,7 +15,6 @@ from repro.exec.backends import (
     BACKENDS,
     DEFAULT_BACKEND,
     ENV_BACKEND,
-    AffinitySpec,
     ExecBackend,
     ProcessBackend,
     SerialBackend,
@@ -28,21 +27,12 @@ from repro.exec.backends import (
     use_backend,
 )
 from repro.exec.budget import ENV_EXEC_WORKERS, WorkerBudget, default_budget_limit
-from repro.exec.dataflow import (
-    ENV_MR_ASYNC,
-    DataflowScheduler,
-    TaskNode,
-    resolve_async_scheduler,
-    set_default_async_scheduler,
-)
 from repro.exec.faults import (
     ENV_BACKOFF_S,
-    ENV_BLACKLIST_AFTER,
     ENV_CHAOS,
     ENV_CHAOS_RATE,
     ENV_CHAOS_SEED,
     ENV_MAX_RETRIES,
-    ENV_SPECULATION,
     ENV_TASK_TIMEOUT,
     ChaosInjector,
     FaultInjector,
@@ -60,7 +50,6 @@ from repro.exec.faults import (
 
 __all__ = [
     "ExecBackend",
-    "AffinitySpec",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
@@ -73,10 +62,6 @@ __all__ = [
     "get_worker_budget",
     "set_worker_budget",
     "default_budget_limit",
-    "DataflowScheduler",
-    "TaskNode",
-    "resolve_async_scheduler",
-    "set_default_async_scheduler",
     "RetryPolicy",
     "FaultStats",
     "FaultInjector",
@@ -91,13 +76,10 @@ __all__ = [
     "set_fault_injector",
     "ENV_BACKEND",
     "ENV_EXEC_WORKERS",
-    "ENV_MR_ASYNC",
     "DEFAULT_BACKEND",
     "ENV_MAX_RETRIES",
     "ENV_TASK_TIMEOUT",
-    "ENV_SPECULATION",
     "ENV_BACKOFF_S",
-    "ENV_BLACKLIST_AFTER",
     "ENV_CHAOS",
     "ENV_CHAOS_RATE",
     "ENV_CHAOS_SEED",

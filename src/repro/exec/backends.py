@@ -45,9 +45,8 @@ failure chained onto it via ``__context__``/notes.  Inline execution
 Fault tolerance (:mod:`repro.exec.faults`): ``run_calls`` regions retry
 crash-class failures (worker death, broken pools, timeouts, injected
 kills) under a :class:`~repro.exec.faults.RetryPolicy`; the process
-backend rebuilds broken pools, blacklists repeatedly-crashing pinned
-slots, and can speculatively duplicate stragglers onto idle slots.
-Ordinary task exceptions keep fail-fast-per-task semantics.
+backend kills hung workers and rebuilds broken pools.  Ordinary task
+exceptions keep fail-fast-per-task semantics.
 
 Selection
 ---------
@@ -67,7 +66,6 @@ from __future__ import annotations
 
 import abc
 import functools
-import math
 import os
 import pickle
 import threading
@@ -78,7 +76,7 @@ from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from contextlib import contextmanager
-from typing import Any, Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, ClassVar, Iterator, Sequence, TypeVar
 
 from repro.exceptions import TaskFailedError, ValidationError
 from repro.exec.budget import WorkerBudget
@@ -94,7 +92,6 @@ from repro.exec.faults import (
 
 __all__ = [
     "ExecBackend",
-    "AffinitySpec",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
@@ -110,30 +107,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-
-
-class AffinitySpec:
-    """Preferred-worker assignment for one :meth:`ExecBackend.run_calls` region.
-
-    ``owners[i]`` is task ``i``'s home slot in ``[0, n_slots)`` — the
-    MapReduce runtime passes ``split_index % workers``, Spark's preferred
-    locations.  Only the process backend acts on it (pinned single-worker
-    slot pools, so a split's tasks keep landing in the same OS process
-    and its page/attachment locality sticks); serial and thread backends
-    ignore the spec — one address space, every split already local.
-
-    Mutable on purpose: the backend adds the number of tasks that ran
-    away from home to ``steals`` (work-stealing fallback when the home
-    slot is busy), which the runtime surfaces as telemetry.  Results are
-    bit-identical with or without a spec; only placement differs.
-    """
-
-    def __init__(self, owners: Sequence[int], n_slots: int):
-        if n_slots < 1:
-            raise ValidationError(f"n_slots must be >= 1, got {n_slots}")
-        self.owners = tuple(int(o) % n_slots for o in owners)
-        self.n_slots = int(n_slots)
-        self.steals = 0
 
 
 #: Environment variable selecting the default backend by name.
@@ -223,8 +196,8 @@ class _FaultContext:
         return tuple(self.retry_args(index, attempt, exc))
 
     def ping(self, slot: int) -> None:
-        """Heartbeat: a pinned slot just accepted work or returned a
-        result.  Feeds :attr:`FaultStats.slot_last_ping`."""
+        """Heartbeat: a cluster worker slot just accepted work, pinged,
+        or returned a result.  Feeds :attr:`FaultStats.slot_last_ping`."""
         if self.stats is not None:
             record = getattr(self.stats, "ping", None)
             if record is not None:
@@ -351,7 +324,6 @@ class ExecBackend(abc.ABC):
         calls: Sequence[tuple],
         *,
         parallelism: int | None = None,
-        affinity: AffinitySpec | None = None,
         retry: RetryPolicy | None = None,
         faults: Any = None,
         retry_args: Callable[[int, int, Exception], tuple] | None = None,
@@ -360,9 +332,7 @@ class ExecBackend(abc.ABC):
 
         The portable entry point: ``fn`` must be a module-level callable
         and, for the process backend to ship it, ``(fn, args)`` and the
-        return value must be picklable.  ``affinity`` (optional) names a
-        preferred worker slot per task; backends without real placement
-        ignore it — results never depend on it.
+        return value must be picklable.
 
         Fault tolerance: crash-class failures of a task are retried
         under ``retry`` (default: :func:`resolve_retry_policy`), counted
@@ -376,39 +346,6 @@ class ExecBackend(abc.ABC):
             for i, args in enumerate(calls)
         ]
         return self.run_tasks(tasks, parallelism=parallelism)
-
-    def run_one(
-        self,
-        fn: Callable[..., T],
-        args: tuple,
-        *,
-        index: int = 0,
-        retry: RetryPolicy | None = None,
-        faults: Any = None,
-        retry_args: Callable[[int, int, Exception], tuple] | None = None,
-    ) -> T:
-        """Run a single ``fn(*args)`` under the retry policy.
-
-        The async dataflow scheduler's entry point: one graph node, one
-        task.  ``index`` names the task inside its region for fault
-        injection and telemetry; callers that pass a ``retry_args`` hook
-        should close over their own task identity (the hook's ``index``
-        argument is region-local, not the caller's).  The default
-        delegates to :meth:`run_calls` so subclasses (and test doubles)
-        that override only ``run_calls`` keep their semantics;
-        :class:`ProcessBackend` overrides this to ship the single task
-        to a worker process (its ``run_calls`` fast-path would otherwise
-        always run an n=1 region inline).
-        """
-        del index  # region-local task index is always 0 on this path
-        return self.run_calls(
-            fn,
-            [tuple(args)],
-            parallelism=1,
-            retry=retry,
-            faults=faults,
-            retry_args=retry_args,
-        )[0]
 
     def broadcast_transport(self) -> Any:
         """Optional plane transport for this backend's broadcasts.
@@ -458,7 +395,6 @@ class SerialBackend(ExecBackend):
         calls,
         *,
         parallelism=None,
-        affinity=None,
         retry=None,
         faults=None,
         retry_args=None,
@@ -674,7 +610,7 @@ def _prime_pool(pool: ProcessPoolExecutor, n_workers: int = 1) -> None:
 
     ``ProcessPoolExecutor`` forks workers lazily at submit time.  Under
     the fault-tolerant scheduler, first submits happen from lane threads
-    racing sibling pools' queue feeders and driver-side shared-memory
+    racing a retired pool's queue feeders and driver-side shared-memory
     registration (lineage recovery installs recomputed state from lane
     threads); a child forked at the wrong instant inherits a *held*
     queue or resource-tracker lock and deadlocks inside its first task —
@@ -723,23 +659,11 @@ class ProcessBackend(ThreadBackend):
         self._proc_pool: ProcessPoolExecutor | None = None
         self._proc_pid = 0
         self._proc_lock = threading.Lock()
-        #: Pinned affinity slots: one single-worker pool per slot, so a
-        #: task routed to slot ``s`` always lands in the same OS process.
-        self._slot_pools: list[ProcessPoolExecutor] = []
-        self._slot_pid = 0
-        #: Crash bookkeeping for pinned slots, persistent across regions:
-        #: a slot whose worker keeps dying gets blacklisted and its home
-        #: tasks remapped to survivors.
-        self._slot_crashes: dict[int, int] = {}
-        self._slot_blacklist: set[int] = set()
 
     def _reset_locks_in_child(self) -> None:
         super()._reset_locks_in_child()
         self._proc_lock = threading.Lock()
         self._proc_pool = None  # parent's workers are not this child's
-        self._slot_pools = []
-        self._slot_crashes = {}
-        self._slot_blacklist = set()
 
     def _mp_context(self):
         import multiprocessing as mp
@@ -767,61 +691,12 @@ class ProcessBackend(ThreadBackend):
                 _prime_pool(self._proc_pool, n_workers)
             return self._proc_pool
 
-    def _get_slot_pools(self, n_slots: int) -> list[ProcessPoolExecutor]:
-        with self._proc_lock:
-            if self._slot_pid != os.getpid():
-                # Pools inherited through fork are dead in the child.
-                self._slot_pools = []
-                self._slot_pid = os.getpid()
-            missing = len(self._slot_pools) < n_slots or any(
-                pool is None for pool in self._slot_pools[:n_slots]
-            )
-            if missing:
-                from repro.linalg.engine import get_engine
-
-                chunk_bytes = get_engine().chunk_bytes
-
-                def fresh() -> ProcessPoolExecutor:
-                    return ProcessPoolExecutor(
-                        max_workers=1,
-                        mp_context=self._mp_context(),
-                        initializer=_process_worker_init,
-                        initargs=(chunk_bytes,),
-                    )
-
-                created = []
-                while len(self._slot_pools) < n_slots:
-                    self._slot_pools.append(fresh())
-                    created.append(self._slot_pools[-1])
-                # Slots retired by a crash mid-region (left as None) are
-                # revived here, at a region boundary: no lane threads are
-                # running yet, so the fork cannot inherit a sibling
-                # executor's held queue/resource-tracker locks.
-                for s in range(n_slots):
-                    if self._slot_pools[s] is None:
-                        self._slot_pools[s] = fresh()
-                        created.append(self._slot_pools[s])
-                # Fork each new slot's worker now, serially, while the
-                # region is quiescent (see _prime_pool).
-                for pool in created:
-                    _prime_pool(pool)
-            return self._slot_pools[:n_slots]
-
     def shutdown(self) -> None:
         with self._proc_lock:
             if self._proc_pool is not None:
                 if self._proc_pid == os.getpid():
                     self._proc_pool.shutdown(wait=True)
                 self._proc_pool = None
-            if self._slot_pools:
-                if self._slot_pid == os.getpid():
-                    for pool in self._slot_pools:
-                        if pool is not None:
-                            pool.shutdown(wait=True)
-                self._slot_pools = []
-            # A fresh fleet starts with a clean record.
-            self._slot_crashes = {}
-            self._slot_blacklist = set()
         super().shutdown()
 
     @staticmethod
@@ -858,83 +733,6 @@ class ProcessBackend(ThreadBackend):
         else:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _retire_slot(
-        self,
-        pools: list[ProcessPoolExecutor | None],
-        slot: int,
-        ctx: _FaultContext,
-        pool: ProcessPoolExecutor,
-    ) -> None:
-        """Tear down one pinned slot's (dead or hung) pool mid-region.
-
-        The slot is left as ``None`` — *never* replaced mid-region —
-        because forking a replacement worker here would happen from a
-        running region: sibling executors' queue-feeder threads, result
-        unpicklers, and the shared resource tracker can hold locks at
-        fork time, and the child inherits them held, hanging inside its
-        first task without ever breaking the pool.  Retired slots are
-        revived at the next region boundary (``_get_slot_pools``), when
-        no lanes are running and forking is provably quiescent.  If the
-        *whole* fleet dies mid-region, remaining attempts run inline on
-        the driver (see :meth:`_submit_slot`) — bit-identical by the
-        engine's worker-count invariance, and fork-free.
-
-        ``pool`` is the generation guard: a single worker death fails
-        *every* future queued on that slot, and each failing lane reports
-        it — only the first retire may act, or the second would tear down
-        the freshly built replacement.
-        """
-        with self._proc_lock:
-            if (
-                self._slot_pid != os.getpid()
-                or slot >= len(self._slot_pools)
-                or self._slot_pools[slot] is not pool
-            ):
-                return
-            old = pool
-            self._slot_pools[slot] = None
-            if slot < len(pools):
-                pools[slot] = None
-            ctx.bump("pool_rebuilds")
-        self._kill_pool_workers(old)
-
-    def _note_slot_crash(
-        self,
-        pools: list[ProcessPoolExecutor],
-        slot: int,
-        ctx: _FaultContext,
-    ) -> None:
-        """One pinned slot lost its worker (the pool itself was already
-        retired by ``_submit_slot``): record the strike, and blacklist
-        the slot once it has crashed ``blacklist_after`` times (never
-        the last usable slot — a fleet of zero cannot run anything)."""
-        with self._proc_lock:
-            self._slot_crashes[slot] = self._slot_crashes.get(slot, 0) + 1
-            crashes = self._slot_crashes[slot]
-        after = ctx.policy.blacklist_after
-        if after <= 0 or crashes < after:
-            return
-        with self._proc_lock:
-            others = [
-                s
-                for s, pool in enumerate(pools)
-                if s != slot and pool is not None and s not in self._slot_blacklist
-            ]
-            if slot not in self._slot_blacklist and others:
-                self._slot_blacklist.add(slot)
-                ctx.bump("workers_blacklisted")
-
-    def _remap_slot(self, home: int, n_slots: int) -> int:
-        """A blacklisted home slot maps deterministically to a survivor."""
-        with self._proc_lock:
-            blacklist = set(self._slot_blacklist)
-        if home not in blacklist:
-            return home
-        usable = [s for s in range(n_slots) if s not in blacklist]
-        if not usable:
-            return home
-        return usable[home % len(usable)]
-
     def _submit_shared(
         self, task_fn: Callable, task_args: tuple, ctx: _FaultContext
     ):
@@ -969,7 +767,6 @@ class ProcessBackend(ThreadBackend):
         calls,
         *,
         parallelism=None,
-        affinity=None,
         retry=None,
         faults=None,
         retry_args=None,
@@ -990,26 +787,7 @@ class ProcessBackend(ThreadBackend):
                 faults=faults,
                 retry_args=retry_args,
             )
-        if affinity is None:
-            # Once pinned slot pools exist, route unpinned regions (the
-            # reduce phases of a pinned runtime) over them round-robin
-            # rather than spinning up a second, redundant worker fleet —
-            # results are index-collected either way.  The fleet grows to
-            # this region's effective parallelism if it wants more lanes
-            # than slots exist, so a pinned runtime with few workers can
-            # never silently cap a wider unpinned caller.
-            with self._proc_lock:
-                n_slots = (
-                    len(self._slot_pools)
-                    if self._slot_pools and self._slot_pid == os.getpid()
-                    else 0
-                )
-            if n_slots:
-                n_slots = max(n_slots, self._effective(n, parallelism))
-                affinity = AffinitySpec(range(n), n_slots=n_slots)
         ctx = _FaultContext(fn, retry=retry, faults=faults, retry_args=retry_args)
-        if affinity is not None:
-            return self._run_pinned(calls, affinity, parallelism, ctx)
         self._get_process_pool()  # build the fleet before the lanes race
 
         def exec_inline(unit: tuple):
@@ -1025,346 +803,6 @@ class ProcessBackend(ThreadBackend):
             )
 
         return self._schedule(list(enumerate(calls)), exec_inline, exec_lane, parallelism)
-
-    def run_one(self, fn, args, *, index=0, retry=None, faults=None, retry_args=None):
-        """One task to one worker process — the dataflow node path.
-
-        ``run_calls`` with a single call always runs inline (its n<=1
-        fast-path), which is right for a sync region but wrong for a
-        dataflow node: the point of the async scheduler is that several
-        single-task nodes from different jobs occupy worker processes
-        *concurrently*.  Ship the task to the shared pool under the
-        usual retry context; unpicklable work still runs inline.
-        """
-        args = tuple(args)
-        if not self._portable(fn, args):
-            return super().run_one(
-                fn, args, index=index, retry=retry, faults=faults,
-                retry_args=retry_args,
-            )
-        ctx = _FaultContext(fn, retry=retry, faults=faults, retry_args=retry_args)
-        return ctx.run(
-            index,
-            args,
-            lambda task_fn, task_args: self._submit_shared(task_fn, task_args, ctx),
-        )
-
-    def _submit_slot(
-        self,
-        pools: list[ProcessPoolExecutor],
-        slot: int,
-        task_fn: Callable,
-        task_args: tuple,
-        ctx: _FaultContext,
-    ):
-        """One attempt on one pinned slot, with timeout + hung-worker kill."""
-        pool = pools[slot]
-        if pool is None:
-            if any(
-                p is not None and s not in self._slot_blacklist
-                for s, p in enumerate(pools)
-            ):
-                # Retired by a sibling lane between claim and submit; the
-                # retry re-claims a live slot.  TaskTimeoutError is the
-                # crash-class marker that skips the double strike.
-                raise TaskTimeoutError(
-                    f"slot {slot} was retired mid-claim"
-                ) from None
-            # The whole fleet died mid-region.  Forking a replacement
-            # here is the one thing we must never do (see _retire_slot),
-            # so finish the attempt inline on the driver — bit-identical
-            # by the engine's worker-count invariance — and let the next
-            # region boundary rebuild the fleet at a quiescent moment.
-            return task_fn(*task_args)
-        try:
-            fut = pool.submit(task_fn, *task_args)
-        except Exception as exc:  # noqa: BLE001 - classified below
-            # submit() itself raises once the pool is broken/shut down.
-            self._retire_slot(pools, slot, ctx, pool)
-            if is_crash_failure(exc):
-                raise
-            raise TaskTimeoutError(f"slot {slot} pool unusable: {exc}") from exc
-        ctx.ping(slot)  # heartbeat: the slot accepted the submission
-        timeout = ctx.policy.task_timeout_s
-        try:
-            result = fut.result(timeout)
-        except (_FuturesTimeout, TimeoutError):
-            ctx.bump("timeouts")
-            self._retire_slot(pools, slot, ctx, pool)
-            raise TaskTimeoutError(
-                f"task exceeded task_timeout_s={timeout}s on slot {slot}"
-            ) from None
-        except Exception as exc:  # noqa: BLE001 - classified below
-            if is_crash_failure(exc):
-                # Worker death fails every future queued on this slot;
-                # the generation guard makes the retire act exactly once.
-                self._retire_slot(pools, slot, ctx, pool)
-            raise
-        ctx.ping(slot)  # heartbeat: the slot returned a result
-        return result
-
-    def _run_pinned(
-        self,
-        calls: list[tuple],
-        affinity: AffinitySpec,
-        parallelism: int | None,
-        ctx: _FaultContext,
-    ) -> list:
-        """Affinity region: route every task to its home slot's process.
-
-        Slots are single-worker pools, so slot ``s`` *is* one long-lived
-        OS process — a split pinned to it finds its page cache, its shm
-        attachments, and its warmed imports from the previous job.
-        Concurrency is still budget-governed: the caller plus one lane
-        per acquired token drive the slots, each lane claiming the first
-        task whose home slot is idle; when every remaining task's home
-        is busy, the oldest task is *stolen* onto an idle slot (counted
-        in ``affinity.steals``) rather than waiting.  Results are
-        collected by index, so placement never affects output.
-
-        Fault handling: a slot whose worker dies is retired for the rest
-        of the region (revived at the next region boundary, where forking
-        a replacement is safe) and the lost task retried on a surviving
-        slot under ``ctx``'s retry policy; repeatedly-crashing slots are
-        blacklisted (their home tasks remapped deterministically).  With speculation enabled,
-        idle lanes duplicate slowest-quantile stragglers onto idle slots
-        — first result wins, by index, so placement and duplication
-        provably never affect output.
-        """
-        n = len(calls)
-        owners = affinity.owners
-        if len(owners) != n:
-            raise ValidationError(
-                f"affinity spec has {len(owners)} owners for {n} tasks"
-            )
-        limit = min(self._effective(n, parallelism), affinity.n_slots)
-        got = self.budget.try_acquire(limit - 1) if limit > 1 else 0
-        if got == 0:
-            # No tokens: inline serial execution (the degraded leaf path —
-            # same semantics, no placement, and no worker fleet spawned).
-            return [ctx.run(i, args, _invoke) for i, args in enumerate(calls)]
-        try:
-            pools = list(self._get_slot_pools(affinity.n_slots))
-        except BaseException:
-            # A pool-creation failure must not leak the borrowed tokens.
-            self.budget.release(got)
-            raise
-
-        n_slots = affinity.n_slots
-        policy = ctx.policy
-        speculate = policy.speculation and n_slots > 1
-        results: list[Any] = [None] * n
-        done = [False] * n  # settled: a result or an error is recorded
-        errors: dict[int, Exception] = {}
-        lock = threading.Lock()
-        remaining = list(range(n))
-        busy = [0] * n_slots
-        current_args: list[tuple] = list(calls)
-        started_at: dict[int, float] = {}
-        durations: list[float] = []
-        speculated: set[int] = set()
-        completed = 0
-        stolen = 0
-        stop = False
-
-        def usable(slot: int) -> bool:
-            return pools[slot] is not None and slot not in self._slot_blacklist
-
-        def route(home: int) -> int:
-            """A dead/blacklisted home maps deterministically to a
-            survivor (a retired slot revives only at the next region)."""
-            if usable(home):
-                return home
-            live = [s for s in range(n_slots) if usable(s)]
-            return live[home % len(live)] if live else home
-
-        def claim() -> tuple[int, int] | None:
-            nonlocal stolen
-            with lock:
-                if stop or not remaining:
-                    return None
-                for pos, i in enumerate(remaining):
-                    home = route(self._remap_slot(owners[i], n_slots))
-                    if busy[home] == 0 and usable(home):
-                        remaining.pop(pos)
-                        busy[home] += 1
-                        if home != owners[i]:
-                            stolen += 1
-                        return i, home
-                # Every remaining task's home is busy: steal the oldest
-                # onto an idle slot if one exists, else queue it home.
-                i = remaining.pop(0)
-                home = route(self._remap_slot(owners[i], n_slots))
-                idle = next(
-                    (s for s in range(n_slots) if busy[s] == 0 and usable(s)),
-                    None,
-                )
-                slot = home if idle is None else idle
-                busy[slot] += 1
-                if slot != owners[i]:
-                    stolen += 1
-                return i, slot
-
-        def claim_retry_slot(i: int) -> int:
-            """Pick a slot for a retry: the (remapped) home if idle, else
-            any idle usable slot, else queue on the home anyway."""
-            with lock:
-                home = route(self._remap_slot(owners[i], n_slots))
-                if busy[home] == 0 and usable(home):
-                    slot = home
-                else:
-                    idle = next(
-                        (s for s in range(n_slots) if busy[s] == 0 and usable(s)),
-                        None,
-                    )
-                    slot = home if idle is None else idle
-                busy[slot] += 1
-                return slot
-
-        def run_task(i: int, slot: int) -> None:
-            attempt = 0
-            args = calls[i]
-            while True:
-                task_fn, task_args = ctx.task(i, args, attempt)
-                try:
-                    out = self._submit_slot(pools, slot, task_fn, task_args, ctx)
-                except Exception as exc:  # noqa: BLE001 - classified below
-                    with lock:
-                        busy[slot] -= 1
-                    if not is_crash_failure(exc):
-                        raise
-                    ctx.record_crash(exc)
-                    if not isinstance(exc, TaskTimeoutError):
-                        # A real worker death: rebuild the slot, note the
-                        # strike (timeouts already rebuilt in _submit_slot).
-                        self._note_slot_crash(pools, slot, ctx)
-                    with lock:
-                        if done[i]:
-                            return  # a speculative twin already delivered
-                    if attempt >= policy.max_task_retries:
-                        raise ctx.task_failed(i, attempt, exc) from exc
-                    attempt += 1
-                    ctx.bump("retries")
-                    delay = policy.backoff(ctx.region, i, attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                    args = ctx.next_args(i, attempt, exc, args)
-                    with lock:
-                        current_args[i] = args
-                    slot = claim_retry_slot(i)
-                else:
-                    with lock:
-                        busy[slot] -= 1
-                        if not done[i]:
-                            results[i] = out
-                            done[i] = True
-                    return
-
-        def pick_speculation() -> tuple[int, int] | None:
-            with lock:
-                if stop or completed >= n or not durations:
-                    return None
-                if len(durations) < max(1, math.ceil(policy.speculation_quantile * n)):
-                    return None
-                median = sorted(durations)[len(durations) // 2]
-                threshold = policy.speculation_multiplier * max(median, 1e-3)
-                now = time.monotonic()
-                candidates = [
-                    (now - t0, i)
-                    for i, t0 in started_at.items()
-                    if not done[i] and i not in speculated and now - t0 > threshold
-                ]
-                if not candidates:
-                    return None
-                idle = next(
-                    (s for s in range(n_slots) if busy[s] == 0 and usable(s)),
-                    None,
-                )
-                if idle is None:
-                    return None
-                _, i = max(candidates)
-                speculated.add(i)
-                busy[idle] += 1
-                ctx.bump("speculative_launched")
-                return i, idle
-
-        def run_speculative(i: int, slot: int) -> None:
-            # attempt=1: injectors fire only on first attempts, so the
-            # duplicate never inherits the straggler's injected fate.
-            task_fn, task_args = ctx.task(i, current_args[i], 1)
-            try:
-                out = self._submit_slot(pools, slot, task_fn, task_args, ctx)
-            except Exception as exc:  # noqa: BLE001 - speculation is best-effort
-                with lock:
-                    busy[slot] -= 1
-                if is_crash_failure(exc) and not isinstance(exc, TaskTimeoutError):
-                    self._note_slot_crash(pools, slot, ctx)
-                return
-            with lock:
-                busy[slot] -= 1
-                if not done[i]:
-                    results[i] = out
-                    done[i] = True
-                    ctx.bump("speculative_won")
-
-        def drive(i: int, slot: int) -> None:
-            nonlocal completed
-            t0 = time.monotonic()
-            with lock:
-                started_at[i] = t0
-            try:
-                run_task(i, slot)
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                with lock:
-                    if not done[i]:
-                        errors[i] = exc
-                        done[i] = True
-            finally:
-                with lock:
-                    completed += 1
-                    started_at.pop(i, None)
-                    durations.append(time.monotonic() - t0)
-
-        def drain() -> None:
-            while True:
-                claimed = claim()
-                if claimed is not None:
-                    drive(*claimed)
-                    continue
-                if not speculate:
-                    return
-                with lock:
-                    settled = stop or completed >= n
-                if settled:
-                    return
-                dup = pick_speculation()
-                if dup is not None:
-                    run_speculative(*dup)
-                else:
-                    time.sleep(0.01)
-
-        lanes = [self._get_thread_pool().submit(drain) for _ in range(got)]
-        try:
-            drain()
-            for lane in lanes:
-                lane.result()
-        except BaseException:
-            # Interrupts surface immediately, but only after the lanes
-            # stop claiming and settle (no straggler submits afterwards).
-            with lock:
-                stop = True
-            for lane in lanes:
-                try:
-                    lane.result()
-                except BaseException:  # noqa: BLE001 - the interrupt wins
-                    pass
-            raise
-        finally:
-            self.budget.release(got)
-            affinity.steals += stolen
-        if errors:
-            _raise_region_errors(errors)
-        return results
 
 
 #: Name -> class registry used by :func:`resolve_backend` and the CLI.

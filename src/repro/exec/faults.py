@@ -25,8 +25,7 @@ Env knobs (CLI equivalents in parentheses):
 
 - ``REPRO_FAULTS_MAX_RETRIES`` (``--max-task-retries``)
 - ``REPRO_FAULTS_TASK_TIMEOUT`` (``--task-timeout``), seconds
-- ``REPRO_FAULTS_SPECULATION`` (``--speculation``)
-- ``REPRO_FAULTS_BACKOFF_S``, ``REPRO_FAULTS_BLACKLIST_AFTER``
+- ``REPRO_FAULTS_BACKOFF_S``
 - ``REPRO_FAULTS_CHAOS``, ``REPRO_FAULTS_CHAOS_RATE``,
   ``REPRO_FAULTS_CHAOS_SEED`` (fault injection for chaos testing)
 """
@@ -60,9 +59,7 @@ __all__ = [
     "set_fault_injector",
     "ENV_MAX_RETRIES",
     "ENV_TASK_TIMEOUT",
-    "ENV_SPECULATION",
     "ENV_BACKOFF_S",
-    "ENV_BLACKLIST_AFTER",
     "ENV_CHAOS",
     "ENV_CHAOS_RATE",
     "ENV_CHAOS_SEED",
@@ -70,9 +67,7 @@ __all__ = [
 
 ENV_MAX_RETRIES = "REPRO_FAULTS_MAX_RETRIES"
 ENV_TASK_TIMEOUT = "REPRO_FAULTS_TASK_TIMEOUT"
-ENV_SPECULATION = "REPRO_FAULTS_SPECULATION"
 ENV_BACKOFF_S = "REPRO_FAULTS_BACKOFF_S"
-ENV_BLACKLIST_AFTER = "REPRO_FAULTS_BLACKLIST_AFTER"
 ENV_CHAOS = "REPRO_FAULTS_CHAOS"
 ENV_CHAOS_RATE = "REPRO_FAULTS_CHAOS_RATE"
 ENV_CHAOS_SEED = "REPRO_FAULTS_CHAOS_SEED"
@@ -164,18 +159,6 @@ class RetryPolicy:
     #: Per-attempt wall-clock limit for process-backend tasks; ``None``
     #: disables.  On expiry the worker is killed and the task retried.
     task_timeout_s: float | None = None
-    #: Duplicate slowest-quantile stragglers onto idle slots (pinned
-    #: process regions only); first result wins.
-    speculation: bool = False
-    #: Fraction of the region that must finish before stragglers are
-    #: considered for duplication.
-    speculation_quantile: float = 0.5
-    #: A task is a straggler once it has run longer than this multiple
-    #: of the median completed-task duration.
-    speculation_multiplier: float = 2.0
-    #: Blacklist a pinned slot after this many crashes (0 disables); the
-    #: last usable slot is never blacklisted.
-    blacklist_after: int = 2
 
     def __post_init__(self) -> None:
         if self.max_task_retries < 0:
@@ -191,20 +174,6 @@ class RetryPolicy:
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValidationError(
                 f"task_timeout_s must be > 0 or None, got {self.task_timeout_s}"
-            )
-        if not 0.0 < self.speculation_quantile <= 1.0:
-            raise ValidationError(
-                f"speculation_quantile must be in (0, 1], got "
-                f"{self.speculation_quantile}"
-            )
-        if self.speculation_multiplier <= 0:
-            raise ValidationError(
-                f"speculation_multiplier must be > 0, got "
-                f"{self.speculation_multiplier}"
-            )
-        if self.blacklist_after < 0:
-            raise ValidationError(
-                f"blacklist_after must be >= 0, got {self.blacklist_after}"
             )
 
     def backoff(self, region: str, index: int, attempt: int) -> float:
@@ -264,13 +233,7 @@ def _policy_from_env() -> RetryPolicy:
     global _env_policy_key, _env_policy
     key = tuple(
         os.environ.get(name)
-        for name in (
-            ENV_MAX_RETRIES,
-            ENV_TASK_TIMEOUT,
-            ENV_SPECULATION,
-            ENV_BACKOFF_S,
-            ENV_BLACKLIST_AFTER,
-        )
+        for name in (ENV_MAX_RETRIES, ENV_TASK_TIMEOUT, ENV_BACKOFF_S)
     )
     with _policy_lock:
         if key == _env_policy_key and _env_policy is not None:
@@ -284,13 +247,7 @@ def _policy_from_env() -> RetryPolicy:
         kwargs["task_timeout_s"] = _parse_float(ENV_TASK_TIMEOUT, raw)
     raw = key[2]
     if raw is not None:
-        kwargs["speculation"] = _parse_bool(ENV_SPECULATION, raw)
-    raw = key[3]
-    if raw is not None:
         kwargs["backoff_s"] = _parse_float(ENV_BACKOFF_S, raw)
-    raw = key[4]
-    if raw is not None:
-        kwargs["blacklist_after"] = _parse_int(ENV_BLACKLIST_AFTER, raw)
     policy = RetryPolicy(**kwargs)
     with _policy_lock:
         _env_policy_key, _env_policy = key, policy
@@ -324,9 +281,6 @@ class FaultStats:
         "crashes",
         "timeouts",
         "pool_rebuilds",
-        "workers_blacklisted",
-        "speculative_launched",
-        "speculative_won",
         "state_recomputed_bytes",
         # Cluster-backend failure detection: tasks failed because their
         # worker's ``last_ping`` went stale past the heartbeat timeout.
@@ -340,16 +294,15 @@ class FaultStats:
         self._lock = threading.Lock()
         for field in self.FIELDS:
             setattr(self, field, 0)
-        #: Monotonic timestamp of the last successful interaction with
-        #: each pinned slot (submit accepted / result returned) — the
-        #: skywriting-style ``last_ping`` heartbeat the cluster backend's
-        #: asynchronous failure detector will consume.  Not part of
+        #: Monotonic timestamp of the last sign of life from each cluster
+        #: worker slot (task accepted, ping or result received) — the
+        #: skywriting-style ``last_ping`` heartbeat.  Not part of
         #: :attr:`FIELDS`: timestamps, not counters, and excluded from
         #: :meth:`as_dict` so job telemetry stays integer-valued.
         self.slot_last_ping: dict[int, float] = {}
 
     def ping(self, slot: int, when: float | None = None) -> None:
-        """Record a heartbeat for a pinned slot."""
+        """Record a heartbeat for a worker slot."""
         stamp = time.monotonic() if when is None else float(when)
         with self._lock:
             previous = self.slot_last_ping.get(slot)

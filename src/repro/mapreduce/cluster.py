@@ -3,7 +3,7 @@
 Converts the measured work of a MapReduce job (records scanned, float
 work, bytes shuffled) into simulated wall-clock seconds for a cluster of
 ``n_workers`` machines — the substitution for the paper's 1968-node
-Hadoop testbed (see DESIGN.md).
+Hadoop testbed, which a local run cannot reproduce in wall-clock time.
 
 The model captures the four effects Table 4 actually measures:
 
@@ -55,7 +55,8 @@ class ClusterModel:
 
     Defaults are calibrated to 2012-era commodity hardware (the paper's
     nodes: two quad-core 2.5GHz, 16GB RAM) so that paper-scale inputs
-    produce Table 4-magnitude minutes; see ``docs`` in DESIGN.md. The
+    produce Table 4-magnitude minutes (each attribute below documents its
+    constant; :meth:`paper_2012` is the Table 4 calibration). The
     *shape* of every comparison is insensitive to these constants — they
     scale all algorithms alike except where an algorithm genuinely does
     more rounds, more sequential work, or more shuffle.

@@ -83,15 +83,14 @@ class MRKMeansReport:
     #: ``peak_bytes`` (largest driver-held shuffle residency of any job).
     shuffle: dict[str, int] = field(default_factory=dict)
     #: Data-plane telemetry: broadcast ``mode`` (``shared``/``task``),
-    #: ``affinity``, publish-once vs per-task broadcast byte totals,
-    #: split-state bytes shipped vs resident, and pinned-dispatch
-    #: ``steals`` — see :func:`_plane_telemetry`.
+    #: publish-once vs per-task broadcast byte totals, and split-state
+    #: bytes shipped vs resident — see :func:`_plane_telemetry`.
     plane: dict = field(default_factory=dict)
     #: Fault-tolerance telemetry summed over the run's jobs (all zeros
     #: on a fault-free run): ``retries`` / ``crashes`` / ``timeouts`` /
-    #: ``pool_rebuilds`` / ``workers_blacklisted`` /
-    #: ``speculative_launched`` / ``speculative_won`` /
-    #: ``state_recomputed_bytes`` — see :func:`_fault_telemetry`.
+    #: ``pool_rebuilds`` / ``state_recomputed_bytes`` /
+    #: ``heartbeat_timeouts`` / ``manifests_recovered`` — see
+    #: :func:`_fault_telemetry`.
     faults: dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -136,18 +135,15 @@ def _plane_telemetry(runtime: LocalMapReduceRuntime) -> dict[str, int | str]:
     separates the one-crossing shared path from the legacy
     once-per-map-task charge; the ``state_*`` pair shows how many split
     -state bytes actually moved versus stayed resident behind
-    shared-memory descriptors; ``steals`` counts pinned map tasks that
-    ran away from their home worker.
+    shared-memory descriptors.
     """
     log = runtime.job_log
     return {
         "mode": "shared" if runtime.shared_broadcast else "task",
-        "affinity": runtime.affinity,
         "broadcast_bytes_published": sum(s.broadcast_bytes_published for s in log),
         "broadcast_bytes_per_task": sum(s.broadcast_bytes_per_task for s in log),
         "state_bytes_shipped": sum(s.state_bytes_shipped for s in log),
         "state_bytes_resident": sum(s.state_bytes_resident for s in log),
-        "steals": sum(s.plane_steals for s in log),
     }
 
 
@@ -156,9 +152,8 @@ def _fault_telemetry(runtime: LocalMapReduceRuntime) -> dict[str, int]:
 
     Sums the :class:`~repro.exec.FaultStats` counters recorded in each
     job's :class:`~repro.mapreduce.runtime.JobStats` — retries and
-    crashes survived, pools rebuilt, workers blacklisted, speculative
-    duplicates launched/won, and bytes of split state recomputed from
-    lineage.  All zeros on a fault-free run; never affects output.
+    crashes survived, pools rebuilt, and bytes of split state recomputed
+    from lineage.  All zeros on a fault-free run; never affects output.
     """
     totals: dict[str, int] = {}
     for stats in runtime.job_log:
@@ -167,69 +162,22 @@ def _fault_telemetry(runtime: LocalMapReduceRuntime) -> dict[str, int]:
     return totals
 
 
-def _minutes_prefix(job_log, upto: int) -> float:
-    """Fold-left minutes after the first ``upto`` job-log entries.
-
-    Replicates the runtime clock's exact accumulation —
-    ``simulated_seconds`` is a fold-left sum of ``stats.time.total``
-    starting at 0.0 — so each prefix is bit-identical to the sync
-    driver's snapshot of ``simulated_minutes`` at the same boundary.
-    The async driver uses this to reconstruct the phase breakdown after
-    the fact, since it never waits at the phase seams.
-    """
-    acc = 0.0
-    for stats in job_log[:upto]:
-        acc += stats.time.total
-    return acc / 60.0
-
-
 def mr_lloyd(
     runtime: LocalMapReduceRuntime,
     centers: FloatArray,
     *,
     max_iter: int = 20,
     tol: float = 0.0,
-    _prefetched=None,
 ) -> tuple[FloatArray, float, int]:
     """Lloyd's iteration as repeated MapReduce jobs.
 
     Stops when the maximum squared center shift is ``<= tol`` or after
     ``max_iter`` jobs (the paper bounds the parallel ``Random`` baseline
     at 20 iterations). Returns ``(centers, final_phi, n_iter)``.
-
-    On an async-scheduler runtime the iterations *pipeline*: round
-    ``i``'s new centers resolve at the end of its reduce phase, so round
-    ``i+1``'s broadcast/maps run while round ``i`` is still finalizing.
-    ``_prefetched`` (private) lets a caller hand in an already-submitted
-    future for the first round's job.
     """
     centers = np.array(centers, dtype=np.float64, copy=True)
     phi = float("inf")
     n_iter = 0
-    if getattr(runtime, "async_scheduler", False) and max_iter > 0:
-        fut = _prefetched
-        if fut is None:
-            fut = runtime.submit_job(make_lloyd_job(centers))
-        while True:
-            # output() resolves at the reduce phase, before finalize.
-            new_centers, phi = collect_new_centers(fut.output(), centers)
-            n_iter += 1
-            shift_sq = float(
-                np.max(
-                    np.einsum(
-                        "ij,ij->i", new_centers - centers, new_centers - centers
-                    )
-                )
-            )
-            centers = new_centers
-            if shift_sq <= tol or n_iter >= max_iter:
-                break
-            # Pipeline: submit round i+1 only once round i says "keep
-            # going", so the job count matches the sync path exactly —
-            # round i+1's publish/maps then overlap round i's finalize.
-            fut = runtime.submit_job(make_lloyd_job(centers))
-        runtime.drain()
-        return centers, phi, n_iter
     for _ in range(max_iter):
         result = runtime.run_job(make_lloyd_job(centers))
         new_centers, phi = collect_new_centers(result.output, centers)
@@ -258,9 +206,7 @@ def mr_scalable_kmeans(
     backend: "ExecBackend | str | None" = None,
     shuffle_budget: int | None = None,
     shared_broadcast: bool | None = None,
-    affinity: str | None = None,
     retry_policy: "RetryPolicy | None" = None,
-    async_scheduler: bool | None = None,
 ) -> MRKMeansReport:
     """Full ``k-means||`` pipeline on the simulated cluster.
 
@@ -270,15 +216,6 @@ def mr_scalable_kmeans(
     (memory-mapped); ``workers`` fans map/reduce tasks out and
     ``backend`` selects the execution backend (``"serial"`` /
     ``"thread"`` / ``"process"``; default: the process-wide one).
-
-    With ``async_scheduler`` on (``REPRO_MR_ASYNC=1`` / the CLI's
-    ``--async-scheduler``) consecutive jobs *overlap*: round ``T``'s
-    cost aggregation runs concurrently with round ``T+1``'s sampler maps
-    (the sampler needs only ψ_T, which resolves at the cost job's single
-    reduce key), the weight maps overlap the final fold's trailing work,
-    Lloyd round 1's maps overlap the driver's seed-cost scan, and Lloyd
-    iterations pipeline — with centers, costs, counters, and simulated
-    minutes bit-identical to the sequential schedule.
     """
     source = as_split_source(X)
     d = source.shape[1]
@@ -289,46 +226,32 @@ def mr_scalable_kmeans(
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,
         backend=backend, shuffle_budget=shuffle_budget,
-        shared_broadcast=shared_broadcast, affinity=affinity,
-        retry_policy=retry_policy, async_scheduler=async_scheduler,
+        shared_broadcast=shared_broadcast, retry_policy=retry_policy,
     ) as runtime:
-        async_mode = runtime.async_scheduler
         rng = np.random.default_rng(
             runtime._seed_root.integers(0, 2**63)  # driver-side randomness
         )
 
         # Step 1: first center, uniformly at random, via a sampling job.
-        if async_mode:
-            first = runtime.submit_job(make_uniform_sample_job(1)).single(SAMPLE_KEY)
-        else:
-            first = runtime.run_job(make_uniform_sample_job(1)).single(SAMPLE_KEY)
+        first = runtime.run_job(make_uniform_sample_job(1)).single(SAMPLE_KEY)
         candidates = [np.atleast_2d(first)]
         new_centers = candidates[0]
 
         # Steps 2-6: cost job + sample job per round. The cost job folds the
         # previous round's picks into each split's cached (d^2, argmin) state
         # and reports the exact current potential; the sample job then flips
-        # the per-point coins against that potential.  Async: ``single`` /
-        # ``output`` resolve at each job's reduce phase, so every job's
-        # finalize (and the publish/maps of its successor) overlap the next
-        # driver step instead of serializing behind it.
+        # the per-point coins against that potential.
         n_candidates = 1
         offset = 0
         for _ in range(r):
             cost_job = make_cost_job(new_centers, offset=offset)
-            if async_mode:
-                phi = runtime.submit_job(cost_job).single(PHI_KEY)
-            else:
-                phi = runtime.run_job(cost_job).single(PHI_KEY)
+            phi = runtime.run_job(cost_job).single(PHI_KEY)
             offset = n_candidates
             if phi <= 0.0:
                 new_centers = np.empty((0, d))
                 break
             sample_job = make_sample_job(l, phi)
-            if async_mode:
-                sampled = runtime.submit_job(sample_job).output().get(CANDIDATES_KEY)
-            else:
-                sampled = runtime.run_job(sample_job).output.get(CANDIDATES_KEY)
+            sampled = runtime.run_job(sample_job).output.get(CANDIDATES_KEY)
             block = sampled[0] if sampled else None
             if block is None or len(block) == 0:
                 new_centers = np.empty((0, d))
@@ -340,24 +263,14 @@ def mr_scalable_kmeans(
         # Final fold so the caches cover the last round's candidates too.
         if new_centers.shape[0]:
             fold_job = make_cost_job(new_centers, offset=offset)
-            if async_mode:
-                runtime.submit_job(fold_job)  # weight maps chain behind its maps
-            else:
-                runtime.run_job(fold_job).single(PHI_KEY)
+            runtime.run_job(fold_job).single(PHI_KEY)
 
         candidate_arr = np.vstack(candidates)
-        j_init = runtime._job_counter  # MR jobs submitted so far
-        init_minutes = runtime.simulated_minutes  # exact only when sync
+        init_minutes = runtime.simulated_minutes
 
         # Step 7: candidate weights — a bincount over the cached argmin column.
         weight_job = make_cached_weight_job(candidate_arr.shape[0])
-        if async_mode:
-            # result() rides the finalize chain: every earlier job has
-            # folded into the simulated clock before it returns, so the
-            # driver-side sequential charge below lands in sync order.
-            weights = runtime.submit_job(weight_job).result().single(WEIGHTS_KEY)
-        else:
-            weights = runtime.run_job(weight_job).single(WEIGHTS_KEY)
+        weights = runtime.run_job(weight_job).single(WEIGHTS_KEY)
         weight_minutes = runtime.simulated_minutes - init_minutes
 
         # Step 8: sequential reclustering on the driver.
@@ -379,40 +292,14 @@ def mr_scalable_kmeans(
         runtime.charge_sequential(recluster_flops, label="recluster candidates")
         recluster_minutes = runtime.simulated_minutes - init_minutes - weight_minutes
 
-        prefetched = None
-        if async_mode and lloyd_max_iter > 0:
-            # Submit Lloyd round 1 *before* the driver-side seed-cost
-            # scan below, so its publish and maps overlap the scan.
-            prefetched = runtime.submit_job(
-                make_lloyd_job(np.array(seed_centers, dtype=np.float64, copy=True))
-            )
-
         seed_cost = float(min_sq_dists(X_arr, seed_centers).sum())
 
         # Lloyd refinement, one MR job per round, to convergence.
         before = runtime.simulated_minutes
         centers, final_cost, n_iter = mr_lloyd(
-            runtime, seed_centers, max_iter=lloyd_max_iter, _prefetched=prefetched
+            runtime, seed_centers, max_iter=lloyd_max_iter
         )
         lloyd_minutes = runtime.simulated_minutes - before
-
-        if async_mode:
-            # Reconstruct the phase breakdown from job-log prefixes: the
-            # driver never paused at the init/weight seams, so the
-            # snapshots above were taken mid-flight.  The fold-left
-            # prefix sums reproduce the sync snapshots bit-exactly
-            # (weight job lands at log index j_init, the sequential
-            # recluster charge right after it).
-            runtime.drain()
-            log = runtime.job_log
-            init_minutes = _minutes_prefix(log, j_init)
-            weight_minutes = _minutes_prefix(log, j_init + 1) - init_minutes
-            recluster_minutes = (
-                _minutes_prefix(log, j_init + 2) - init_minutes - weight_minutes
-            )
-            lloyd_minutes = (
-                runtime.simulated_minutes - _minutes_prefix(log, j_init + 2)
-            )
 
         return MRKMeansReport(
             method="k-means||",
@@ -438,7 +325,6 @@ def mr_scalable_kmeans(
                 "backend": runtime.backend.name,
                 "shuffle_budget": runtime.shuffle_budget,
                 "shared_broadcast": runtime.shared_broadcast,
-                "affinity": runtime.affinity,
             },
             shuffle=_shuffle_telemetry(runtime),
             plane=_plane_telemetry(runtime),
@@ -458,25 +344,19 @@ def mr_random_kmeans(
     backend: "ExecBackend | str | None" = None,
     shuffle_budget: int | None = None,
     shared_broadcast: bool | None = None,
-    affinity: str | None = None,
     retry_policy: "RetryPolicy | None" = None,
-    async_scheduler: bool | None = None,
 ) -> MRKMeansReport:
     """The parallel ``Random`` baseline: uniform seed + bounded MR Lloyd.
 
     "In the parallel version, we bounded the number of iterations to 20"
-    (Section 4.2).  ``async_scheduler`` pipelines the Lloyd iterations
-    (see :func:`mr_scalable_kmeans`); ``run_job`` itself degrades to a
-    submit-and-wait on an async runtime, so the driver needs no other
-    changes.
+    (Section 4.2).
     """
     source = as_split_source(X)
     X_arr = source.as_array()
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,
         backend=backend, shuffle_budget=shuffle_budget,
-        shared_broadcast=shared_broadcast, affinity=affinity,
-        retry_policy=retry_policy, async_scheduler=async_scheduler,
+        shared_broadcast=shared_broadcast, retry_policy=retry_policy,
     ) as runtime:
         seed_centers = runtime.run_job(make_uniform_sample_job(k)).single(SAMPLE_KEY)
         if seed_centers.shape[0] < k:
@@ -502,8 +382,7 @@ def mr_random_kmeans(
             params={"k": k, "n_splits": n_splits, "workers": runtime.workers,
                     "backend": runtime.backend.name,
                     "shuffle_budget": runtime.shuffle_budget,
-                    "shared_broadcast": runtime.shared_broadcast,
-                    "affinity": runtime.affinity},
+                    "shared_broadcast": runtime.shared_broadcast},
             shuffle=_shuffle_telemetry(runtime),
             plane=_plane_telemetry(runtime),
             faults=_fault_telemetry(runtime),

@@ -41,9 +41,7 @@ job's broadcast ndarray *once* into ``multiprocessing.shared_memory``
 and per-split state arrays stay resident in driver-owned segments —
 map tasks then carry only O(1)-sized descriptors across the process
 boundary instead of re-pickling O(k·d) centers and O(rows) caches
-every job (:mod:`repro.plane`).  ``affinity="pinned"`` additionally
-pins each split to a home worker process (``split % workers``,
-Spark-style preferred locations) with work-stealing fallback.
+every job (:mod:`repro.plane`).
 
 Out-of-core shuffle: emissions flow through a
 :class:`~repro.shuffle.store.ShuffleStore`.  By default that is the
@@ -60,34 +58,28 @@ pin this); only the spill telemetry and the simulated spill time differ.
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
-import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
 from repro.data.splits import SplitDescriptor, SplitSource, as_split_source
 from repro.exceptions import MapReduceError, ValidationError
 from repro.exec import (
-    AffinitySpec,
-    DataflowScheduler,
     ExecBackend,
     FaultStats,
     RetryPolicy,
     get_backend,
-    resolve_async_scheduler,
     resolve_backend,
     resolve_retry_policy,
 )
-from repro.exec.dataflow import FAILED
 from repro.mapreduce.cluster import ClusterModel, PhaseTime
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import KeyValue, MapReduceJob, SplitContext
 from repro.plane.broadcast import publish_broadcast, resolve_broadcast
-from repro.plane.config import resolve_affinity, resolve_shared_broadcast
+from repro.plane.config import resolve_shared_broadcast
 from repro.plane.state import (
     SplitStateManager,
     SplitStateSpec,
@@ -212,12 +204,9 @@ class JobStats:
     #: backend never crosses a process boundary.
     state_bytes_shipped: int = 0
     state_bytes_resident: int = 0
-    #: Map tasks the pinned scheduler ran away from their home worker.
-    plane_steals: int = 0
     #: Fault-tolerance telemetry (:class:`repro.exec.FaultStats` counters:
-    #: retries, crashes, timeouts, pool rebuilds, blacklisted workers,
-    #: speculation launches/wins, lineage-recomputed state bytes).  All
-    #: zero on a fault-free run.
+    #: retries, crashes, timeouts, pool rebuilds, lineage-recomputed
+    #: state bytes).  All zero on a fault-free run.
     faults: dict[str, int] = field(default_factory=dict)
     time: PhaseTime | None = None
 
@@ -426,21 +415,12 @@ class LocalMapReduceRuntime:
         task. Centers/costs/counters/key order are bit-identical in
         both modes across all backends; only IPC volume (and the
         broadcast term of simulated time) changes.
-    affinity:
-        ``"pinned"`` gives every split a deterministic home worker
-        (``split_index % workers``) on the process backend — map tasks
-        keep landing in the same OS process, so attachments and page
-        cache stay warm — with work-stealing fallback when the home
-        lane is busy. ``None`` resolves via
-        :func:`repro.plane.resolve_affinity` (``--affinity`` /
-        ``REPRO_AFFINITY``, default ``"none"``). Output is
-        bit-identical either way.
     retry_policy:
         Fault-tolerance policy for this runtime's parallel regions
         (:class:`repro.exec.RetryPolicy`). ``None`` resolves via
         :func:`repro.exec.resolve_retry_policy` (the CLI's
-        ``--max-task-retries`` / ``--task-timeout`` / ``--speculation``,
-        then ``REPRO_FAULTS_*``). Crashed map tasks are retried with
+        ``--max-task-retries`` / ``--task-timeout``, then
+        ``REPRO_FAULTS_*``). Crashed map tasks are retried with
         their split state recomputed from lineage; outputs stay
         bit-identical to a fault-free run.
 
@@ -469,9 +449,7 @@ class LocalMapReduceRuntime:
         backend: ExecBackend | str | None = None,
         shuffle_budget: int | None = None,
         shared_broadcast: bool | None = None,
-        affinity: str | None = None,
         retry_policy: RetryPolicy | None = None,
-        async_scheduler: bool | None = None,
     ):
         try:
             self.source = as_split_source(X)
@@ -490,9 +468,7 @@ class LocalMapReduceRuntime:
             self._backend = None if backend is None else resolve_backend(backend)
             self.shuffle_budget = resolve_shuffle_budget(shuffle_budget)
             self.shared_broadcast = resolve_shared_broadcast(shared_broadcast)
-            self.affinity = resolve_affinity(affinity)
             self.retry_policy = resolve_retry_policy(retry_policy)
-            self.async_scheduler = resolve_async_scheduler(async_scheduler)
         except ValidationError as exc:
             raise MapReduceError(str(exc)) from exc
         #: Runtime-lifetime spill telemetry (see class docstring).
@@ -513,9 +489,7 @@ class LocalMapReduceRuntime:
         #: split's only copy of some state, the retry replays these jobs
         #: for that split — from the immutable input and recorded RNG
         #: streams — instead of restoring a checkpoint (there is none).
-        #: (``None`` entries mark failed async jobs: recorded at submit,
-        #: voided when the job's graph fails — see ``_recover_map_call``.)
-        self._lineage: list[tuple[MapReduceJob, list[bytes]] | None] = []
+        self._lineage: list[tuple[MapReduceJob, list[bytes]]] = []
         # Recovery replays jobs and *installs shm state from lane
         # threads*; the backend's fork lock serializes that against
         # worker forks, whose children would otherwise inherit a held
@@ -526,9 +500,6 @@ class LocalMapReduceRuntime:
         self.job_log: list[JobStats] = []
         self.simulated_seconds: float = 0.0
         self._job_counter = 0
-        #: Async dataflow machinery (lazily built by :meth:`submit_job`).
-        self._scheduler: DataflowScheduler | None = None
-        self._graphs: list[_AsyncJob] = []
 
     # ------------------------------------------------------------------
     @property
@@ -574,12 +545,6 @@ class LocalMapReduceRuntime:
         left running.  Any in-flight shuffle store (an interrupted job's)
         is closed too, deleting its spill files.
         """
-        if self._scheduler is not None:
-            self._scheduler.shutdown()
-            for graph in self._graphs:
-                graph._cleanup()  # idempotent: closes store, frees broadcast
-            self._graphs = []
-            self._scheduler = None
         if self._active_store is not None:
             self._active_store.close()
             self._active_store = None
@@ -597,17 +562,7 @@ class LocalMapReduceRuntime:
 
     # ------------------------------------------------------------------
     def run_job(self, job: MapReduceJob) -> JobResult:
-        """Execute one job over all splits; advance the simulated clock.
-
-        Under the async dataflow scheduler (``async_scheduler=`` /
-        ``REPRO_MR_ASYNC`` / ``--async-scheduler``) this is exactly
-        ``submit_job(job).result()`` — same outputs, same telemetry, bit
-        for bit — so every existing caller gets the async engine without
-        changing; only callers that want *overlap* use
-        :meth:`submit_job` directly.
-        """
-        if self.async_scheduler:
-            return self.submit_job(job).result()
+        """Execute one job over all splits; advance the simulated clock."""
         self._job_counter += 1
         backend = self.backend
         # Pre-spawn every split's RNG on the driver thread, before any
@@ -634,13 +589,6 @@ class LocalMapReduceRuntime:
         # send-once transport instead, and split state stays on the
         # legacy pickle path (descriptors would dangle across machines).
         state_resident = transport_shared and not backend.remote
-        affinity_spec = (
-            AffinitySpec(
-                [i % self.workers for i in range(self.n_splits)], self.workers
-            )
-            if self.affinity == "pinned"
-            else None
-        )
 
         # One shuffle store per job: in-memory unless a budget is set.
         # Spill files (the driver's and the map tasks') all live in the
@@ -707,16 +655,13 @@ class LocalMapReduceRuntime:
                     state_resident, fault_stats,
                 )
 
-            run_kwargs: dict[str, Any] = dict(
+            task_results: list[_MapTaskResult] = backend.run_calls(
+                _execute_map_task,
+                calls,
                 parallelism=self.workers,
                 retry=self.retry_policy,
                 faults=fault_stats,
                 retry_args=_retry_map_args,
-            )
-            if affinity_spec is not None:
-                run_kwargs["affinity"] = affinity_spec
-            task_results: list[_MapTaskResult] = backend.run_calls(
-                _execute_map_task, calls, **run_kwargs
             )
             # Re-install per-split state by index.  Plane tasks hand back
             # marker updates (resident entries never moved); legacy
@@ -854,7 +799,6 @@ class LocalMapReduceRuntime:
                 ),
                 state_bytes_shipped=state_shipped,
                 state_bytes_resident=state_resident,
-                plane_steals=affinity_spec.steals if affinity_spec is not None else 0,
                 faults=fault_stats.as_dict(),
                 spill_bytes=store.stats.spill_bytes,
                 spill_files=store.stats.spill_files,
@@ -913,9 +857,6 @@ class LocalMapReduceRuntime:
         spill_spec: MapSpillSpec | None,
         transport_shared: bool,
         fault_stats: FaultStats,
-        *,
-        upto: int | None = None,
-        sink: Any = None,
     ) -> tuple:
         """Rebuild a crashed map task's argument tuple via lineage replay.
 
@@ -935,29 +876,15 @@ class LocalMapReduceRuntime:
         ``state_recomputed_bytes`` — and the plane's shipped/resident
         counters are restored afterwards, so ``state_bytes_*`` telemetry
         stays bit-identical to a fault-free run.
-
-        Async jobs pass ``upto`` (their position in the lineage at
-        submission) so replay covers exactly the jobs *before* them —
-        the live lineage list already contains in-flight successors —
-        and ``sink`` (their per-job byte tally) so the counter
-        save/restore dance touches their accounting, not the shared
-        manager's.  Entries ``None``-ed out by a failed async job are
-        skipped: no successor of a failed job can ever retry a map task
-        (its cone was cancelled), so the skip is unobservable.
         """
         descriptor = self.source.descriptor(
             self._bounds[split_id], self._bounds[split_id + 1]
         )
-        tally = self._state if sink is None else sink
         with self._recover_lock:
-            shipped0 = tally.shipped_bytes
-            resident0 = tally.resident_bytes
+            shipped0 = self._state.shipped_bytes
+            resident0 = self._state.resident_bytes
             state: dict[str, Any] = {}
-            entries = self._lineage if upto is None else self._lineage[:upto]
-            for entry in entries:
-                if entry is None:  # a failed async job: nothing to replay
-                    continue
-                past_job, past_blobs = entry
+            for past_job, past_blobs in self._lineage:
                 replay = _execute_map_task(
                     past_job,
                     descriptor,
@@ -974,12 +901,12 @@ class LocalMapReduceRuntime:
             )
             self._state.install(split_id, state)
             state_arg: Any = (
-                self._state.spec(split_id, sink=sink)
+                self._state.spec(split_id)
                 if transport_shared
                 else self._state.states[split_id]
             )
-            tally.shipped_bytes = shipped0
-            tally.resident_bytes = resident0
+            self._state.shipped_bytes = shipped0
+            self._state.resident_bytes = resident0
         fault_stats.bump("state_recomputed_bytes", recomputed)
         return (
             ship_job,
@@ -998,9 +925,6 @@ class LocalMapReduceRuntime:
         rng_blob: bytes,
         state_resident: bool,
         fault_stats: FaultStats,
-        *,
-        upto: int | None = None,
-        sink: Any = None,
     ) -> _MapTaskResult:
         """Re-run a map task whose spill manifest vanished before ingest.
 
@@ -1017,115 +941,27 @@ class LocalMapReduceRuntime:
         """
         fault_stats.bump("manifests_recovered")
         args = self._recover_map_call(
-            split_id, ship_job, rng_blob, None, state_resident, fault_stats,
-            upto=upto, sink=sink,
+            split_id, ship_job, rng_blob, None, state_resident, fault_stats
         )
         replay = _execute_map_task(*args)
         # ``_recover_map_call`` installed the *pre*-job state; the map
         # phase's settle loop already installed the post-job state this
         # replay reproduces — put it back (counters snapshot/restored so
         # ``state_bytes_*`` telemetry stays bit-identical).
-        tally = self._state if sink is None else sink
         with self._recover_lock:
-            shipped0 = tally.shipped_bytes
-            resident0 = tally.resident_bytes
+            shipped0 = self._state.shipped_bytes
+            resident0 = self._state.resident_bytes
             if replay.state_update is not None:
-                self._state.apply(replay.state_update, sink=sink)
+                self._state.apply(replay.state_update)
             else:
                 self._state.install(split_id, replay.state)
-            tally.shipped_bytes = shipped0
-            tally.resident_bytes = resident0
+            self._state.shipped_bytes = shipped0
+            self._state.resident_bytes = resident0
         return replay
 
-    # ------------------------------------------------------------------
-    # Async dataflow: jobs as futures over a shared DAG frontier.
-
-    def submit_job(
-        self, job: MapReduceJob, deps: "Iterable[JobFuture]" = ()
-    ) -> "JobFuture":
-        """Submit a job to the dataflow scheduler; return its future.
-
-        The job expands into a task graph (publish → per-split maps →
-        split-order ingest → windowed reduce → finalize) whose nodes run
-        on budget-governed lanes alongside every other in-flight job's.
-        Consecutive submissions are chained per split (job t+1's map of
-        split *i* waits for job t's map of split *i* — the split-state
-        ordering sync execution guarantees implicitly) and per finalize
-        (job-log order, simulated clock), so outputs, counters, key
-        order, and simulated time are bit-identical to the sync path.
-        The parts sync callers *wait* on without needing — earlier jobs'
-        trailing reduce windows, finalize accounting, broadcast teardown
-        — overlap this job's map phase instead.
-
-        ``deps`` adds explicit edges: this job's graph starts only after
-        those futures' jobs fully finalize.
-
-        Do not mix with the sync :meth:`run_job` body mid-flight: under
-        ``async_scheduler`` every ``run_job`` call routes here already.
-        """
-        sched = self._ensure_scheduler()
-        prev = self._graphs[-1] if self._graphs else None
-        # Retire graphs that finished cleanly — keeping only the newest
-        # (the ordering-edge predecessor) and any failed ones, which
-        # ``drain()`` still has to surface.  Unbounded retention would
-        # otherwise grow per job submitted over the runtime's lifetime.
-        self._graphs = [
-            g
-            for g in self._graphs
-            if g is prev or g.error is not None or not g._all_settled()
-        ]
-        graph = _AsyncJob(self, job, deps, prev, sched)
-        self._graphs.append(graph)
-        return JobFuture(graph)
-
-    def _ensure_scheduler(self) -> DataflowScheduler:
-        sched = self._scheduler
-        if sched is None or not sched.alive_for(os.getpid()):
-            # First use, post-shutdown reuse, or a fork-inherited dead
-            # scheduler: lanes = workers - 1 (the driver thread is the
-            # budget's implicit first worker and pumps while waiting).
-            sched = DataflowScheduler(
-                self.backend.budget, max(0, self.workers - 1), name="mr-dataflow"
-            )
-            self._scheduler = sched
-            self._graphs = []
-        return sched
-
-    def drain(self) -> None:
-        """Wait until every in-flight async job settles; raise the first
-        failure (in submission order).  No-op when nothing is in flight."""
-        sched = self._scheduler
-        if sched is None:
-            return
-        graphs = list(self._graphs)
-        try:
-            for graph in graphs:
-                sched.pump_until(graph._all_settled)
-        except BaseException as exc:  # KeyboardInterrupt from a pumped node
-            self._abort_inflight(exc)
-            raise
-        for graph in graphs:
-            if graph.error is not None:
-                raise graph.error
-
-    def _abort_inflight(self, exc: BaseException) -> None:
-        """Interrupt semantics for the async path, mirroring sync's
-        ``finally`` blocks: nothing new starts, in-flight nodes drain,
-        and every job's spill store and broadcast segment is released.
-        """
-        sched = self._scheduler
-        if sched is None:
-            return
-        graphs = list(self._graphs)
-        for graph in graphs:
-            sched.cancel_pending(graph._nodes(), exc)
-        for graph in graphs:
-            # In-flight nodes (other lanes) finish on their own; bounded
-            # wait so a hung worker cannot wedge the interrupt forever.
-            if not sched.pump_until(graph._all_settled, timeout=30.0):
-                break
-        for graph in graphs:
-            graph._cleanup()
+    def submit_job(self, job: MapReduceJob) -> "JobFuture":
+        """Run ``job`` (exactly :meth:`run_job`); return a resolved future."""
+        return JobFuture(self.run_job(job))
 
     # ------------------------------------------------------------------
     def charge_sequential(self, flops: float, label: str = "driver") -> float:
@@ -1162,593 +998,34 @@ class LocalMapReduceRuntime:
         return max((s.shuffle_peak_bytes for s in self.job_log), default=0)
 
 
-class _StateSink:
-    """Per-job tally for split-state byte accounting under async.
-
-    Mirrors the two counters of :class:`SplitStateManager`; every
-    spec/apply/recovery call of one async job routes its bumps here, so
-    concurrent jobs cannot interleave their ``state_bytes_*`` telemetry
-    on the shared manager.  All writes happen under the runtime's
-    recover lock, so plain attributes suffice.
-    """
-
-    __slots__ = ("shipped_bytes", "resident_bytes")
-
-    def __init__(self) -> None:
-        self.shipped_bytes = 0
-        self.resident_bytes = 0
-
-    def drain(self) -> tuple[int, int]:
-        out = (self.shipped_bytes, self.resident_bytes)
-        self.shipped_bytes = 0
-        self.resident_bytes = 0
-        return out
-
-
-_MISSING = object()
-
-
-class _AsyncJob:
-    """One submitted job's dataflow graph and driver-side bookkeeping.
-
-    Node layout (``P`` = publish, ``M_i`` = map of split *i*, ``I_i`` =
-    ingest of split *i*, ``R`` = windowed reduce, ``F`` = finalize)::
-
-        deps.F ──→ P ──→ M_i ──→ I_0 → I_1 → ... → I_last ──→ R ──→ F
-               prev.M_i ──↗ (per split)              prev.F ─────────↗
-
-    The per-split ``prev.M_i → M_i`` chain reproduces the sync path's
-    split-state evolution order; the ``I_{i-1} → I_i`` chain is the
-    deterministic split-order shuffle ingest; the ``prev.F → F`` chain
-    pins job-log append order and the simulated clock's accumulation
-    order.  Everything else the frontier schedules freely — outputs are
-    bit-identical regardless of interleaving, because every
-    ordering-sensitive effect is an edge.
-    """
-
-    def __init__(self, runtime, job, deps, prev, sched):
-        self.runtime = runtime
-        self.job = job
-        runtime._job_counter += 1
-        self.seq = runtime._job_counter
-        self.backend = runtime.backend
-        # All submission-order state (RNG spawns, lineage position) is
-        # fixed here, on the driver thread — identical to the sync path.
-        self.split_rngs = spawn_generators(runtime._seed_root, runtime.n_splits)
-        self.rng_blobs = [pickle.dumps(rng) for rng in self.split_rngs]
-        self.fault_stats = FaultStats()
-        self.broadcast_bytes = (
-            estimate_nbytes(job.broadcast) if job.broadcast is not None else 0
-        )
-        self.transport_shared = (
-            runtime.shared_broadcast and self.backend.crosses_processes
-        )
-        # Remote workers cannot attach driver shm: state stays on the
-        # pickle path and broadcasts ride the backend's transport (see
-        # the sync path's ``state_resident`` for the full rationale).
-        self.state_resident = (
-            self.transport_shared and not self.backend.remote
-        )
-        self.store = make_shuffle_store(
-            runtime.shuffle_budget, combiner_factory=job.combiner_factory
-        )
-        self.spill_spec = (
-            self.store.map_spill_spec(runtime.n_splits)
-            if isinstance(self.store, SpillingShuffleStore)
-            else None
-        )
-        self._sink = _StateSink()
-        self.lineage_index = len(runtime._lineage)
-        runtime._lineage.append((job, self.rng_blobs))
-        self._lock = threading.Lock()
-        self._state_args: dict[int, Any] = {}
-        self._map_results: list[_MapTaskResult | None] = [None] * runtime.n_splits
-        self.key_results: dict[Hashable, list[KeyValue]] = {}
-        self.output_dict: dict[Hashable, list[Any]] | None = None
-        self.job_result: JobResult | None = None
-        self.error: BaseException | None = None
-        self._cleaned = False
-        self._settled = 0
-        self.published = None
-        self.ship_job: MapReduceJob | None = None
-        self._shuffle_records = 0
-        self._shuffle_bytes = 0
-        self._reduce_flops = 0.0
-        self._reduce_emitted = 0
-
-        n = runtime.n_splits
-        self._n_nodes = 2 * n + 3
-        on_settle = self._node_settled
-        dep_nodes = [fut._graph.finish_node for fut in deps]
-        # Publish/ingest/reduce/finalize are coordination nodes: they
-        # run token-free because they either finish in microseconds or
-        # (the reduce) draw their own worker lanes via ``run_calls`` —
-        # only map nodes occupy a budget slot per se.
-        self.publish_node = sched.submit(
-            self._publish,
-            dep_nodes,
-            label=f"publish:{job.name}#{self.seq}",
-            on_settle=on_settle,
-            needs_token=False,
-        )
-        # Speculation composes per node: process backend only (attempts
-        # are pickled per submission, so the twin shares nothing live
-        # with the primary) and gated on the policy, like sync regions.
-        speculate_maps = (
-            runtime.retry_policy.speculation and self.backend.crosses_processes
-        )
-        self.map_nodes: list = []
-        for i in range(n):
-            # The predecessor edge is an *ordering* edge (``after``):
-            # split state must evolve in submission order, but a failed
-            # predecessor job must not cancel this one — sync semantics
-            # let a failed run_job be retried on the same runtime.
-            node_after = [prev.map_nodes[i]] if prev is not None else []
-            spec = None
-            if speculate_maps:
-                spec = {
-                    "policy": runtime.retry_policy,
-                    "stats": self.fault_stats,
-                    "group": f"map#{self.seq}",
-                    "fn": functools.partial(self._map_twin, i),
-                }
-            self.map_nodes.append(
-                sched.submit(
-                    functools.partial(self._map_fn, i),
-                    [self.publish_node],
-                    label=f"map:{job.name}#{self.seq}[{i}]",
-                    commit=functools.partial(self._map_commit, i),
-                    speculate=spec,
-                    on_settle=on_settle,
-                    after=node_after,
-                )
-            )
-        tail = None
-        self.ingest_nodes: list = []
-        for i in range(n):
-            node_deps = [self.map_nodes[i]]
-            if tail is not None:
-                node_deps.append(tail)
-            tail = sched.submit(
-                functools.partial(self._ingest, i),
-                node_deps,
-                label=f"ingest:{job.name}#{self.seq}[{i}]",
-                on_settle=on_settle,
-                needs_token=False,
-            )
-            self.ingest_nodes.append(tail)
-        self.reduce_node = sched.submit(
-            self._run_reduce,
-            [tail],
-            label=f"reduce:{job.name}#{self.seq}",
-            on_settle=on_settle,
-            needs_token=False,
-        )
-        # The finalize chain orders job-log appends and clock charges;
-        # like the map chain it is ordering-only, so a failed job (which
-        # logs nothing, as in sync) does not cancel its successors.
-        self.finish_node = sched.submit(
-            self._finalize,
-            [self.reduce_node],
-            label=f"finalize:{job.name}#{self.seq}",
-            on_settle=on_settle,
-            needs_token=False,
-            after=[prev.finish_node] if prev is not None else [],
-        )
-
-    # -- node bodies ---------------------------------------------------
-
-    def _publish(self):
-        runtime = self.runtime
-        with runtime._recover_lock:  # shm create vs worker forks
-            self.published = publish_broadcast(
-                self.job.broadcast,
-                shared=self.transport_shared,
-                transport=(
-                    self.backend.broadcast_transport()
-                    if self.transport_shared
-                    else None
-                ),
-            )
-        self.ship_job = (
-            self.job
-            if self.published.inline
-            else replace(self.job, broadcast=self.published.ref)
-        )
-
-    def _map_args(self, i: int) -> tuple:
-        """The 7-tuple for split ``i``'s map task; state spec memoized.
-
-        ``spec()`` promotes segments and counts bytes, so it must run
-        exactly once per (job, split) even when a speculative twin also
-        builds its arguments — hence the memo under the graph lock.
-        """
-        runtime = self.runtime
-        with self._lock:
-            state_arg = self._state_args.get(i, _MISSING)
-            if state_arg is _MISSING:
-                if self.state_resident:
-                    with runtime._recover_lock:
-                        state_arg = runtime._state.spec(i, sink=self._sink)
-                else:
-                    state_arg = runtime._state.states[i]
-                self._state_args[i] = state_arg
-        return (
-            self.ship_job,
-            runtime.source.descriptor(runtime._bounds[i], runtime._bounds[i + 1]),
-            i,
-            runtime.n_splits,
-            self.split_rngs[i],
-            state_arg,
-            self.spill_spec,
-        )
-
-    def _map_fn(self, i: int) -> _MapTaskResult:
-        runtime = self.runtime
-        callargs = self._map_args(i)
-
-        def _retry(index: int, attempt: int, exc: Exception) -> tuple:
-            # Lineage recovery, cone-local: replay only the jobs that
-            # were submitted *before* this one (the live lineage already
-            # holds in-flight successors) and charge the per-job sink.
-            return runtime._recover_map_call(
-                i,
-                self.ship_job,
-                self.rng_blobs[i],
-                self.spill_spec,
-                self.state_resident,
-                self.fault_stats,
-                upto=self.lineage_index,
-                sink=self._sink,
-            )
-
-        return self.backend.run_one(
-            _execute_map_task,
-            callargs,
-            index=i,
-            retry=runtime.retry_policy,
-            faults=self.fault_stats,
-            retry_args=_retry,
-        )
-
-    def _map_twin(self, i: int) -> _MapTaskResult:
-        # Speculative duplicate: same inputs via the pre-dispatch RNG
-        # snapshot, zero retries and no lineage hook — a twin must never
-        # trigger recovery (it would reinstall pre-job state under the
-        # primary's feet).  First completion wins; the scheduler runs
-        # the winner's commit exactly once.
-        callargs = list(self._map_args(i))
-        callargs[4] = pickle.loads(self.rng_blobs[i])
-        return self.backend.run_one(
-            _execute_map_task,
-            tuple(callargs),
-            index=i,
-            retry=replace(self.runtime.retry_policy, max_task_retries=0),
-        )
-
-    def _map_commit(self, i: int, result: _MapTaskResult) -> None:
-        with self.runtime._recover_lock:  # segment churn vs forks
-            if result.state_update is not None:
-                self.runtime._state.apply(result.state_update, sink=self._sink)
-            else:
-                self.runtime._state.install(i, result.state)
-        self._map_results[i] = result
-
-    def _ingest(self, i: int) -> None:
-        result = self._map_results[i]
-        if result.manifest is not None and not os.path.exists(
-            result.manifest.path
-        ):
-            # Spill manifest lost between map settle and ingest (the
-            # spilling worker died): lineage-replay the map task inline,
-            # unspilled — see the sync path's ingest loop.
-            result = self.runtime._recover_lost_manifest(
-                i, self.ship_job, self.rng_blobs[i], self.state_resident,
-                self.fault_stats, upto=self.lineage_index, sink=self._sink,
-            )
-        if result.manifest is not None:
-            self.store.add_manifest(result.manifest)
-        else:
-            self.store.add_split(i, result.emissions)
-        result.emissions = []  # drop driver references promptly
-
-    def _run_reduce(self) -> None:
-        runtime = self.runtime
-        job = self.job
-        store = self.store
-        backend = self.backend
-        sched = runtime._scheduler
-        self._shuffle_records = store.stats.records
-        self._shuffle_bytes = store.stats.nbytes
-        window: list[tuple[Hashable, list[Any], int]] = []
-        window_bytes = 0
-        window_cap = store.reduce_window_bytes
-        reduced: dict[Hashable, tuple[list[KeyValue], float]] = {}
-
-        def _flush_window() -> None:
-            nonlocal window_bytes
-            if not window:
-                return
-            results = backend.run_calls(
-                _execute_reduce_task,
-                [
-                    (job.reducer_factory, job.name, key, values)
-                    for key, values, _ in window
-                ],
-                parallelism=runtime.workers,
-                retry=runtime.retry_policy,
-                faults=self.fault_stats,
-            )
-            fresh = {}
-            for (key, _values, _nb), result in zip(window, results):
-                reduced[key] = result
-                fresh[key] = result[0]
-            window.clear()
-            store.discharge(window_bytes)
-            window_bytes = 0
-            # Incremental resolution: these keys are final the moment
-            # their window flushes — wake any wait_key() caller.
-            with self._lock:
-                self.key_results.update(fresh)
-            with sched.condition:
-                sched.condition.notify_all()
-
-        for key, values, group_nbytes in store.groups():
-            window.append((key, values, group_nbytes))
-            window_bytes += group_nbytes
-            if window_cap is not None and window_bytes >= window_cap:
-                _flush_window()
-        _flush_window()
-
-        output: dict[Hashable, list[Any]] = {}
-        reduce_flops = store.stats.combine_flops
-        reduce_emitted = 0
-        for key in _sorted_reduce_keys(reduced):  # deterministic order
-            results, work = reduced[key]
-            reduce_flops += work
-            for out_key, out_value in results:
-                output.setdefault(out_key, []).append(out_value)
-                reduce_emitted += 1
-        self._reduce_flops = reduce_flops
-        self._reduce_emitted = reduce_emitted
-        with self._lock:
-            self.output_dict = output
-        with sched.condition:
-            sched.condition.notify_all()
-
-    def _finalize(self) -> None:
-        runtime = self.runtime
-        job = self.job
-        store = self.store
-        counters = Counters()
-        for result in self._map_results:  # merged in split order
-            counters.merge(result.counters)
-        map_flops = [r.flops for r in self._map_results]
-        map_records = int(runtime._bounds[-1] - runtime._bounds[0])
-        map_emitted = sum(r.map_emitted for r in self._map_results)
-        combine_emitted = (
-            self._shuffle_records if job.combiner_factory is not None else 0
-        )
-        per_task_broadcast = 0 if runtime.shared_broadcast else self.broadcast_bytes
-        bytes_per_split = [
-            float(
-                runtime.source.block_nbytes(
-                    runtime._bounds[i], runtime._bounds[i + 1]
-                )
-                + per_task_broadcast
-            )
-            for i in range(runtime.n_splits)
-        ]
-        state_shipped, state_resident = self._sink.drain()
-        stats = JobStats(
-            name=job.name,
-            n_splits=runtime.n_splits,
-            map_records=map_records,
-            map_emitted=map_emitted,
-            combine_emitted=combine_emitted,
-            shuffle_records=self._shuffle_records,
-            shuffle_bytes=self._shuffle_bytes,
-            reduce_emitted=self._reduce_emitted,
-            map_flops_per_split=map_flops,
-            reduce_flops=self._reduce_flops,
-            broadcast_bytes=self.broadcast_bytes,
-            broadcast_mode="shared" if runtime.shared_broadcast else "task",
-            broadcast_bytes_published=(
-                self.broadcast_bytes if runtime.shared_broadcast else 0
-            ),
-            broadcast_bytes_per_task=(
-                0
-                if runtime.shared_broadcast
-                else self.broadcast_bytes * runtime.n_splits
-            ),
-            state_bytes_shipped=state_shipped,
-            state_bytes_resident=state_resident,
-            plane_steals=0,  # async maps route through the shared pool
-            faults=self.fault_stats.as_dict(),
-            spill_bytes=store.stats.spill_bytes,
-            spill_files=store.stats.spill_files,
-            shuffle_peak_bytes=store.stats.peak_bytes,
-        )
-        stats.time = runtime.cluster.job_time(
-            map_flops_per_split=map_flops,
-            map_bytes_per_split=bytes_per_split,
-            shuffle_bytes=self._shuffle_bytes,
-            reduce_flops=self._reduce_flops,
-            spill_bytes=float(stats.spill_bytes),
-            broadcast_bytes=(
-                float(self.broadcast_bytes) if runtime.shared_broadcast else 0.0
-            ),
-        )
-        if stats.spill_files:
-            runtime.shuffle_counters.increment("shuffle", "spilled_jobs", 1)
-            runtime.shuffle_counters.increment(
-                "shuffle", "spill_files", stats.spill_files
-            )
-            runtime.shuffle_counters.increment(
-                "shuffle", "spill_bytes", stats.spill_bytes
-            )
-        runtime.shuffle_counters.record_max(
-            "shuffle", "peak_bytes", stats.shuffle_peak_bytes
-        )
-        # The F-chain serializes these appends in submission order, so
-        # the fold-left clock accumulation is bit-identical to sync.
-        runtime.simulated_seconds += stats.time.total
-        runtime.job_log.append(stats)
-        # Release the broadcast and close the store *before* the future
-        # resolves: broadcasts stay job-scoped, exactly like sync.
-        self._cleanup()
-        self.job_result = JobResult(
-            output=self.output_dict, counters=counters, stats=stats
-        )
-
-    # -- lifecycle -----------------------------------------------------
-
-    def _node_settled(self, node) -> None:
-        cleanup = False
-        with self._lock:
-            if node.error is not None and self.error is None:
-                self.error = node.error
-            self._settled += 1
-            if (
-                self._settled >= self._n_nodes
-                and self.error is not None
-                and not self._cleaned
-            ):
-                cleanup = True
-        if cleanup:
-            self._cleanup()
-            # Void this job's lineage entry: it never completed, and its
-            # cancelled cone means no successor can ever replay it.
-            self.runtime._lineage[self.lineage_index] = None
-
-    def _all_settled(self) -> bool:
-        return self._settled >= self._n_nodes
-
-    def _cleanup(self) -> None:
-        """Free the broadcast segment and the spill store. Idempotent."""
-        with self._lock:
-            if self._cleaned:
-                return
-            self._cleaned = True
-        try:
-            if self.published is not None:
-                with self.runtime._recover_lock:
-                    self.published.release()
-        finally:
-            self.store.close()
-
-    def _nodes(self):
-        yield self.publish_node
-        yield from self.map_nodes
-        yield from self.ingest_nodes
-        yield self.reduce_node
-        yield self.finish_node
-
-    # -- waits (the calling thread pumps the frontier) -----------------
-
-    def _pump(self, predicate) -> None:
-        try:
-            self.runtime._scheduler.pump_until(predicate)
-        except BaseException as exc:
-            # KeyboardInterrupt raised inside a node this thread pumped
-            # inline: it bypasses the failure-cone bookkeeping's waits,
-            # so release every in-flight job's resources before it
-            # reaches the caller — sync ``run_job``'s ``finally``.
-            self.runtime._abort_inflight(exc)
-            raise
-
-    def wait_result(self) -> JobResult:
-        self._pump(lambda: self.job_result is not None or self.error is not None)
-        if self.error is not None:
-            self._settle_all_and_raise()
-        return self.job_result
-
-    def wait_output(self) -> dict[Hashable, list[Any]]:
-        self._pump(lambda: self.output_dict is not None or self.error is not None)
-        if self.error is not None:
-            self._settle_all_and_raise()
-        return self.output_dict
-
-    def wait_key(self, key: Hashable) -> list[Any]:
-        def ready() -> bool:
-            return (
-                self.error is not None
-                or self.output_dict is not None
-                or key in self.key_results
-            )
-
-        self._pump(ready)
-        if self.error is not None:
-            self._settle_all_and_raise()
-        with self._lock:
-            if self.output_dict is not None:
-                return list(self.output_dict.get(key) or ())
-            emissions = self.key_results[key]
-        return [value for out_key, value in emissions if out_key == key]
-
-    def _settle_all_and_raise(self) -> None:
-        # Sync semantics on failure: by the time the caller sees the
-        # exception, cancellations have cascaded and every in-flight
-        # job's spill/broadcast resources are released.
-        runtime = self.runtime
-        sched = runtime._scheduler
-        for graph in list(runtime._graphs):
-            sched.pump_until(graph._all_settled)
-        # Sync also fixes *which* error: the lowest task index's, not
-        # whichever concurrent failure happened to settle first.  Every
-        # node has settled now, so re-derive deterministically (nodes
-        # are submitted in split order — min seq == min split).
-        failed = [node for node in self._nodes() if node.state == FAILED]
-        if failed:
-            self.error = min(failed, key=lambda node: node.seq).error
-        raise self.error
-
-
 class JobFuture:
-    """Handle to an in-flight async job (:meth:`LocalMapReduceRuntime.submit_job`).
+    """An already-resolved job handle (:meth:`LocalMapReduceRuntime.submit_job`).
 
-    ``result()`` is the sync contract: the full :class:`JobResult`,
-    available once the job finalizes.  ``output()`` resolves earlier —
-    at the end of the reduce phase, before finalize and teardown.
-    ``key()`` / ``single()`` resolve earlier still: the moment the
-    reduce window containing that key flushes — which is what lets the
-    k-means|| driver start round T+1's sampling while round T's job is
-    still winding down.  Every wait *pumps* ready dataflow nodes on the
-    calling thread, so waiting always makes progress (``workers=1``
-    degenerates to inline, effectively synchronous execution).
+    Jobs run synchronously, so every accessor returns at once: ``result()``
+    is the full :class:`JobResult`; ``output()``, ``key()`` and
+    ``single()`` read its reduced output.
     """
 
-    def __init__(self, graph: _AsyncJob):
-        self._graph = graph
-
-    @property
-    def job(self) -> MapReduceJob:
-        return self._graph.job
+    def __init__(self, result: JobResult):
+        self._result = result
 
     def done(self) -> bool:
-        return self._graph.job_result is not None or self._graph.error is not None
+        return True
 
     def result(self) -> JobResult:
-        return self._graph.wait_result()
+        return self._result
 
     def output(self) -> dict[Hashable, list[Any]]:
-        """The reduced output dict (resolves before finalize)."""
-        return self._graph.wait_output()
+        """The reduced output dict."""
+        return self._result.output
 
     def key(self, key: Hashable) -> list[Any]:
-        """Values of one output key, as soon as its reduce window ran."""
-        return self._graph.wait_key(key)
+        """Values of one output key (empty if absent)."""
+        return list(self._result.output.get(key) or ())
 
     def single(self, key: Hashable) -> Any:
         """The unique value of ``key`` (raises if absent or non-unique)."""
-        values = self.key(key)
-        if not values:
-            raise MapReduceError(f"job produced no output for key {key!r}")
-        if len(values) != 1:
-            raise MapReduceError(
-                f"expected exactly one value for key {key!r}, got {len(values)}"
-            )
-        return values[0]
+        return self._result.single(key)
 
 
 def _group(emissions) -> dict[Hashable, list[Any]]:

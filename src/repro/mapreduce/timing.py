@@ -3,7 +3,7 @@
 The MapReduce runtime charges simulated time for work it *actually
 executes*. Table 4, however, reports minutes for the 4.8M-point
 KDDCup1999 instance — too large to execute locally for every parameter
-setting. The honest split, recorded in DESIGN.md, is:
+setting. The honest split is:
 
 * *algorithm-dependent quantities* (Lloyd iterations to convergence,
   intermediate-set sizes, number of rounds) are **measured** by really
@@ -21,9 +21,9 @@ Job granularity: the model charges **one job per ``k-means||`` round**
 (the per-point coin flips piggyback on the fold pass of a pipelined
 implementation) and a cheap cache-based weighting pass — the granularity
 implied by Table 4's own anchors (``l=0.1k, r=15`` lands at ~17 uniform
-jobs; ``Random`` at 21). The local executable driver keeps the
-cost/sample phases as separate jobs for exactness; the two granularities
-are reconciled in EXPERIMENTS.md.
+jobs; ``Random`` at 21). The local executable driver
+(:func:`repro.mapreduce.kmeans_mr.mr_scalable_kmeans`) keeps the
+cost/sample phases as separate jobs for exactness.
 
 Each function returns a per-phase breakdown in *minutes* with a
 ``"total"`` key.

@@ -15,7 +15,7 @@ Three pieces, all consumed by the MapReduce runtime
   with finalizers, freed on job completion, shutdown, interrupt, GC,
   and interpreter exit; fork-safe.
 
-Configuration (mode + affinity) lives in :mod:`repro.plane.config`.
+Configuration (the broadcast mode) lives in :mod:`repro.plane.config`.
 """
 
 from repro.plane.broadcast import (
@@ -27,12 +27,8 @@ from repro.plane.broadcast import (
     resolve_broadcast,
 )
 from repro.plane.config import (
-    AFFINITY_MODES,
-    ENV_AFFINITY,
     ENV_SHARED_BROADCAST,
-    resolve_affinity,
     resolve_shared_broadcast,
-    set_default_affinity,
     set_default_shared_broadcast,
 )
 from repro.plane.shm import (
@@ -77,9 +73,5 @@ __all__ = [
     "ATTACH_CACHE_SIZE",
     "resolve_shared_broadcast",
     "set_default_shared_broadcast",
-    "resolve_affinity",
-    "set_default_affinity",
     "ENV_SHARED_BROADCAST",
-    "ENV_AFFINITY",
-    "AFFINITY_MODES",
 ]

@@ -1,6 +1,6 @@
-"""Data-plane configuration: broadcast transport mode and worker affinity.
+"""Data-plane configuration: the broadcast transport mode.
 
-Two knobs, resolved with the repository's usual precedence (explicit
+One knob, resolved with the repository's usual precedence (explicit
 argument > process-wide default installed by the CLI > environment >
 built-in default):
 
@@ -19,15 +19,6 @@ built-in default):
     references but charge publish-once all the same, so simulated time
     stays bit-identical across backends at a fixed mode — the property
     tests rely on this.
-
-``REPRO_AFFINITY`` / ``--affinity`` / ``affinity=``
-    ``"none"`` (default) or ``"pinned"``.  Pinned affinity gives every
-    split a deterministic home worker (``split_index % workers``,
-    Spark-style preferred locations) on the process backend, with
-    work-stealing fallback when the home lane is busy; serial and
-    thread backends accept the knob and ignore it (one address space —
-    every split is already "local").  Results are bit-identical either
-    way; only locality (and the steal telemetry) changes.
 """
 
 from __future__ import annotations
@@ -38,21 +29,13 @@ from repro.exceptions import ValidationError
 
 __all__ = [
     "ENV_SHARED_BROADCAST",
-    "ENV_AFFINITY",
-    "AFFINITY_MODES",
     "resolve_shared_broadcast",
     "set_default_shared_broadcast",
-    "resolve_affinity",
-    "set_default_affinity",
 ]
 
 ENV_SHARED_BROADCAST = "REPRO_SHARED_BROADCAST"
-ENV_AFFINITY = "REPRO_AFFINITY"
-
-AFFINITY_MODES = ("none", "pinned")
 
 _default_shared: bool | None = None
-_default_affinity: str | None = None
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off", "")
@@ -84,32 +67,3 @@ def resolve_shared_broadcast(value: bool | None = None) -> bool:
         f"{ENV_SHARED_BROADCAST} must be a boolean (0/1/true/false), got {raw!r}"
     )
 
-
-def set_default_affinity(mode: str | None) -> str | None:
-    """Install a process-wide affinity default; returns the previous."""
-    global _default_affinity
-    if mode is not None and mode not in AFFINITY_MODES:
-        raise ValidationError(
-            f"affinity must be one of {AFFINITY_MODES}, got {mode!r}"
-        )
-    previous = _default_affinity
-    _default_affinity = mode
-    return previous
-
-
-def resolve_affinity(mode: str | None = None) -> str:
-    """Resolve the affinity mode: argument > default > env > ``"none"``."""
-    if mode is None:
-        mode = _default_affinity
-    if mode is None:
-        raw = os.environ.get(ENV_AFFINITY)
-        if raw is not None and raw.strip():
-            mode = raw.strip().lower()
-    if mode is None:
-        return "none"
-    if mode not in AFFINITY_MODES:
-        raise ValidationError(
-            f"affinity must be one of {AFFINITY_MODES}, got {mode!r} "
-            f"(via affinity=, ${ENV_AFFINITY}, or --affinity)"
-        )
-    return mode

@@ -29,7 +29,7 @@ GC finalizer, or interpreter exit.
 Bit-identity: attached arrays hold exactly the bytes the driver
 published and in-place refreshes are straight ``memcpy``s, so a mapper
 sees bit-identical state whichever transport ran — the plane property
-tests pin this across backends, worker counts, and affinity settings.
+tests pin this across backends and worker counts.
 """
 
 from __future__ import annotations
@@ -199,20 +199,14 @@ class SplitStateManager:
         self.resident_bytes = 0
 
     # -- outbound -------------------------------------------------------
-    def spec(self, split_id: int, *, sink: Any = None) -> SplitStateSpec:
+    def spec(self, split_id: int) -> SplitStateSpec:
         """Build (and account) the spec shipped to one map task.
 
         Eligible ndarray entries not yet segment-backed are *promoted*
         here — published once, then descriptor-only forever — which also
         adopts state that predates the shared transport (a runtime whose
         process-wide backend changed between jobs).
-
-        ``sink`` (optional) redirects the byte accounting to another
-        object with ``shipped_bytes``/``resident_bytes`` attributes — the
-        async runtime passes a per-job tally so concurrent jobs don't
-        interleave their telemetry on this shared manager.
         """
-        tally = self if sink is None else sink
         state = self.states[split_id]
         segments = self._segments[split_id]
         spec = SplitStateSpec(split_id=split_id)
@@ -235,7 +229,7 @@ class SplitStateManager:
                 handle = create_array_segment(value, tag=f"st{split_id}")
                 segments[key] = handle
                 state[key] = handle.array  # the view IS the state now
-                tally.shipped_bytes += handle.nbytes  # the one-time publish
+                self.shipped_bytes += handle.nbytes  # the one-time publish
                 published = True
             if handle is not None:
                 spec.entries[key] = SharedStateEntry(
@@ -246,19 +240,15 @@ class SplitStateManager:
                 if not published:
                     # A promotion is a ship, not a reference: count an
                     # entry under exactly one of the two buckets per job.
-                    tally.resident_bytes += handle.nbytes
+                    self.resident_bytes += handle.nbytes
             else:
                 spec.entries[key] = value  # inline fallback
-                tally.shipped_bytes += record_nbytes(key, value)
+                self.shipped_bytes += record_nbytes(key, value)
         return spec
 
     # -- inbound --------------------------------------------------------
-    def apply(self, update: SplitStateUpdate, *, sink: Any = None) -> None:
-        """Install one task's state update; (re)publish shipped entries.
-
-        ``sink`` redirects byte accounting, as in :meth:`spec`.
-        """
-        tally = self if sink is None else sink
+    def apply(self, update: SplitStateUpdate) -> None:
+        """Install one task's state update; (re)publish shipped entries."""
         split_id = update.split_id
         state = self.states[split_id]
         segments = self._segments[split_id]
@@ -271,7 +261,7 @@ class SplitStateManager:
         for key, value in update.entries.items():
             if value is RESIDENT or isinstance(value, _Resident):
                 continue  # bytes are already in the segment-backed view
-            tally.shipped_bytes += record_nbytes(key, value)
+            self.shipped_bytes += record_nbytes(key, value)
             old = segments.pop(key, None)
             if old is not None:
                 old.release()

@@ -258,10 +258,10 @@ def spill_map_emissions(
             canonical_order_key(key), (split_id, index), nb, key, value,
         )
         by_partition.setdefault(key_partition(key, spec.n_partitions), []).append(rec)
-    # Attempt-unique filename: a retried task (or a speculative twin
-    # racing the straggler it duplicates) must never truncate or
-    # interleave with another attempt's file — the driver only ever
-    # reads the one path named in the manifest it actually received.
+    # Attempt-unique filename: a retried task must never truncate or
+    # interleave with an earlier attempt's file (a timed-out worker may
+    # still be writing while it is killed) — the driver only ever reads
+    # the one path named in the manifest it actually received.
     token = f"{os.getpid()}-{secrets.token_hex(4)}"
     path = os.path.join(spec.dir, f"map-{split_id:06d}-{token}.spill")
     runs: list[tuple[int, SpillRun]] = []

@@ -43,9 +43,6 @@ class TestDispatch:
         assert os.getpid() not in pids
         assert 1 <= len(pids) <= 2  # the two daemons, never the driver
 
-    def test_run_one(self, backend):
-        assert backend.run_one(divmod, (17, 5)) == (3, 2)
-
     def test_unpicklable_region_degrades_to_threads(self, backend):
         captured = []
         results = backend.run_calls(

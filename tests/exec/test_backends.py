@@ -39,6 +39,11 @@ def _pid() -> int:
     return os.getpid()
 
 
+def _slow_pid(seconds: float) -> int:
+    time.sleep(seconds)
+    return os.getpid()
+
+
 def _mul(a, b):
     return a * b
 
@@ -312,8 +317,14 @@ class TestThreadBackend:
 
 class TestProcessBackend:
     def test_portable_calls_reach_worker_processes(self):
+        # Tasks that take a moment keep the caller busy with its first
+        # claim while the lanes start, so both kinds of lane run tasks
+        # whichever thread claims first (instant tasks let the caller
+        # drain the whole region before any lane thread is scheduled).
         with ProcessBackend(budget=WorkerBudget(4)) as backend:
-            pids = backend.run_calls(_pid, [() for _ in range(8)], parallelism=4)
+            pids = backend.run_calls(
+                _slow_pid, [(0.05,) for _ in range(8)], parallelism=4
+            )
         assert any(p != os.getpid() for p in pids), "no worker process used"
         assert any(p == os.getpid() for p in pids), "caller lane never ran"
 
@@ -384,116 +395,3 @@ def _child_config():
         "budget_limit": get_worker_budget().limit,
     }
 
-
-def _slow_pid(seconds: float) -> int:
-    time.sleep(seconds)
-    return os.getpid()
-
-
-class TestAffinity:
-    """Pinned dispatch: placement changes, results never do."""
-
-    def test_affinity_spec_validates(self):
-        from repro.exec import AffinitySpec
-
-        with pytest.raises(ValidationError):
-            AffinitySpec([0, 1], n_slots=0)
-        spec = AffinitySpec([0, 1, 2, 3, 4], n_slots=2)
-        assert spec.owners == (0, 1, 0, 1, 0)  # owners wrap into slots
-        assert spec.steals == 0
-
-    def test_serial_and_thread_ignore_affinity(self):
-        from repro.exec import AffinitySpec
-
-        for backend in (SerialBackend(budget=WorkerBudget(2)),
-                        ThreadBackend(budget=WorkerBudget(2))):
-            spec = AffinitySpec([0, 1, 0, 1], n_slots=2)
-            got = backend.run_calls(_mul, [(i, 2) for i in range(4)],
-                                    affinity=spec)
-            assert got == [0, 2, 4, 6]
-            assert spec.steals == 0
-            backend.shutdown()
-
-    def test_process_pinned_results_in_order(self):
-        from repro.exec import AffinitySpec
-
-        with ProcessBackend(budget=WorkerBudget(3)) as backend:
-            spec = AffinitySpec(list(range(8)), n_slots=3)
-            got = backend.run_calls(
-                _mul, [(i, 3) for i in range(8)], parallelism=3, affinity=spec
-            )
-            assert got == [i * 3 for i in range(8)]
-
-    def test_pinned_tasks_land_on_home_processes(self):
-        from repro.exec import AffinitySpec
-
-        from tests.conftest import CHAOS_ENV
-
-        if CHAOS_ENV:
-            pytest.skip(
-                "pid residency does not hold when chaos injection kills "
-                "workers: a retired slot revives with a fresh process"
-            )
-
-        with ProcessBackend(budget=WorkerBudget(4)) as backend:
-            # Two rounds, same owners: each slot is one long-lived
-            # process, so a split's home pid is stable across jobs.
-            owners = [0, 1, 2]
-            first = backend.run_calls(
-                _pid, [() for _ in owners], parallelism=3,
-                affinity=AffinitySpec(owners, n_slots=3),
-            )
-            second = backend.run_calls(
-                _pid, [() for _ in owners], parallelism=3,
-                affinity=AffinitySpec(owners, n_slots=3),
-            )
-        assert first == second  # residency: same home pid per slot
-        assert len(set(first)) == 3  # and the slots really are distinct
-        assert all(pid != os.getpid() for pid in first)
-
-    def test_pinned_errors_use_serial_semantics(self):
-        from repro.exec import AffinitySpec
-
-        with ProcessBackend(budget=WorkerBudget(3)) as backend:
-            # Every task fails; the lowest-indexed failure must win,
-            # exactly like the unpinned scheduler.
-            with pytest.raises(ValueError, match="task 0 failed"):
-                backend.run_calls(
-                    _boom, [(i,) for i in range(6)], parallelism=3,
-                    affinity=AffinitySpec(list(range(6)), n_slots=3),
-                )
-
-    def test_pinned_respects_budget_and_releases_tokens(self):
-        from repro.exec import AffinitySpec
-
-        budget = WorkerBudget(3)
-        with ProcessBackend(budget=budget) as backend:
-            backend.run_calls(
-                _mul, [(i, 1) for i in range(6)], parallelism=3,
-                affinity=AffinitySpec(list(range(6)), n_slots=3),
-            )
-            assert budget.in_use == 0  # tokens returned after the region
-
-    def test_no_tokens_degrades_to_inline(self):
-        from repro.exec import AffinitySpec
-
-        budget = WorkerBudget(1)  # caller only: no lanes, no processes
-        with ProcessBackend(budget=budget) as backend:
-            spec = AffinitySpec([0, 1], n_slots=2)
-            got = backend.run_calls(_pid, [(), ()], affinity=spec)
-        assert got == [os.getpid(), os.getpid()]
-        assert spec.steals == 0
-
-    def test_work_stealing_counts_steals(self):
-        from repro.exec import AffinitySpec
-
-        with ProcessBackend(budget=WorkerBudget(3)) as backend:
-            # Every task homes on slot 0; two lanes -> the second lane
-            # must steal onto idle slots to make progress.
-            spec = AffinitySpec([0] * 6, n_slots=3)
-            got = backend.run_calls(
-                _slow_pid, [(0.05,) for _ in range(6)], parallelism=3,
-                affinity=spec,
-            )
-            assert len(got) == 6
-            assert spec.steals > 0

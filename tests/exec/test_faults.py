@@ -3,9 +3,8 @@
 Covers the policy/telemetry/injection primitives, then drives every
 backend through injected worker deaths: crash-class failures retry
 under the policy, user errors stay fail-fast, exhausted budgets raise
-:class:`TaskFailedError` carrying the original traceback, crashing
-pinned slots get blacklisted, hung tasks time out onto fresh workers,
-and stragglers are speculatively duplicated with first-result-wins.
+:class:`TaskFailedError` carrying the original traceback, and hung
+tasks time out onto fresh workers.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 
 from repro.exceptions import TaskFailedError, ValidationError
 from repro.exec import (
-    AffinitySpec,
     ChaosInjector,
     FaultStats,
     ProcessBackend,
@@ -36,7 +34,6 @@ from repro.exec import (
 from repro.exec.faults import (
     ENV_BACKOFF_S,
     ENV_MAX_RETRIES,
-    ENV_SPECULATION,
     ENV_TASK_TIMEOUT,
     FaultInjector,
 )
@@ -84,16 +81,31 @@ class KillNTimes(FaultInjector):
         raise SimulatedWorkerCrash(f"killed {region}[{index}] attempt {attempt}")
 
 
-class DelayFirstAttempt(FaultInjector):
-    """Sleep ``delay_s`` before targeted tasks' first attempts only."""
+class HangInWorker(FaultInjector):
+    """Hang first attempts that run in a worker process for ``delay_s``.
 
-    def __init__(self, targets, delay_s):
-        self.targets = frozenset(targets)
+    The shared-pool scheduler runs the driver's claims inline, where no
+    timeout applies, and ships the lanes' claims to the pool.  A first
+    attempt on the driver therefore waits (up to ``delay_s``) until some
+    worker attempt has started hanging, so at least one task reaches the
+    pool and times out whichever thread claims which task.
+    """
+
+    def __init__(self, marker, delay_s):
+        self.marker = str(marker)
         self.delay_s = float(delay_s)
+        self.driver_pid = os.getpid()
 
     def fire(self, point, region, index, attempt):
-        if point == "before" and index in self.targets and attempt == 0:
+        if point != "before" or attempt != 0:
+            return
+        if os.getpid() != self.driver_pid:
+            open(self.marker, "w").close()
             time.sleep(self.delay_s)
+            return
+        deadline = time.monotonic() + self.delay_s
+        while not os.path.exists(self.marker) and time.monotonic() < deadline:
+            time.sleep(0.01)
 
 
 class TestRetryPolicy:
@@ -107,10 +119,6 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValidationError):
             RetryPolicy(task_timeout_s=0.0)
-        with pytest.raises(ValidationError):
-            RetryPolicy(speculation_quantile=0.0)
-        with pytest.raises(ValidationError):
-            RetryPolicy(blacklist_after=-2)
 
     def test_backoff_deterministic_bounded(self):
         policy = RetryPolicy(backoff_s=0.1, backoff_factor=2.0, backoff_max_s=0.5)
@@ -128,12 +136,10 @@ class TestRetryPolicy:
     def test_env_resolution(self, monkeypatch):
         monkeypatch.setenv(ENV_MAX_RETRIES, "7")
         monkeypatch.setenv(ENV_TASK_TIMEOUT, "2.5")
-        monkeypatch.setenv(ENV_SPECULATION, "1")
         monkeypatch.setenv(ENV_BACKOFF_S, "0.125")
         policy = resolve_retry_policy()
         assert policy.max_task_retries == 7
         assert policy.task_timeout_s == 2.5
-        assert policy.speculation is True
         assert policy.backoff_s == 0.125
 
     def test_env_rejects_garbage(self, monkeypatch):
@@ -324,80 +330,25 @@ class TestProcessBackendFaults:
         assert snapshot["crashes"] >= 1
         assert snapshot["pool_rebuilds"] >= 1
 
-    def test_pinned_worker_death_recovered_and_blacklisted(self):
-        set_fault_injector(KillNTimes({0}, n_attempts=2))
-        backend = ProcessBackend(budget=WorkerBudget(2))
-        stats = FaultStats()
-        policy = RetryPolicy(max_task_retries=3, backoff_s=0.0, blacklist_after=1)
-        try:
-            out = backend.run_calls(
-                _square,
-                [(0,), (1,)],
-                parallelism=2,
-                affinity=AffinitySpec([0, 1], n_slots=2),
-                retry=policy,
-                faults=stats,
-            )
-        finally:
-            backend.shutdown()
-        assert out == [0, 1]
-        snapshot = stats.as_dict()
-        assert snapshot["crashes"] == 2  # attempt 0 on slot 0, attempt 1 rerouted
-        assert snapshot["retries"] == 2
-        assert snapshot["workers_blacklisted"] == 1
-
-    def test_pinned_blacklisted_slot_revives_next_region(self):
-        set_fault_injector(KillNTimes({0}, n_attempts=1))
-        backend = ProcessBackend(budget=WorkerBudget(2))
-        policy = RetryPolicy(max_task_retries=3, backoff_s=0.0, blacklist_after=1)
-        stats = FaultStats()
-        try:
-            backend.run_calls(
-                _square,
-                [(0,), (1,)],
-                parallelism=2,
-                affinity=AffinitySpec([0, 1], n_slots=2),
-                retry=policy,
-                faults=stats,
-            )
-            assert stats.as_dict()["workers_blacklisted"] == 1
-            # The next region still schedules every task despite the
-            # blacklist (homes remap deterministically onto survivors).
-            set_fault_injector(None)
-            clean = FaultStats()
-            out = backend.run_calls(
-                _square,
-                [(i,) for i in range(4)],
-                parallelism=2,
-                affinity=AffinitySpec([0, 1, 0, 1], n_slots=2),
-                retry=policy,
-                faults=clean,
-            )
-        finally:
-            backend.shutdown()
-        assert out == [0, 1, 4, 9]
-        assert clean.as_dict()["crashes"] == 0
-
     def test_exhausted_retries_raise_task_failed_not_hang(self):
+        # Task 0 dies on every attempt: as SimulatedWorkerCrash when the
+        # driver claims it, as a real worker death on the shared pool
+        # when a lane does — the region fails the same way either way.
         set_fault_injector(KillNTimes({0}, n_attempts=10))
         backend = ProcessBackend(budget=WorkerBudget(2))
         policy = RetryPolicy(max_task_retries=1, backoff_s=0.0)
         with pytest.raises(TaskFailedError) as excinfo:
             try:
                 backend.run_calls(
-                    _square,
-                    [(0,), (1,)],
-                    parallelism=2,
-                    affinity=AffinitySpec([0, 1], n_slots=2),
-                    retry=policy,
+                    _square, [(0,), (1,)], parallelism=2, retry=policy
                 )
             finally:
                 backend.shutdown()
         assert excinfo.value.task_index == 0
         assert excinfo.value.attempts == 2
 
-    def test_task_timeout_kills_hung_worker_and_retries(self):
-        set_fault_injector(DelayFirstAttempt({0}, delay_s=5.0))
+    def test_task_timeout_kills_hung_worker_and_retries(self, tmp_path):
+        set_fault_injector(HangInWorker(tmp_path / "hung", delay_s=5.0))
         backend = ProcessBackend(budget=WorkerBudget(2))
         stats = FaultStats()
         policy = RetryPolicy(max_task_retries=2, backoff_s=0.0, task_timeout_s=0.75)
@@ -407,7 +358,6 @@ class TestProcessBackendFaults:
                 _square,
                 [(0,), (1,)],
                 parallelism=2,
-                affinity=AffinitySpec([0, 1], n_slots=2),
                 retry=policy,
                 faults=stats,
             )
@@ -418,56 +368,5 @@ class TestProcessBackendFaults:
         snapshot = stats.as_dict()
         assert snapshot["timeouts"] >= 1
         assert snapshot["retries"] >= 1
+        assert snapshot["pool_rebuilds"] >= 1
         assert elapsed < 5.0  # the hung attempt was killed, not awaited
-
-    def test_speculation_duplicates_straggler_first_result_wins(self):
-        set_fault_injector(DelayFirstAttempt({3}, delay_s=2.0))
-        backend = ProcessBackend(budget=WorkerBudget(2))
-        stats = FaultStats()
-        policy = RetryPolicy(
-            max_task_retries=2,
-            backoff_s=0.0,
-            speculation=True,
-            speculation_quantile=0.25,
-            speculation_multiplier=1.0,
-        )
-        try:
-            out = backend.run_calls(
-                _square,
-                [(i,) for i in range(4)],
-                parallelism=2,
-                affinity=AffinitySpec([0, 1, 0, 1], n_slots=2),
-                retry=policy,
-                faults=stats,
-            )
-        finally:
-            backend.shutdown()
-        assert out == [i * i for i in range(4)]
-        snapshot = stats.as_dict()
-        assert snapshot["speculative_launched"] >= 1
-        assert snapshot["speculative_won"] >= 1
-        assert snapshot["crashes"] == 0
-
-    def test_pinned_slots_record_heartbeats(self):
-        """Satellite: pinned dispatch stamps slot_last_ping per slot —
-        once at submission, once at result return — so driver telemetry
-        can tell a live-but-slow slot from a hung one."""
-        backend = ProcessBackend(budget=WorkerBudget(3))
-        stats = FaultStats()
-        start = time.monotonic()
-        try:
-            out = backend.run_calls(
-                _square,
-                [(i,) for i in range(6)],
-                parallelism=3,
-                affinity=AffinitySpec(list(range(6)), n_slots=3),
-                faults=stats,
-            )
-        finally:
-            backend.shutdown()
-        assert out == [i * i for i in range(6)]
-        end = time.monotonic()
-        assert stats.slot_last_ping  # at least one slot heartbeat recorded
-        assert set(stats.slot_last_ping) <= {0, 1, 2}
-        for stamp in stats.slot_last_ping.values():
-            assert start <= stamp <= end

@@ -85,12 +85,3 @@ def test_lost_manifest_recovered_bit_identical(dataset, eat):
     assert report.shuffle == reference.shuffle
     assert report.plane == reference.plane
 
-
-def test_lost_manifest_recovered_async_scheduler(dataset):
-    reference = _pipeline(dataset, backend=SerialBackend(), async_scheduler=True)
-    backend = ManifestEatingBackend(eat=2)
-    report = _pipeline(dataset, backend=backend, async_scheduler=True)
-    assert len(backend.eaten) == 2
-    np.testing.assert_array_equal(report.centers, reference.centers)
-    assert report.final_cost == reference.final_cost
-    assert report.faults["manifests_recovered"] == 2

@@ -428,6 +428,34 @@ class TestRuntimeBasics:
         )
         assert a.single("draw") == b.single("draw")
 
+    def test_submit_job_matches_run_job(self, rng):
+        class DrawMapper(BlockMapper):
+            def map_block(self, block):
+                yield "draw", float(self.ctx.rng.random())
+                yield "colsum", block.sum(axis=0)
+
+        class StackReducer(Reducer):
+            def reduce(self, key, values):
+                yield key, np.asarray(values)
+
+        job = MapReduceJob(
+            name="draws", mapper_factory=DrawMapper, reducer_factory=StackReducer
+        )
+        X = rng.normal(size=(60, 3))
+        ran = LocalMapReduceRuntime(X, n_splits=4, seed=5).run_job(job)
+        future = LocalMapReduceRuntime(X, n_splits=4, seed=5).submit_job(job)
+        assert future.done()
+        submitted = future.result()
+        assert list(submitted.output) == list(ran.output) == ["colsum", "draw"]
+        assert list(future.output()) == list(ran.output)
+        for key, values in ran.output.items():
+            expected = [v.tobytes() for v in values]
+            assert [v.tobytes() for v in submitted.output[key]] == expected
+            assert [v.tobytes() for v in future.output()[key]] == expected
+            assert [v.tobytes() for v in future.key(key)] == expected
+            assert future.single(key).tobytes() == ran.single(key).tobytes()
+        assert submitted.counters.as_dict() == ran.counters.as_dict()
+
 
 class TestDeterministicOutputOrder:
     """JobResult.output key order must not depend on split emission order.

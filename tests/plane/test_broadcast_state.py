@@ -25,9 +25,8 @@ from repro.plane.state import (
 
 @pytest.fixture(autouse=True)
 def _clean_registry():
-    # Earlier tests may abandon runtimes to the garbage collector; the
-    # async scheduler's job graphs are reference cycles, so their
-    # segments free at cycle collection rather than by refcount.
+    # Earlier tests may abandon runtimes to the garbage collector, and
+    # segments held in reference cycles free only at cycle collection.
     # Collect first so the registry reflects live owners only.
     gc.collect()
     yield

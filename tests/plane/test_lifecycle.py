@@ -180,7 +180,7 @@ class TestSegmentLifecycle:
         X = rng.normal(size=(150, 4))
         report = mr_scalable_kmeans(
             X, 3, l=6.0, r=2, n_splits=3, seed=0, lloyd_max_iter=2,
-            workers=3, backend=backend, shared_broadcast=True, affinity="pinned",
+            workers=3, backend=backend, shared_broadcast=True,
         )
         assert report.plane["mode"] == "shared"
         assert active_owned_segments() == []  # runtime context exit cleans up

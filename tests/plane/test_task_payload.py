@@ -45,7 +45,7 @@ class PickleMeteringBackend(SerialBackend):
         self.task_bytes: list[int] = []
         self.result_bytes: list[int] = []
 
-    def run_calls(self, fn, calls, *, parallelism=None, affinity=None, **kwargs):
+    def run_calls(self, fn, calls, *, parallelism=None, **kwargs):
         results = []
         for args in calls:
             blob = pickle.dumps((fn, tuple(args)), pickle.HIGHEST_PROTOCOL)

@@ -3,8 +3,9 @@
 The fault-tolerance acceptance gate.  Workers are killed at random and
 at targeted points (before/after map tasks, before/after reduce tasks,
 under any retry budget >= 1), on the thread backend (inline simulated
-crashes) and the process backend (real ``os._exit`` worker deaths,
-shared and pinned dispatch, in-memory and spilling shuffle stores) —
+crashes) and the process backend (real ``os._exit`` worker deaths, with
+and without resident plane state, in-memory and spilling shuffle
+stores) —
 and every run must produce centers, costs, counters, and key order
 bit-identical to a fault-free serial run.  Crash cleanup must leak
 nothing: no ``/dev/shm`` segment and no ``repro-shuffle-*`` spill
@@ -183,9 +184,7 @@ class TestProcessChaosIdentity:
         "mode_kwargs",
         [
             pytest.param({}, id="shared-pool"),
-            pytest.param(
-                {"shared_broadcast": True, "affinity": "pinned"}, id="pinned-plane"
-            ),
+            pytest.param({"shared_broadcast": True}, id="shared-plane"),
         ],
     )
     def test_random_worker_deaths_bit_identical(
@@ -210,7 +209,6 @@ class TestProcessChaosIdentity:
                 backend=backend,
                 shuffle_budget=1,  # force every job's shuffle to spill
                 shared_broadcast=True,
-                affinity="pinned",
             )
         finally:
             backend.shutdown()

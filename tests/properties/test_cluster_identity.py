@@ -143,14 +143,6 @@ class TestClusterIdentity:
         assert stats["broadcast_sends"] <= 2 * report.n_jobs
         assert stats["broadcast_hits"] > stats["broadcast_sends"]
 
-    def test_async_scheduler_bit_identical(self, dataset, reference):
-        backend = _cluster_backend(2)
-        try:
-            report = _scalable(dataset, backend=backend, async_scheduler=True)
-        finally:
-            backend.shutdown()
-        _assert_identical(report, reference)
-
     def test_spilling_shuffle_bit_identical(self, dataset, reference):
         backend = _cluster_backend(2)
         try:

@@ -1,13 +1,13 @@
 """Property tests: the data plane must change *nothing* but the IPC.
 
-Extends the PR 3/PR 4 invariance matrix with the two plane axes: for
-any execution backend (serial / thread / process), any worker count,
-affinity off or pinned, and shared or legacy broadcast transport, the
-MapReduce pipelines must produce bit-identical centers, costs,
-counters, and output key order.  Simulated time must be bit-identical
-across *backends and affinity* at a fixed broadcast mode (the mode
-itself legitimately changes the broadcast charge: publish-once vs
-per-task — that is the telemetry fix, asserted separately).
+Extends the backend/worker invariance matrix with the plane axis: for
+any execution backend (serial / thread / process), any worker count, and
+shared or legacy broadcast transport, the MapReduce pipelines must
+produce bit-identical centers, costs, counters, and output key order.
+Simulated time must be bit-identical across *backends* at a fixed
+broadcast mode (the mode itself legitimately changes the broadcast
+charge: publish-once vs per-task — that is the telemetry fix, asserted
+separately).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _fingerprint(report):
 
 
 class TestPlaneInvariance:
-    """backends x workers x affinity x broadcast mode, one pipeline."""
+    """backends x workers x broadcast mode, one pipeline."""
 
     @given(
         data=points_and_k(min_rows=4, max_rows=24),
@@ -82,31 +82,28 @@ class TestPlaneInvariance:
             lloyd_max_iter=2, workers=workers,
         )
         reference = mr_scalable_kmeans(
-            X, k, backend=backends["serial"], shared_broadcast=False,
-            affinity="none", **kwargs,
+            X, k, backend=backends["serial"], shared_broadcast=False, **kwargs,
         )
         ref_fp = _fingerprint(reference)
         variants = [
-            ("serial", True, "none"),
-            ("thread", True, "none"),
-            ("thread", True, "pinned"),
-            ("process", False, "none"),
-            ("process", True, "none"),
-            ("process", True, "pinned"),
+            ("serial", True),
+            ("thread", True),
+            ("process", False),
+            ("process", True),
         ]
         shared_minutes = None
-        for name, shared, affinity in variants:
+        for name, shared in variants:
             report = mr_scalable_kmeans(
                 X, k, backend=backends[name], shared_broadcast=shared,
-                affinity=affinity, **kwargs,
+                **kwargs,
             )
-            assert _fingerprint(report) == ref_fp, (name, shared, affinity)
+            assert _fingerprint(report) == ref_fp, (name, shared)
             if shared:
                 # One fixed mode -> one simulated clock, regardless of
-                # backend or placement.
+                # backend.
                 if shared_minutes is None:
                     shared_minutes = report.simulated_minutes
-                assert report.simulated_minutes == shared_minutes, (name, affinity)
+                assert report.simulated_minutes == shared_minutes, name
             else:
                 assert report.simulated_minutes == reference.simulated_minutes
 
@@ -128,19 +125,17 @@ class TestPlaneInvariance:
             backend=backends["serial"], shared_broadcast=False,
         ) as ref_rt:
             ref = ref_rt.run_job(make_lloyd_job(C))
-        for affinity in ("none", "pinned"):
-            with LocalMapReduceRuntime(
-                X, n_splits=n_splits, seed=seed, workers=2,
-                backend=backends["process"], shared_broadcast=True,
-                affinity=affinity,
-            ) as rt:
-                out = rt.run_job(make_lloyd_job(C))
-            assert list(out.output.keys()) == list(ref.output.keys())
-            assert out.counters.as_dict() == ref.counters.as_dict()
-            for key in ref.output:
-                assert len(ref.output[key]) == len(out.output[key])
-                for a, b in zip(ref.output[key], out.output[key]):
-                    assert _freeze(a) == _freeze(b)
+        with LocalMapReduceRuntime(
+            X, n_splits=n_splits, seed=seed, workers=2,
+            backend=backends["process"], shared_broadcast=True,
+        ) as rt:
+            out = rt.run_job(make_lloyd_job(C))
+        assert list(out.output.keys()) == list(ref.output.keys())
+        assert out.counters.as_dict() == ref.counters.as_dict()
+        for key in ref.output:
+            assert len(ref.output[key]) == len(out.output[key])
+            for a, b in zip(ref.output[key], out.output[key]):
+                assert _freeze(a) == _freeze(b)
 
 
 class TestPlaneTelemetryInvariants:

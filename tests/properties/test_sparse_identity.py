@@ -90,7 +90,6 @@ def csr_dir(data, tmp_path_factory):
 
 def _pipeline(source, *, backend=None, workers=1, **kwargs):
     kwargs.setdefault("shared_broadcast", False)
-    kwargs.setdefault("async_scheduler", False)
     return mr_scalable_kmeans(
         source, 5, l=8.0, r=3, n_splits=4, seed=11, lloyd_max_iter=3,
         workers=workers, backend=backend or SerialBackend(), **kwargs,
