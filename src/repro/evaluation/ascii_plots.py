@@ -2,8 +2,9 @@
 
 The offline environment has no plotting stack, so Figures 5.1-5.3 are
 regenerated as terminal charts plus the underlying numeric series (the
-series are what EXPERIMENTS.md records; the chart is for eyeballing the
-shape — monotone decrease with rounds, the r*l >= k knee, etc.).
+series, in each experiment's ``ExperimentResult.data``, are the record;
+the chart is for eyeballing the shape — monotone decrease with rounds,
+the r*l >= k knee, etc.).
 """
 
 from __future__ import annotations

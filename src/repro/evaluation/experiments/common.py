@@ -10,8 +10,8 @@ Every experiment runs at one of three *scales*:
   instance and take correspondingly long).
 
 and returns an :class:`ExperimentResult` whose ``blocks`` are rendered
-tables/charts and whose ``data`` carries the raw numbers for tests and
-EXPERIMENTS.md.
+tables/charts and whose ``data`` carries the raw numbers the shape
+assertions in ``tests/evaluation/test_experiments.py`` read.
 """
 
 from __future__ import annotations

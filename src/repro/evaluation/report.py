@@ -1,12 +1,12 @@
 """Paper-vs-measured comparison reports.
 
-EXPERIMENTS.md records, for every artifact, which qualitative claims of
-the paper hold in the reproduction. This module makes those claims
+Which qualitative claims of the paper hold in the reproduction is
+asserted, artifact by artifact, in ``tests/evaluation/test_experiments.py``
+(each experiment at ``bench`` scale). This module makes such claims
 *checkable objects*: a :class:`ShapeCheck` is a named predicate over an
 experiment's ``data``, and :func:`check_shapes` evaluates a battery of
-them into a pass/fail table. The experiment tests and benches use the
-same predicates, so EXPERIMENTS.md can never silently drift from what is
-actually asserted.
+them into outcomes that :func:`render_checks` prints as a pass/fail
+table.
 """
 
 from __future__ import annotations

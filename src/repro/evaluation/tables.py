@@ -1,9 +1,9 @@
 """Fixed-width table rendering for experiment reports.
 
-Keeps the benchmark output legible in a terminal and diff-able in
-EXPERIMENTS.md: every experiment prints exactly the rows/columns of its
-paper counterpart, with a "paper" column next to "measured" where that is
-meaningful.
+Keeps the benchmark output legible in a terminal and diff-able between
+runs (``python -m repro run all --out results.txt``): every experiment
+prints exactly the rows/columns of its paper counterpart, with a "paper"
+column next to "measured" where that is meaningful.
 """
 
 from __future__ import annotations

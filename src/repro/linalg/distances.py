@@ -9,6 +9,13 @@ so the inner loop is a single GEMM, and we clamp tiny negative values that
 round-off can produce (they would otherwise poison ``sqrt`` and the D^2
 sampling distribution).
 
+The expansion is folded in place: the GEMM multiplies by ``-2 C`` straight
+into the output buffer, then ``||x||^2`` and ``||c||^2`` are added to it
+in that order.  Scaling by -2 is exact (a power of two, barring overflow
+and subnormals), and ``a + (-b)`` is ``a - b`` in IEEE arithmetic, so
+every value has the bits of ``(||x||^2 - 2 (X C^T)) + ||c||^2`` evaluated
+term by term, without that expression's three full-size temporaries.
+
 Memory discipline: the full ``(n, k)`` matrix is only materialized by
 :func:`pairwise_sq_dists`; the reduction kernels (:func:`min_sq_dists`,
 :func:`assign_labels`) walk the rows in chunks so peak scratch stays at
@@ -16,6 +23,13 @@ Memory discipline: the full ``(n, k)`` matrix is only materialized by
 and (optional) thread fan-out — is owned by :mod:`repro.linalg.engine`;
 every kernel here routes its row blocks through the current engine, so
 ``set_engine(Engine(workers=4))`` parallelizes all of them at once.
+Inside a chunk the reduction kernels walk cache-sized tiles of rows
+through one reused ``(tile, k)`` buffer (see :data:`_TILE_BYTES`), so a
+tile is reduced while it is still in cache; the chunk's scratch is that
+one buffer.  The min-only kernels clamp each row's minimum rather than
+the whole tile: ``max(., 0)`` is monotone, so it commutes with ``min``.
+The argmin kernels clamp the tile before ``argmin``, so round-off
+negatives still break ties to the lowest index.
 
 Hot callers (Lloyd, the seeding loops) evaluate distances against the
 same ``X`` many times; each kernel therefore accepts a precomputed
@@ -26,9 +40,15 @@ Dtype policy: when ``X`` and the centers share a float dtype (float32 or
 float64) the GEMM runs in that dtype — this is what makes the optional
 float32 working mode ~2x faster — otherwise both operands are upcast to
 float64 so mixed-precision inputs cannot silently poison the expansion.
+A wider ``x_norms_sq`` (float64 norms with float32 points) widens the
+result exactly as the term-by-term expression does: the product is then
+formed in its own dtype and widened by the adds, never rounded into a
+narrower buffer.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -100,6 +120,84 @@ def _row_scratch(k: int) -> int:
     return 8 * max(1, k)
 
 
+#: Float64 scratch of one distance tile: the ``(tile, k)`` buffer a chunk
+#: reuses stays in a core's L2 cache between the GEMM that writes it and
+#: the passes that fold and reduce it.
+_TILE_BYTES = 1 << 20
+#: Fewest rows in a tile, however many centers: thinner tiles make the
+#: GEMM re-pack ``C`` for too few rows (see README, "Performance").
+_TILE_MIN_ROWS = 256
+
+
+def _tile_cuts(rows: int, k: int) -> list[int]:
+    """Row offsets that cut a chunk of ``rows`` rows into tiles.
+
+    Tiles start every ``step`` rows and the last one takes the remainder,
+    so no tile is thinner than ``step`` (or than the chunk): BLAS routes
+    a GEMM by its shape, and a thin remainder tile could take a kernel
+    that rounds differently from the chunk-sized product.  For the same
+    reason a one-column product (``k == 1``), which NumPy hands to a
+    matrix-vector routine whose rounding depends on the row count, is
+    never cut.
+    """
+    if k == 1:
+        return [0, rows]
+    step = max(_TILE_MIN_ROWS, _TILE_BYTES // _row_scratch(k))
+    return [*range(0, max(1, rows // step) * step, step), rows]
+
+
+def _fold(
+    block: np.ndarray,
+    neg2C: np.ndarray,
+    x_norms_sq: np.ndarray,
+    c_norms_sq: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Unclamped ``||x - c||^2`` of ``block``, in ``out`` or a new array.
+
+    ``neg2C`` is ``-2 * C``, row-major like ``C`` and used transposed, so
+    BLAS sees the operand layout of ``block @ C.T``.  The sum has the
+    dtype of the term-by-term expansion: the GEMM's, unless the norms are
+    wider (float64 norms with float32 points).  The product is then
+    formed in the GEMM's dtype and widened exactly -- NumPy casts it into
+    a wider ``out`` -- so no float64 norm is rounded into a float32 sum.
+    """
+    if out is not None:
+        gemm = np.matmul(block, neg2C.T, out=out)
+    else:
+        gemm = out = block @ neg2C.T
+        if not x_norms_sq.dtype == c_norms_sq.dtype == gemm.dtype:
+            out = np.empty(gemm.shape, np.result_type(gemm, x_norms_sq, c_norms_sq))
+    np.add(gemm, x_norms_sq[:, None], out=out)
+    np.add(out, c_norms_sq, out=out)
+    return out
+
+
+def _sq_dist_tiles(
+    X: np.ndarray,
+    sl: slice,
+    x_norms_sq: np.ndarray | None,
+    neg2C: np.ndarray,
+    c_norms_sq: np.ndarray,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, d2)`` for each tile of the chunk ``X[sl]``.
+
+    ``rows`` indexes the tile within the chunk; ``d2`` is its unclamped
+    squared-distance block, a view of one buffer every tile of the chunk
+    reuses -- the caller reduces it before asking for the next tile.
+    """
+    block = X[sl]
+    xn = row_norms_sq(block) if x_norms_sq is None else x_norms_sq[sl]
+    cuts = _tile_cuts(block.shape[0], neg2C.shape[0])
+    buf = np.empty(
+        (cuts[-1] - cuts[-2], neg2C.shape[0]), np.result_type(neg2C, xn, c_norms_sq)
+    )
+    for lo, hi in zip(cuts, cuts[1:]):
+        yield slice(lo, hi), _fold(
+            block[lo:hi], neg2C, xn[lo:hi], c_norms_sq, buf[: hi - lo]
+        )
+
+
 def block_sq_dists(
     block: np.ndarray,
     C: np.ndarray,
@@ -108,10 +206,10 @@ def block_sq_dists(
 ) -> np.ndarray:
     """One clamped GEMM-expansion block: ``||x - c||^2`` for a row block.
 
-    The single expression every chunked kernel in this module evaluates —
-    shared so callers outside the module (the bounds-accelerated Lloyd,
-    the serving path) produce *byte-identical* squared distances to the
-    reference kernels for the same operands.  ``block`` and ``C`` must
+    The in-place fold every chunked kernel in this module evaluates tile
+    by tile — shared so callers outside the module (the bounds-accelerated
+    Lloyd, the serving path) produce *byte-identical* squared distances to
+    the reference kernels for the same operands.  ``block`` and ``C`` must
     already be in a common working dtype (see :func:`_as_working`);
     ``x_norms_sq`` / ``c_norms_sq`` are the precomputed row norms of the
     block and of ``C``.  A CSR ``block`` routes through the SpMM sibling
@@ -120,7 +218,7 @@ def block_sq_dists(
     """
     if _sparse.is_sparse(block):
         return _sparse.sparse_block_sq_dists(block, C, x_norms_sq, c_norms_sq)
-    d2 = x_norms_sq[:, None] - 2.0 * (block @ C.T) + c_norms_sq[None, :]
+    d2 = _fold(block, -2.0 * C, x_norms_sq, c_norms_sq)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -229,13 +327,13 @@ def min_sq_dists(
     norms = _check_norms(x_norms_sq, X.shape[0])
     n, k = X.shape[0], C.shape[0]
     out = np.empty(n, dtype=np.float64)
-    c_norms_sq = row_norms_sq(C)
+    neg2C, c_norms_sq = -2.0 * C, row_norms_sq(C)
 
     def work(sl: slice) -> None:
-        block = X[sl]
-        xn = row_norms_sq(block) if norms is None else norms[sl]
-        d2 = block_sq_dists(block, C, xn, c_norms_sq)
-        out[sl] = d2.min(axis=1)
+        dst = out[sl]
+        for rows, d2 in _sq_dist_tiles(X, sl, norms, neg2C, c_norms_sq):
+            d2.min(axis=1, out=dst[rows])
+        np.maximum(dst, 0.0, out=dst)
 
     get_engine().run_chunks(n, _row_scratch(k), work, chunk_bytes=chunk_bytes)
     return out
@@ -275,13 +373,14 @@ def update_min_sq_dists(
     X, new_centers = _as_working(X, new_centers)
     norms = _check_norms(x_norms_sq, X.shape[0])
     k_new = new_centers.shape[0]
-    c_norms_sq = row_norms_sq(new_centers)
+    neg2C, c_norms_sq = -2.0 * new_centers, row_norms_sq(new_centers)
 
     def work(sl: slice) -> None:
-        block = X[sl]
-        xn = row_norms_sq(block) if norms is None else norms[sl]
-        d2 = block_sq_dists(block, new_centers, xn, c_norms_sq)
-        np.minimum(current[sl], d2.min(axis=1), out=current[sl])
+        cur = current[sl]
+        for rows, d2 in _sq_dist_tiles(X, sl, norms, neg2C, c_norms_sq):
+            best = d2.min(axis=1)
+            np.maximum(best, 0.0, out=best)
+            np.minimum(cur[rows], best, out=cur[rows])
 
     get_engine().run_chunks(X.shape[0], _row_scratch(k_new), work, chunk_bytes=chunk_bytes)
     return current
@@ -322,21 +421,20 @@ def update_min_sq_dists_argmin(
     X, new_centers = _as_working(X, new_centers)
     norms = _check_norms(x_norms_sq, X.shape[0])
     k_new = new_centers.shape[0]
-    c_norms_sq = row_norms_sq(new_centers)
+    neg2C, c_norms_sq = -2.0 * new_centers, row_norms_sq(new_centers)
 
     def work(sl: slice) -> None:
-        block = X[sl]
-        xn = row_norms_sq(block) if norms is None else norms[sl]
-        d2 = block_sq_dists(block, new_centers, xn, c_norms_sq)
-        idx = d2.argmin(axis=1)
-        best_new = np.take_along_axis(d2, idx[:, None], axis=1).ravel()
-        # Slices are views: writing through `cur`/`near` updates the
-        # caller's arrays directly.
-        cur = current[sl]
-        near = nearest[sl]
-        improved = best_new < cur
-        cur[improved] = best_new[improved]
-        near[improved] = idx[improved] + offset
+        for rows, d2 in _sq_dist_tiles(X, sl, norms, neg2C, c_norms_sq):
+            np.maximum(d2, 0.0, out=d2)
+            idx = d2.argmin(axis=1)
+            best_new = d2.min(axis=1)
+            # Slices are views: writing through `cur`/`near` updates the
+            # caller's arrays directly.
+            cur = current[sl][rows]
+            near = nearest[sl][rows]
+            improved = best_new < cur
+            cur[improved] = best_new[improved]
+            near[improved] = idx[improved] + offset
 
     get_engine().run_chunks(X.shape[0], _row_scratch(k_new), work, chunk_bytes=chunk_bytes)
     return current, nearest
@@ -369,16 +467,14 @@ def assign_labels(
     n, k = X.shape[0], C.shape[0]
     labels = np.empty(n, dtype=np.int64)
     best = np.empty(n, dtype=np.float64) if return_sq_dists else None
-    c_norms_sq = row_norms_sq(C)
+    neg2C, c_norms_sq = -2.0 * C, row_norms_sq(C)
 
     def work(sl: slice) -> None:
-        block = X[sl]
-        xn = row_norms_sq(block) if norms is None else norms[sl]
-        d2 = block_sq_dists(block, C, xn, c_norms_sq)
-        idx = d2.argmin(axis=1)
-        labels[sl] = idx
-        if best is not None:
-            best[sl] = np.take_along_axis(d2, idx[:, None], axis=1).ravel()
+        for rows, d2 in _sq_dist_tiles(X, sl, norms, neg2C, c_norms_sq):
+            np.maximum(d2, 0.0, out=d2)
+            d2.argmin(axis=1, out=labels[sl][rows])
+            if best is not None:
+                d2.min(axis=1, out=best[sl][rows])
 
     get_engine().run_chunks(n, _row_scratch(k), work, chunk_bytes=chunk_bytes)
     if best is not None:

@@ -35,6 +35,11 @@ __all__ = ["estimate_nbytes", "record_nbytes"]
 #: Framing charged per record / container slot (length prefix + tag).
 FRAME_BYTES = 8
 
+#: Exact types charged a flat 8 bytes without the probes below.  Exact,
+#: not ``isinstance``: NumPy scalars such as ``np.float64`` (a ``float``
+#: subclass) keep the itemsize rule of the general path.
+_WORD_TYPES = frozenset({int, float, bool, type(None)})
+
 
 def estimate_nbytes(value: Any) -> int:
     """Rough serialized size of an emitted value, for shuffle accounting.
@@ -43,7 +48,23 @@ def estimate_nbytes(value: Any) -> int:
     length; tuple/list/set/frozenset = header + 8 per slot + elements;
     dict = header + (framing + key + value) per entry; anything else
     (int / float / bool / None) = 8.
+
+    The exact types the pipeline emits (ndarray, tuple keys, str tags,
+    Python scalars) are charged first, before the scipy sparse probe;
+    subclasses such as ``np.memmap`` take the general path, which charges
+    them the same.
     """
+    cls = type(value)
+    if cls is np.ndarray:
+        return value.nbytes
+    if cls is tuple:
+        return FRAME_BYTES + FRAME_BYTES * len(value) + sum(
+            estimate_nbytes(v) for v in value
+        )
+    if cls in _WORD_TYPES:
+        return 8
+    if cls is str:
+        return len(value.encode())
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if _sparse.is_sparse(value):
