@@ -85,20 +85,21 @@ def _time_best_of(fn, repeat: int) -> tuple[float, object]:
 
 def _lloyd_case(X, centers, *, n_splits: int, workers: int, rounds: int, backend):
     """Fixed-round MR Lloyd: the map-phase-dominated measurement."""
-    from repro.mapreduce.kmeans_mr import mr_lloyd
+    from repro.mapreduce.jobs.lloyd_job import collect_new_centers, make_lloyd_job
     from repro.mapreduce.runtime import LocalMapReduceRuntime
 
     with LocalMapReduceRuntime(
         X, n_splits=n_splits, seed=0, workers=workers, backend=backend
     ) as runtime:
-        out_centers, phi, n_iter = mr_lloyd(
-            runtime, centers, max_iter=rounds, tol=-1.0  # tol<0: never early-stop
-        )
+        # Exactly ``rounds`` jobs, never an early stop.
+        for _ in range(rounds):
+            result = runtime.run_job(make_lloyd_job(centers))
+            centers, phi = collect_new_centers(result.output, centers)
         return {
             "phi": phi,
-            "n_iter": n_iter,
+            "n_iter": rounds,
             "simulated_minutes": runtime.simulated_minutes,
-            "centers": out_centers,
+            "centers": centers,
         }
 
 

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="engine worker threads (sets REPRO_ENGINE_WORKERS for the run)",
+        help="worker count (sets REPRO_EXEC_WORKERS for the run)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -85,7 +85,7 @@ def condense(raw: dict, *, workers: int | None) -> dict:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "engine_workers": workers
-            or int(os.environ.get("REPRO_ENGINE_WORKERS", "0") or 0)
+            or int(os.environ.get("REPRO_EXEC_WORKERS", "0") or 0)
             or 1,
         },
         "benchmarks": benches,
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
         write_summary()
         return 0
     if args.workers is not None:
-        os.environ["REPRO_ENGINE_WORKERS"] = str(args.workers)
+        os.environ["REPRO_EXEC_WORKERS"] = str(args.workers)
 
     import pytest
 

@@ -5,8 +5,11 @@ Usage::
     python -m repro list
     python -m repro run table1 [--scale bench|scaled|paper] [--seed 0]
     python -m repro run all --scale scaled --out results.txt
-    python -m repro --mr-workers 4 mr --splits-from data.npy -k 50
+    python -m repro --exec-workers 4 mr --splits-from data.npy -k 50
     python -m repro --backend process --exec-workers 8 mr --splits-from data.npy -k 50
+
+Every global flag overrides one ``REPRO_*`` setting of
+:mod:`repro.config`; the ``--help`` epilog lists them all.
 
 ``repro-experiments`` (installed by the package) is an alias of
 ``python -m repro``.
@@ -15,13 +18,45 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import textwrap
 from typing import Sequence
 
 from repro._version import __version__
+from repro.config import BACKEND_NAMES, SETTINGS, Config, load_config, set_config
+from repro.exceptions import ValidationError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "settings_epilog"]
+
+
+#: argparse details of the global flags of :data:`repro.config.SETTINGS`.
+_FLAG_ARGS: dict[str, dict] = {
+    "--backend": {"choices": BACKEND_NAMES},
+    "--exec-workers": {"type": int, "metavar": "N"},
+    "--shuffle-budget-mib": {"type": float, "metavar": "MIB"},
+    "--no-shared-broadcast": {"action": "store_const", "const": "0"},
+    "--max-task-retries": {"type": int, "metavar": "N"},
+    "--task-timeout": {"type": float, "metavar": "SECONDS"},
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def settings_epilog() -> str:
+    """The ``repro --help`` epilog: one entry per row of
+    :data:`repro.config.SETTINGS`."""
+    lines = ["configuration (environment variable [flag], default):"]
+    for setting in SETTINGS:
+        flag = f" [{setting.flag}]" if setting.flag else ""
+        lines.append(f"  {setting.env}{flag}, default {setting.default}")
+        lines.append(textwrap.fill(
+            setting.effect, 76, initial_indent="      ", subsequent_indent="      "
+        ))
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,136 +67,18 @@ def build_parser() -> argparse.ArgumentParser:
             "Reproduction harness for 'Scalable K-Means++' (Bahmani et al., "
             "VLDB 2012): regenerate every table and figure of Section 5."
         ),
-        epilog=(
-            "Parallelism can also be configured via the environment: "
-            "REPRO_EXEC_BACKEND (serial|thread|process — where parallel "
-            "regions execute), REPRO_EXEC_WORKERS (the global worker budget "
-            "shared by every layer), REPRO_ENGINE_WORKERS (workers fanning "
-            "out row blocks of every distance/centroid kernel), "
-            "REPRO_ENGINE_CHUNK_BYTES (scratch budget per block), "
-            "REPRO_MR_WORKERS (workers executing MapReduce map/reduce "
-            "tasks; defaults to the engine worker count), "
-            "REPRO_SHUFFLE_BUDGET_MB (MapReduce shuffle residency budget "
-            "in MiB; past it the shuffle spills to disk), "
-            "REPRO_SHARED_BROADCAST (1 = zero-copy data plane: broadcasts "
-            "published once to shared memory, split state resident behind "
-            "descriptors), and the fault-"
-            "tolerance knobs: REPRO_FAULTS_MAX_RETRIES (crash-class retries "
-            "per task), REPRO_FAULTS_TASK_TIMEOUT (seconds per process-"
-            "backend task attempt), REPRO_FAULTS_BACKOFF_S, and "
-            "REPRO_FAULTS_CHAOS / "
-            "REPRO_FAULTS_CHAOS_RATE / REPRO_FAULTS_CHAOS_SEED "
-            "(deterministic fault injection for chaos testing)."
-        ),
+        epilog=settings_epilog(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process", "cluster"),
-        default=None,
-        help=(
-            "execution backend for every parallel region — kernel chunks and "
-            "MapReduce map/reduce tasks (default: $REPRO_EXEC_BACKEND or "
-            "'thread'; 'process' ships MR tasks to worker processes, "
-            "'cluster' dispatches them to socket-connected worker daemons — "
-            "$REPRO_CLUSTER_WORKERS localhost daemons self-launch by default)"
-        ),
-    )
-    parser.add_argument(
-        "--exec-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "global worker budget shared by all parallel layers, including "
-            "the calling thread (default: $REPRO_EXEC_WORKERS or "
-            "max(cpu_count, 4)); nested parallelism never exceeds it. Also "
-            "becomes the engine/MR worker request when --engine-workers / "
-            "--mr-workers are not given, so '--backend process "
-            "--exec-workers 8' alone parallelizes everything 8-wide"
-        ),
-    )
-    parser.add_argument(
-        "--engine-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "fan kernel row blocks out over N threads (default: "
-            "$REPRO_ENGINE_WORKERS or 1 = serial)"
-        ),
-    )
-    parser.add_argument(
-        "--chunk-mib",
-        type=int,
-        default=None,
-        metavar="MIB",
-        help=(
-            "per-block scratch budget for the chunked kernels, in MiB "
-            "(default: $REPRO_ENGINE_CHUNK_BYTES or 32 MiB)"
-        ),
-    )
-    parser.add_argument(
-        "--mr-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "threads executing MapReduce map tasks (default: $REPRO_MR_WORKERS, "
-            "falling back to the engine worker count)"
-        ),
-    )
-    parser.add_argument(
-        "--no-shared-broadcast",
-        action="store_true",
-        help=(
-            "escape hatch: disable the zero-copy data plane and pickle the "
-            "broadcast + split state into every map task (the legacy path). "
-            "The mr subcommand otherwise defaults the plane ON "
-            "($REPRO_SHARED_BROADCAST, when set, still wins over that "
-            "default); results are bit-identical either way — only IPC "
-            "volume and the simulated broadcast charge change"
-        ),
-    )
-    parser.add_argument(
-        "--max-task-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "crash-class retries per task (worker death, broken pool, "
-            "timeout) before the run fails with TaskFailedError; crashed map "
-            "tasks recompute their split state from lineage, so results stay "
-            "bit-identical to a fault-free run (default: "
-            "$REPRO_FAULTS_MAX_RETRIES or 2). Ordinary task exceptions are "
-            "never retried"
-        ),
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock limit per process-backend task attempt; a hung "
-            "worker is killed and the task retried (default: "
-            "$REPRO_FAULTS_TASK_TIMEOUT, else no limit)"
-        ),
-    )
-    parser.add_argument(
-        "--shuffle-budget-mib",
-        type=float,
-        default=None,
-        metavar="MIB",
-        help=(
-            "MapReduce shuffle residency budget in MiB (fractions allowed); "
-            "past it map emissions spill to disk and the reduce phase streams "
-            "a sorted external merge, so huge shuffles stay out-of-core. "
-            "Results are bit-identical to the in-memory shuffle. 0 forces the "
-            "in-memory store (default: $REPRO_SHUFFLE_BUDGET_MB, else "
-            "in-memory)"
-        ),
-    )
+    for setting in SETTINGS:
+        if setting.flag is not None:
+            parser.add_argument(
+                setting.flag,
+                default=None,
+                help=f"overrides ${setting.env} (see below)",
+                **_FLAG_ARGS[setting.flag],
+            )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list available experiment ids")
@@ -375,104 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_engine(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Install the process-wide engine/backend when the knobs were given.
+def _cli_config(args: argparse.Namespace) -> Config:
+    """The environment's config with the global flags on top.
 
-    Even with no flags, construct the default engine and resolve the
-    default backend once so a bad ``REPRO_ENGINE_*`` / ``REPRO_EXEC_*``
-    env value fails at startup with a clean parser error instead of a
-    traceback at the first kernel call mid-run.
+    ``mr`` and ``serve`` turn the zero-copy data plane on unless
+    ``REPRO_SHARED_BROADCAST`` or ``--no-shared-broadcast`` set it.
     """
-    from repro.exceptions import ValidationError
-    from repro.exec import WorkerBudget, resolve_backend, set_backend, set_worker_budget
-    from repro.linalg.engine import Engine, set_engine
-
-    try:
-        if args.exec_workers is not None:
-            set_worker_budget(WorkerBudget(args.exec_workers))
-        else:
-            WorkerBudget()  # fail fast on a bad $REPRO_EXEC_WORKERS
-        if args.backend is not None:
-            set_backend(args.backend)
-        else:
-            resolve_backend(None)  # fail fast on a bad $REPRO_EXEC_BACKEND
-    except ValidationError as exc:
-        parser.error(str(exc))
-
-    # --exec-workers alone must actually buy parallelism: without an
-    # explicit --engine-workers the engine would default to 1 worker and
-    # every layer (MR falls back to the engine count) would run serial
-    # under a roomy budget. The budget stays the cap either way.
-    engine_workers = args.engine_workers
-    if engine_workers is None:
-        engine_workers = args.exec_workers
-    chunk_bytes = None if args.chunk_mib is None else args.chunk_mib * 1024 * 1024
-    try:
-        engine = Engine(workers=engine_workers, chunk_bytes=chunk_bytes)
-    except ValidationError as exc:
-        parser.error(str(exc))
-    if engine_workers is not None or args.chunk_mib is not None:
-        set_engine(engine)
-
-    from repro.mapreduce.runtime import resolve_mr_workers, set_default_mr_workers
-
-    try:
-        if args.mr_workers is not None:
-            set_default_mr_workers(args.mr_workers)
-        else:
-            resolve_mr_workers()  # fail fast on a bad $REPRO_MR_WORKERS
-    except ValidationError as exc:
-        parser.error(str(exc))
-
-    from repro.shuffle import resolve_shuffle_budget, set_default_shuffle_budget
-
-    try:
-        if args.shuffle_budget_mib is not None:
-            set_default_shuffle_budget(
-                int(args.shuffle_budget_mib * 1024 * 1024)
-            )
-        else:
-            resolve_shuffle_budget()  # fail fast on a bad $REPRO_SHUFFLE_BUDGET_MB
-    except ValidationError as exc:
-        parser.error(str(exc))
-
-    from repro.plane import (
-        ENV_SHARED_BROADCAST,
-        resolve_shared_broadcast,
-        set_default_shared_broadcast,
-    )
-
-    try:
-        if args.no_shared_broadcast:
-            set_default_shared_broadcast(False)
-        elif (
-            args.command in ("mr", "serve")
-            and os.environ.get(ENV_SHARED_BROADCAST) is None
-        ):
-            # The mr pipeline defaults the zero-copy plane ON; an explicit
-            # environment setting (either way — the resolver reads the
-            # empty string as off, so it counts too) still wins over this.
-            set_default_shared_broadcast(True)
-        else:
-            resolve_shared_broadcast()  # fail fast on a bad env value
-    except ValidationError as exc:
-        parser.error(str(exc))
-
-    import dataclasses
-
-    from repro.exec import resolve_retry_policy, set_default_retry_policy
-
-    try:
-        policy = resolve_retry_policy()  # fail fast on bad $REPRO_FAULTS_*
-        overrides: dict = {}
-        if args.max_task_retries is not None:
-            overrides["max_task_retries"] = args.max_task_retries
-        if args.task_timeout is not None:
-            overrides["task_timeout_s"] = args.task_timeout
-        if overrides:
-            set_default_retry_policy(dataclasses.replace(policy, **overrides))
-    except ValidationError as exc:
-        parser.error(str(exc))
+    flags = {s.flag: getattr(args, _dest(s.flag)) for s in SETTINGS if s.flag}
+    config = load_config(flags=flags)
+    if config.shared_broadcast is None and args.command in ("mr", "serve"):
+        config = dataclasses.replace(config, shared_broadcast=True)
+    return config
 
 
 def _run_mr(args: argparse.Namespace) -> int:
@@ -551,7 +381,6 @@ def _run_data(args: argparse.Namespace) -> int:
         if args.sparse:
             # A Gaussian mixture has no zeros — the CSR form is legal but
             # larger than dense; honored for pipeline testing.
-            from repro.exceptions import ValidationError
             from repro.linalg import sparse as _sparse
 
             if not _sparse.HAVE_SCIPY:
@@ -626,8 +455,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed + 1)
     query_pool = X
     if args.sparse:
-        from repro.exceptions import ValidationError
-
         if not _sparse.HAVE_SCIPY:
             raise ValidationError("--sparse requires scipy, which is not installed")
         if not _sparse.is_sparse(query_pool):
@@ -724,7 +551,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "worker":
-        # Before _configure_engine: the daemon configures itself from the
+        # Before the CLI config: the daemon configures itself from the
         # driver's WELCOME frame (serial leaf, driver chunk_bytes), and
         # resolving an inherited REPRO_EXEC_BACKEND=cluster here would
         # recursively self-launch a fleet per worker.
@@ -734,24 +561,32 @@ def main(argv: Sequence[str] | None = None) -> int:
             return run_worker(args.connect, data_root=args.data_root)
         except (ValueError, OSError) as exc:
             parser.error(str(exc))
-    _configure_engine(parser, args)
+    try:
+        config = _cli_config(args)
+    except ValidationError as exc:
+        parser.error(str(exc))
+    # The CLI's config wins over the environment from here on; the
+    # process-wide backend, budget and engine are rebuilt from it.
+    from repro.exec import set_backend, set_worker_budget
+    from repro.linalg.engine import set_engine
+
+    set_config(config)
+    set_backend(None)
+    set_worker_budget(None)
+    set_engine(None)
     if args.command == "mr":
-        from repro.exceptions import MapReduceError, ValidationError
+        from repro.exceptions import MapReduceError
 
         try:
             return _run_mr(args)
         except (ValidationError, MapReduceError) as exc:
             parser.error(str(exc))
     if args.command == "serve":
-        from repro.exceptions import ValidationError
-
         try:
             return _run_serve(args)
         except ValidationError as exc:
             parser.error(str(exc))
     if args.command == "data":
-        from repro.exceptions import ValidationError
-
         try:
             return _run_data(args)
         except ValidationError as exc:

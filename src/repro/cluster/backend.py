@@ -39,11 +39,6 @@ import threading
 from typing import Any, Callable, ClassVar
 
 from repro.cluster.bcast import RemoteBroadcastTransport
-from repro.cluster.config import (
-    resolve_cluster_workers,
-    resolve_heartbeat_s,
-    resolve_heartbeat_timeout_s,
-)
 from repro.cluster.worker_pool import WorkerPool
 from repro.exec.backends import (
     BACKENDS,
@@ -130,11 +125,10 @@ class ClusterBackend(ThreadBackend):
         heartbeat_timeout_s: float | None = None,
     ):
         super().__init__(budget)
-        self._cluster_workers = resolve_cluster_workers(workers)
-        self._heartbeat_s = resolve_heartbeat_s(heartbeat_s)
-        self._heartbeat_timeout_s = resolve_heartbeat_timeout_s(
-            heartbeat_timeout_s
-        )
+        # Resolved by the WorkerPool each fleet is built with.
+        self._cluster_workers = workers
+        self._heartbeat_s = heartbeat_s
+        self._heartbeat_timeout_s = heartbeat_timeout_s
         self._fleet: WorkerPool | None = None
         self._fleet_lock = threading.Lock()
 

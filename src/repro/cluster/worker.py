@@ -25,6 +25,7 @@ genuine daemon death the driver observes as EOF.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import socket
@@ -45,6 +46,7 @@ from repro.cluster.protocol import (
     send_frame,
     send_payload,
 )
+from repro.config import get_config, set_config
 
 __all__ = ["run_worker", "parse_connect"]
 
@@ -129,7 +131,7 @@ def run_worker(connect: str, *, data_root: str | None = None) -> int:
         if data_root is None:
             data_root = welcome.get("data_root")
         if data_root:
-            os.environ["REPRO_DATA_ROOT"] = str(data_root)
+            set_config(dataclasses.replace(get_config(), data_root=str(data_root)))
 
         # Same serial-leaf initialization as the process backend's
         # workers: serial engine with the driver's chunking, one worker,

@@ -39,12 +39,6 @@ import time
 import weakref
 from typing import Any, Optional
 
-from repro.cluster.config import (
-    resolve_cluster_workers,
-    resolve_heartbeat_s,
-    resolve_heartbeat_timeout_s,
-    resolve_spawn_timeout_s,
-)
 from repro.cluster.protocol import (
     HELLO,
     PING,
@@ -56,10 +50,33 @@ from repro.cluster.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.config import get_config
 from repro.exceptions import ValidationError
 from repro.exec.faults import TaskTimeoutError, WorkerLostError
 
 __all__ = ["WorkerPool", "RemoteWorker"]
+
+#: Interval of the daemons' ``PING`` frames: cheap (one small frame)
+#: and fine-grained enough that ``FaultStats`` sees liveness during
+#: long map tasks.
+HEARTBEAT_S = 0.5
+#: A worker whose ``last_ping`` is older than this is declared lost.
+#: Hard connection drops (EOF, reset) are detected at once; this only
+#: catches wedged-but-connected workers, so it is deliberately
+#: conservative.
+HEARTBEAT_TIMEOUT_S = 15.0
+#: Deadline for self-launched daemons' registration handshakes.
+SPAWN_TIMEOUT_S = 30.0
+
+
+def _seconds(name: str, value: float | None, default: float) -> float:
+    if value is None:
+        return default
+    value = float(value)
+    if value <= 0:
+        raise ValidationError(f"{name} must be > 0, got {value}")
+    return value
+
 
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 
@@ -140,22 +157,25 @@ class WorkerPool:
         chunk_bytes: int | None = None,
         data_root: str | None = None,
     ):
+        config = get_config()
         self.pid = os.getpid()
         self.host = host
-        self.launch = resolve_cluster_workers(launch)
-        self.heartbeat_s = resolve_heartbeat_s(heartbeat_s)
-        self.heartbeat_timeout_s = resolve_heartbeat_timeout_s(
-            heartbeat_timeout_s
+        self.launch = config.cluster_workers if launch is None else int(launch)
+        if self.launch < 0:
+            raise ValidationError(f"cluster workers must be >= 0, got {self.launch}")
+        self.heartbeat_s = _seconds("heartbeat_s", heartbeat_s, HEARTBEAT_S)
+        self.heartbeat_timeout_s = _seconds(
+            "heartbeat_timeout_s", heartbeat_timeout_s, HEARTBEAT_TIMEOUT_S
         )
-        self.spawn_timeout_s = resolve_spawn_timeout_s(spawn_timeout_s)
+        self.spawn_timeout_s = _seconds(
+            "spawn_timeout_s", spawn_timeout_s, SPAWN_TIMEOUT_S
+        )
         if chunk_bytes is None:
             from repro.linalg.engine import get_engine
 
             chunk_bytes = get_engine().chunk_bytes
         self.chunk_bytes = int(chunk_bytes)
-        self.data_root = data_root if data_root is not None else os.environ.get(
-            "REPRO_DATA_ROOT"
-        )
+        self.data_root = config.data_root if data_root is None else data_root
 
         self._lock = threading.RLock()
         self._workers: dict[int, RemoteWorker] = {}

@@ -62,6 +62,9 @@ SAMPLING_MODES = ("independent", "exact")
 class ScalableKMeans(Initializer):
     """``k-means||`` initialization (Algorithm 2 of the paper).
 
+    ``mr_scalable_kmeans(l=)`` takes the absolute ``l`` only; the
+    README's "Two front doors" states the conventions both doors share.
+
     Parameters
     ----------
     oversampling:

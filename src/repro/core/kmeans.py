@@ -52,6 +52,10 @@ def _make_initializer(init, oversampling_factor, n_rounds, working_dtype) -> Ini
 class KMeans:
     """K-means clustering with pluggable initialization.
 
+    The in-memory front door; the README's "Two front doors" states how
+    its ``oversampling_factor``, ``tol`` and empty-cluster default map
+    onto the MapReduce drivers.
+
     Parameters
     ----------
     n_clusters:

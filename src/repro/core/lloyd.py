@@ -127,6 +127,10 @@ def lloyd(
 ) -> LloydResult:
     """Run Lloyd's iteration from the given seed until stable.
 
+    :func:`repro.mapreduce.mr_lloyd` checks ``max_iter`` and ``tol`` the
+    same way; the README's "Two front doors" states where the two differ
+    (the empty-cluster default).
+
     Parameters
     ----------
     X:

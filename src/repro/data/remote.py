@@ -38,30 +38,27 @@ from typing import Optional
 
 import numpy as np
 
-from repro.data.splits import ENV_DATA_ROOT, SplitDescriptor, SplitSource
+from repro.config import get_config
+from repro.data.splits import SplitDescriptor, SplitSource
 from repro.exceptions import ValidationError
 
 __all__ = [
-    "ENV_HTTP_CACHE",
     "HttpSplitDescriptor",
     "HttpSplitSource",
     "RangeFileServer",
 ]
 
-#: Directory for locally cached remote ranges.  Falls back to
-#: ``$REPRO_DATA_ROOT/.http-cache`` and then a per-user temp directory.
-ENV_HTTP_CACHE = "REPRO_HTTP_CACHE"
-
 _NPY_MAGIC = b"\x93NUMPY"
 
 
 def _cache_root() -> str:
-    raw = os.environ.get(ENV_HTTP_CACHE)
-    if raw and raw.strip():
-        return os.path.abspath(raw.strip())
-    data_root = os.environ.get(ENV_DATA_ROOT)
-    if data_root and data_root.strip():
-        return os.path.join(os.path.abspath(data_root.strip()), ".http-cache")
+    """The ``http_cache`` setting, else ``<data_root>/.http-cache``, else
+    a per-user temp directory."""
+    config = get_config()
+    if config.http_cache is not None:
+        return os.path.abspath(config.http_cache)
+    if config.data_root is not None:
+        return os.path.join(os.path.abspath(config.data_root), ".http-cache")
     return os.path.join(
         tempfile.gettempdir(), f"repro-http-cache-{os.getuid()}"
     )

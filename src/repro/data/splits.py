@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import get_config
 from repro.exceptions import ValidationError
 from repro.linalg import sparse as _sparse
 
@@ -54,22 +55,18 @@ __all__ = [
     "save_csr_dir",
     "load_csr_dir",
     "is_csr_dir",
-    "ENV_DATA_ROOT",
     "portable_data_path",
     "resolve_data_path",
 ]
 
-#: Root directory dataset paths are made relative to in descriptors, so
-#: a cluster worker mounting the same data at a different prefix can
-#: resolve them against *its* root.  Unset = absolute paths (one box).
-ENV_DATA_ROOT = "REPRO_DATA_ROOT"
-
 
 def _data_root() -> str | None:
-    raw = os.environ.get(ENV_DATA_ROOT)
-    if raw is None or not raw.strip():
-        return None
-    return os.path.abspath(raw.strip())
+    """The ``data_root`` setting, absolute: descriptor paths are made
+    relative to it, so a cluster worker mounting the same data at a
+    different prefix resolves them against *its* root.  Unset =
+    absolute paths (one box)."""
+    root = get_config().data_root
+    return None if root is None else os.path.abspath(root)
 
 
 def portable_data_path(path: str | os.PathLike) -> str:

@@ -13,8 +13,6 @@ machine nor deadlock.  See :mod:`repro.exec.backends` for the model.
 
 from repro.exec.backends import (
     BACKENDS,
-    DEFAULT_BACKEND,
-    ENV_BACKEND,
     ExecBackend,
     ProcessBackend,
     SerialBackend,
@@ -26,25 +24,18 @@ from repro.exec.backends import (
     set_worker_budget,
     use_backend,
 )
-from repro.exec.budget import ENV_EXEC_WORKERS, WorkerBudget, default_budget_limit
+from repro.exec.budget import WorkerBudget
 from repro.exec.faults import (
-    ENV_BACKOFF_S,
-    ENV_CHAOS,
-    ENV_CHAOS_RATE,
-    ENV_CHAOS_SEED,
-    ENV_MAX_RETRIES,
-    ENV_TASK_TIMEOUT,
     ChaosInjector,
     FaultInjector,
     FaultStats,
     RetryPolicy,
     SimulatedWorkerCrash,
     TaskTimeoutError,
+    default_retry_policy,
     get_fault_injector,
     is_crash_failure,
     reset_region_ids,
-    resolve_retry_policy,
-    set_default_retry_policy,
     set_fault_injector,
 )
 
@@ -61,7 +52,6 @@ __all__ = [
     "WorkerBudget",
     "get_worker_budget",
     "set_worker_budget",
-    "default_budget_limit",
     "RetryPolicy",
     "FaultStats",
     "FaultInjector",
@@ -70,17 +60,7 @@ __all__ = [
     "TaskTimeoutError",
     "is_crash_failure",
     "reset_region_ids",
-    "resolve_retry_policy",
-    "set_default_retry_policy",
+    "default_retry_policy",
     "get_fault_injector",
     "set_fault_injector",
-    "ENV_BACKEND",
-    "ENV_EXEC_WORKERS",
-    "DEFAULT_BACKEND",
-    "ENV_MAX_RETRIES",
-    "ENV_TASK_TIMEOUT",
-    "ENV_BACKOFF_S",
-    "ENV_CHAOS",
-    "ENV_CHAOS_RATE",
-    "ENV_CHAOS_SEED",
 ]

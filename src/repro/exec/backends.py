@@ -50,11 +50,9 @@ exceptions keep fail-fast-per-task semantics.
 
 Selection
 ---------
-:func:`get_backend` / :func:`set_backend` / :func:`use_backend`, the
-``REPRO_EXEC_BACKEND`` environment variable (``serial`` / ``thread`` /
-``process``), or the CLI's global ``--backend`` flag.  The budget limit
-comes from ``REPRO_EXEC_WORKERS`` (default: ``max(cpu_count, 4)``) or
-the CLI's ``--exec-workers``.
+:func:`get_backend` / :func:`set_backend` / :func:`use_backend`, else
+the ``exec_backend`` and ``exec_workers`` settings of
+:mod:`repro.config`.
 
 Fork safety: all pools (and the budget) are keyed to the creating
 process id and lazily rebuilt when first used from a forked child, so a
@@ -65,6 +63,7 @@ on every backend.
 from __future__ import annotations
 
 import abc
+import dataclasses
 import functools
 import os
 import pickle
@@ -78,16 +77,17 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from contextlib import contextmanager
 from typing import Any, Callable, ClassVar, Iterator, Sequence, TypeVar
 
+from repro.config import get_config, set_config
 from repro.exceptions import TaskFailedError, ValidationError
 from repro.exec.budget import WorkerBudget
 from repro.exec.faults import (
     RetryPolicy,
     TaskTimeoutError,
     call_with_faults,
+    default_retry_policy,
     get_fault_injector,
     is_crash_failure,
     next_region_id,
-    resolve_retry_policy,
 )
 
 __all__ = [
@@ -102,17 +102,9 @@ __all__ = [
     "resolve_backend",
     "get_worker_budget",
     "set_worker_budget",
-    "ENV_BACKEND",
-    "DEFAULT_BACKEND",
 ]
 
 T = TypeVar("T")
-
-
-#: Environment variable selecting the default backend by name.
-ENV_BACKEND = "REPRO_EXEC_BACKEND"
-#: Backend used when neither code nor environment chose one.
-DEFAULT_BACKEND = "thread"
 
 
 def _invoke(fn: Callable[..., T], args: tuple) -> T:
@@ -168,7 +160,7 @@ class _FaultContext:
 
     def __init__(self, fn, *, retry=None, faults=None, retry_args=None):
         self.fn = fn
-        self.policy = resolve_retry_policy(retry)
+        self.policy = retry if retry is not None else default_retry_policy()
         self.stats = faults
         self.retry_args = retry_args
         self.injector = get_fault_injector()
@@ -335,7 +327,7 @@ class ExecBackend(abc.ABC):
         return value must be picklable.
 
         Fault tolerance: crash-class failures of a task are retried
-        under ``retry`` (default: :func:`resolve_retry_policy`), counted
+        under ``retry`` (default: :func:`default_retry_policy`), counted
         into ``faults`` (a :class:`~repro.exec.faults.FaultStats`), with
         ``retry_args(index, attempt, exc)`` — if given — rebuilding the
         task's argument tuple before each retry (lineage recovery).
@@ -568,20 +560,22 @@ class ThreadBackend(ExecBackend):
 def _process_worker_init(chunk_bytes: int) -> None:
     """Runs once inside every worker process of a :class:`ProcessBackend`.
 
-    Children are leaf executors: they get a serial backend, a one-token
-    budget, and a serial engine so nested parallelism cannot oversubscribe
-    the machine behind the parent scheduler's back.  The engine keeps the
+    Children are leaf executors: a serial-leaf config (serial backend,
+    one worker, no chaos), a serial backend, a one-token budget and a
+    serial engine, so nested parallelism cannot oversubscribe the
+    machine behind the parent scheduler's back.  The engine keeps the
     parent's chunk budget — chunking changes GEMM blocking and therefore
     low-order float bits, so it must match the parent for the
     bit-identical-across-backends contract to hold.
     """
-    os.environ[ENV_BACKEND] = "serial"
-    os.environ["REPRO_ENGINE_WORKERS"] = "1"
-    os.environ["REPRO_MR_WORKERS"] = "1"
     # Injection is a *driver* decision, shipped inside the task tuple
-    # (call_with_faults).  A worker must never synthesize its own chaos
-    # injector from inherited env, or retried attempts would re-inject.
-    os.environ.pop("REPRO_FAULTS_CHAOS", None)
+    # (call_with_faults).  A worker must never arm its own chaos injector
+    # from an inherited setting, or retried attempts would re-inject.
+    set_config(
+        dataclasses.replace(
+            get_config(), exec_backend="serial", exec_workers=1, faults_chaos=False
+        )
+    )
     set_worker_budget(WorkerBudget(1))
     set_backend(SerialBackend())
     from repro.linalg.engine import Engine, set_engine
@@ -854,7 +848,7 @@ def set_worker_budget(budget: WorkerBudget | int | None) -> WorkerBudget | None:
     """Install the process-wide budget; returns the previous one.
 
     Accepts a :class:`~repro.exec.budget.WorkerBudget`, a bare limit, or
-    ``None`` to reset to the environment-derived default on next use.
+    ``None`` to reset to the configured default on next use.
     """
     global _current_budget
     if isinstance(budget, int):
@@ -868,14 +862,14 @@ def set_worker_budget(budget: WorkerBudget | int | None) -> WorkerBudget | None:
 def resolve_backend(spec: ExecBackend | str | None = None) -> ExecBackend:
     """Coerce a backend spec into an instance.
 
-    ``None`` reads ``REPRO_EXEC_BACKEND`` (default ``"thread"``); a
-    string is looked up in :data:`BACKENDS`; an instance passes through.
+    ``None`` takes ``exec_backend`` from :func:`repro.config.get_config`
+    (default ``"thread"``); a string is looked up in :data:`BACKENDS`;
+    an instance passes through.
     """
     if isinstance(spec, ExecBackend):
         return spec
     if spec is None:
-        spec = os.environ.get(ENV_BACKEND) or DEFAULT_BACKEND
-        spec = spec.strip().lower()
+        spec = get_config().exec_backend
     if spec == "cluster" and spec not in BACKENDS:
         # Registered lazily: the cluster package imports this module, so
         # eager registration would be a cycle — and most processes never
@@ -884,7 +878,7 @@ def resolve_backend(spec: ExecBackend | str | None = None) -> ExecBackend:
     if spec not in BACKENDS:
         raise ValidationError(
             f"unknown execution backend {spec!r}; expected one of "
-            f"{sorted(BACKENDS)} (via set_backend(), ${ENV_BACKEND}, or --backend)"
+            f"{sorted(BACKENDS)} (via set_backend(), $REPRO_EXEC_BACKEND, or --backend)"
         )
     return BACKENDS[spec]()
 
@@ -901,7 +895,7 @@ def get_backend() -> ExecBackend:
 def set_backend(backend: ExecBackend | str | None) -> ExecBackend | None:
     """Install a backend process-wide; returns the previous one.
 
-    ``None`` resets to the environment-derived default on next use.
+    ``None`` resets to the configured default on next use.
     """
     global _current_backend
     resolved = None if backend is None else resolve_backend(backend)

@@ -33,34 +33,17 @@ import os
 import threading
 import weakref
 
+from repro.config import get_config
 from repro.exceptions import ValidationError
 
-__all__ = ["WorkerBudget", "DEFAULT_BUDGET_FLOOR", "default_budget_limit", "ENV_EXEC_WORKERS"]
+__all__ = ["WorkerBudget", "DEFAULT_BUDGET_FLOOR"]
 
-#: Environment variable read for the default budget limit.
-ENV_EXEC_WORKERS = "REPRO_EXEC_WORKERS"
-
-#: The default limit is ``max(cpu_count, floor)`` — generous enough that
-#: explicitly-requested parallelism still fans out on small CI machines
-#: (where the point of the tests is to exercise the parallel code paths),
-#: while on real hardware the core count governs.
+#: Without ``REPRO_EXEC_WORKERS`` the limit is ``max(cpu_count, floor)``
+#: — generous enough that explicitly-requested parallelism still fans
+#: out on small CI machines (where the point of the tests is to exercise
+#: the parallel code paths), while on real hardware the core count
+#: governs.
 DEFAULT_BUDGET_FLOOR = 4
-
-
-def default_budget_limit() -> int:
-    """Resolve the default budget limit (env override, then cpu count)."""
-    raw = os.environ.get(ENV_EXEC_WORKERS)
-    if raw is not None and raw.strip():
-        try:
-            limit = int(raw)
-        except ValueError as exc:
-            raise ValidationError(
-                f"{ENV_EXEC_WORKERS} must be an integer, got {raw!r}"
-            ) from exc
-        if limit < 1:
-            raise ValidationError(f"{ENV_EXEC_WORKERS} must be >= 1, got {limit}")
-        return limit
-    return max(os.cpu_count() or 1, DEFAULT_BUDGET_FLOOR)
 
 
 class WorkerBudget:
@@ -70,14 +53,17 @@ class WorkerBudget:
     ----------
     limit:
         Maximum number of concurrently-executing workers, *including* the
-        calling thread. ``None`` reads ``REPRO_EXEC_WORKERS`` and falls
-        back to ``max(cpu_count, 4)``. ``limit=1`` hands out no tokens:
-        every region runs inline on its caller.
+        calling thread. ``None`` takes ``exec_workers`` from
+        :func:`repro.config.get_config`, else ``max(cpu_count, 4)``.
+        ``limit=1`` hands out no tokens: every region runs inline on its
+        caller.
     """
 
     def __init__(self, limit: int | None = None):
         if limit is None:
-            limit = default_budget_limit()
+            limit = get_config().exec_workers or max(
+                os.cpu_count() or 1, DEFAULT_BUDGET_FLOOR
+            )
         if limit < 1:
             raise ValidationError(f"budget limit must be >= 1, got {limit}")
         self.limit = int(limit)

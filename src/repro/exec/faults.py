@@ -21,13 +21,8 @@ task or kill the worker.  :class:`ChaosInjector` is the shipped
 implementation — deterministic per (seed, region, task, point), firing
 only on first attempts so any retry budget >= 1 converges.
 
-Env knobs (CLI equivalents in parentheses):
-
-- ``REPRO_FAULTS_MAX_RETRIES`` (``--max-task-retries``)
-- ``REPRO_FAULTS_TASK_TIMEOUT`` (``--task-timeout``), seconds
-- ``REPRO_FAULTS_BACKOFF_S``
-- ``REPRO_FAULTS_CHAOS``, ``REPRO_FAULTS_CHAOS_RATE``,
-  ``REPRO_FAULTS_CHAOS_SEED`` (fault injection for chaos testing)
+The retry count, the task timeout and ambient chaos are settings of
+:mod:`repro.config`.
 """
 
 from __future__ import annotations
@@ -41,6 +36,7 @@ import zlib
 from concurrent.futures import BrokenExecutor, CancelledError
 from dataclasses import dataclass
 
+from repro.config import get_config
 from repro.exceptions import ValidationError
 
 __all__ = [
@@ -53,27 +49,16 @@ __all__ = [
     "WorkerLostError",
     "call_with_faults",
     "is_crash_failure",
-    "resolve_retry_policy",
-    "set_default_retry_policy",
+    "default_retry_policy",
     "get_fault_injector",
     "set_fault_injector",
-    "ENV_MAX_RETRIES",
-    "ENV_TASK_TIMEOUT",
-    "ENV_BACKOFF_S",
-    "ENV_CHAOS",
-    "ENV_CHAOS_RATE",
-    "ENV_CHAOS_SEED",
+    "CHAOS_RATE",
+    "CHAOS_SEED",
 ]
 
-ENV_MAX_RETRIES = "REPRO_FAULTS_MAX_RETRIES"
-ENV_TASK_TIMEOUT = "REPRO_FAULTS_TASK_TIMEOUT"
-ENV_BACKOFF_S = "REPRO_FAULTS_BACKOFF_S"
-ENV_CHAOS = "REPRO_FAULTS_CHAOS"
-ENV_CHAOS_RATE = "REPRO_FAULTS_CHAOS_RATE"
-ENV_CHAOS_SEED = "REPRO_FAULTS_CHAOS_SEED"
-
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off", "")
+#: Kill rate and seed of the injector ``REPRO_FAULTS_CHAOS=1`` arms.
+CHAOS_RATE = 0.02
+CHAOS_SEED = 0
 
 
 class SimulatedWorkerCrash(Exception):
@@ -188,80 +173,15 @@ class RetryPolicy:
         return base * (0.5 + 0.5 * frac)
 
 
-def _parse_bool(name: str, raw: str) -> bool:
-    value = raw.strip().lower()
-    if value in _TRUE:
-        return True
-    if value in _FALSE:
-        return False
-    raise ValidationError(f"{name} must be a boolean flag, got {raw!r}")
-
-
-def _parse_int(name: str, raw: str) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise ValidationError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _parse_float(name: str, raw: str) -> float:
-    try:
-        return float(raw.strip())
-    except ValueError:
-        raise ValidationError(f"{name} must be a number, got {raw!r}") from None
-
-
-_policy_lock = threading.Lock()
-_default_policy: RetryPolicy | None = None
-_env_policy_key: tuple | None = None
-_env_policy: RetryPolicy | None = None
-
-
-def set_default_retry_policy(policy: RetryPolicy | None) -> RetryPolicy | None:
-    """Install the process-wide default policy; returns the previous one.
-
-    ``None`` resets to the environment-derived default on next use.
-    """
-    global _default_policy
-    with _policy_lock:
-        previous = _default_policy
-        _default_policy = policy
-    return previous
-
-
-def _policy_from_env() -> RetryPolicy:
-    global _env_policy_key, _env_policy
-    key = tuple(
-        os.environ.get(name)
-        for name in (ENV_MAX_RETRIES, ENV_TASK_TIMEOUT, ENV_BACKOFF_S)
+def default_retry_policy() -> RetryPolicy:
+    """The policy a region runs under when it is given none: the
+    ``faults_max_retries`` and ``faults_task_timeout`` settings of
+    :func:`repro.config.get_config`."""
+    config = get_config()
+    return RetryPolicy(
+        max_task_retries=config.faults_max_retries,
+        task_timeout_s=config.faults_task_timeout,
     )
-    with _policy_lock:
-        if key == _env_policy_key and _env_policy is not None:
-            return _env_policy
-    kwargs: dict = {}
-    raw = key[0]
-    if raw is not None:
-        kwargs["max_task_retries"] = _parse_int(ENV_MAX_RETRIES, raw)
-    raw = key[1]
-    if raw is not None and raw.strip().lower() not in ("", "none"):
-        kwargs["task_timeout_s"] = _parse_float(ENV_TASK_TIMEOUT, raw)
-    raw = key[2]
-    if raw is not None:
-        kwargs["backoff_s"] = _parse_float(ENV_BACKOFF_S, raw)
-    policy = RetryPolicy(**kwargs)
-    with _policy_lock:
-        _env_policy_key, _env_policy = key, policy
-    return policy
-
-
-def resolve_retry_policy(policy: RetryPolicy | None = None) -> RetryPolicy:
-    """Coerce a policy spec: argument > installed default > env > built-in."""
-    if policy is not None:
-        return policy
-    with _policy_lock:
-        if _default_policy is not None:
-            return _default_policy
-    return _policy_from_env()
 
 
 # ----------------------------------------------------------------------
@@ -435,8 +355,6 @@ def call_with_faults(
 
 _injector_lock = threading.Lock()
 _installed_injector: FaultInjector | None = None
-_env_injector_key: tuple | None = None
-_env_injector: FaultInjector | None = None
 
 
 def set_fault_injector(injector: FaultInjector | None) -> FaultInjector | None:
@@ -452,33 +370,12 @@ def set_fault_injector(injector: FaultInjector | None) -> FaultInjector | None:
     return previous
 
 
-def _injector_from_env() -> FaultInjector | None:
-    global _env_injector_key, _env_injector
-    key = (
-        os.environ.get(ENV_CHAOS),
-        os.environ.get(ENV_CHAOS_RATE),
-        os.environ.get(ENV_CHAOS_SEED),
-    )
-    with _injector_lock:
-        if key == _env_injector_key:
-            return _env_injector
-    raw_chaos, raw_rate, raw_seed = key
-    injector: FaultInjector | None = None
-    if raw_chaos is not None and _parse_bool(ENV_CHAOS, raw_chaos):
-        rate = 0.02 if raw_rate is None else _parse_float(ENV_CHAOS_RATE, raw_rate)
-        seed = 0 if raw_seed is None else _parse_int(ENV_CHAOS_SEED, raw_seed)
-        injector = ChaosInjector(rate=rate, seed=seed)
-    with _injector_lock:
-        _env_injector_key, _env_injector = key, injector
-    return injector
-
-
 def get_fault_injector() -> FaultInjector | None:
-    """The injector active for new regions (installed wins over env)."""
-    with _injector_lock:
-        if _installed_injector is not None:
-            return _installed_injector
-    return _injector_from_env()
+    """The injector active for new regions (installed wins over config)."""
+    injector = _installed_injector
+    if injector is None and get_config().faults_chaos:
+        injector = ChaosInjector(rate=CHAOS_RATE, seed=CHAOS_SEED)
+    return injector
 
 
 _region_counter = itertools.count()

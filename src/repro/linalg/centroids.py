@@ -20,8 +20,8 @@ __all__ = ["cluster_sums", "cluster_sizes", "weighted_centroids"]
 #: engine's tunable budget: the fold order (and therefore the float
 #: rounding of the centroids) depends on the block boundaries, and a
 #: reproduction harness must produce the same centroids whatever
-#: REPRO_ENGINE_CHUNK_BYTES / --chunk-mib the operator picked. Worker
-#: count stays free — blocks fold in chunk order either way.
+#: chunk_bytes an Engine was built with. Worker count stays free —
+#: blocks fold in chunk order either way.
 _SUMS_CHUNK_BYTES = DEFAULT_CHUNK_BYTES
 
 

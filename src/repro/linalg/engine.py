@@ -26,10 +26,9 @@ execute on threads of the calling process).
 
 Configuration
 -------------
-``REPRO_ENGINE_WORKERS``
-    Default worker count for new engines (``1`` = serial, the default).
-``REPRO_ENGINE_CHUNK_BYTES``
-    Default scratch budget per block (bytes).
+A new engine fans out to the ``exec_workers`` setting of
+:mod:`repro.config` (``1`` = serial when unset) and cuts blocks of
+:data:`~repro.utils.chunking.DEFAULT_CHUNK_BYTES`.
 
 Programmatic control::
 
@@ -43,11 +42,11 @@ Programmatic control::
 from __future__ import annotations
 
 import functools
-import os
 import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, TypeVar
 
+from repro.config import get_config
 from repro.exceptions import ValidationError
 from repro.utils.chunking import DEFAULT_CHUNK_BYTES, chunk_slices, rows_per_chunk
 
@@ -56,27 +55,9 @@ __all__ = [
     "get_engine",
     "set_engine",
     "use_engine",
-    "ENV_WORKERS",
-    "ENV_CHUNK_BYTES",
 ]
 
 T = TypeVar("T")
-
-#: Environment variable read for the default worker count.
-ENV_WORKERS = "REPRO_ENGINE_WORKERS"
-#: Environment variable read for the default per-block scratch budget.
-ENV_CHUNK_BYTES = "REPRO_ENGINE_CHUNK_BYTES"
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{name} must be an integer, got {raw!r}") from exc
-    return value
 
 
 class Engine:
@@ -87,21 +68,21 @@ class Engine:
     workers:
         Number of blocks *requested* in flight at once.  ``1`` runs every
         block inline on the calling thread (no scheduler, no overhead);
-        ``None`` reads ``REPRO_ENGINE_WORKERS`` (default ``1``).  The
-        request is capped by the global worker budget
+        ``None`` takes ``exec_workers`` from
+        :func:`repro.config.get_config` (``1`` when unset).  The request
+        is capped by the global worker budget
         (:func:`repro.exec.get_worker_budget`) shared with every other
         parallel layer.
     chunk_bytes:
-        Scratch budget per block in bytes; ``None`` reads
-        ``REPRO_ENGINE_CHUNK_BYTES`` (default
-        :data:`~repro.utils.chunking.DEFAULT_CHUNK_BYTES`).
+        Scratch budget per block in bytes; ``None`` means
+        :data:`~repro.utils.chunking.DEFAULT_CHUNK_BYTES`.
     """
 
     def __init__(self, workers: int | None = None, chunk_bytes: int | None = None):
         if workers is None:
-            workers = _env_int(ENV_WORKERS, 1)
+            workers = get_config().exec_workers or 1
         if chunk_bytes is None:
-            chunk_bytes = _env_int(ENV_CHUNK_BYTES, DEFAULT_CHUNK_BYTES)
+            chunk_bytes = DEFAULT_CHUNK_BYTES
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         if chunk_bytes < 1:

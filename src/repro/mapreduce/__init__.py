@@ -32,14 +32,7 @@ from repro.mapreduce.kmeans_mr import (
     mr_scalable_kmeans,
     simulate_partition_time,
 )
-from repro.mapreduce.runtime import (
-    ENV_MR_WORKERS,
-    JobResult,
-    JobStats,
-    LocalMapReduceRuntime,
-    resolve_mr_workers,
-    set_default_mr_workers,
-)
+from repro.mapreduce.runtime import JobResult, JobStats, LocalMapReduceRuntime
 
 __all__ = [
     "ClusterModel",
@@ -56,7 +49,4 @@ __all__ = [
     "mr_random_kmeans",
     "mr_lloyd",
     "simulate_partition_time",
-    "resolve_mr_workers",
-    "set_default_mr_workers",
-    "ENV_MR_WORKERS",
 ]

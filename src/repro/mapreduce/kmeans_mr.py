@@ -28,6 +28,7 @@ count, and either source kind.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -37,7 +38,7 @@ from repro.core.init_kmeanspp import KMeansPlusPlus
 from repro.core.lloyd import lloyd as sequential_lloyd
 from repro.core.reclustering import TopUpPolicy, apply_top_up
 from repro.data.splits import SplitSource, as_split_source
-from repro.exceptions import MapReduceError
+from repro.exceptions import MapReduceError, ValidationError
 from repro.exec import ExecBackend
 from repro.linalg.distances import min_sq_dists
 from repro.mapreduce.cluster import ClusterModel
@@ -53,6 +54,7 @@ from repro.mapreduce.jobs.sample_job import CANDIDATES_KEY, make_sample_job
 from repro.mapreduce.jobs.weight_job import WEIGHTS_KEY, make_cached_weight_job
 from repro.mapreduce.runtime import LocalMapReduceRuntime
 from repro.types import FloatArray, SeedLike
+from repro.utils.validation import check_in_range, check_positive_int
 
 __all__ = [
     "MRKMeansReport",
@@ -162,6 +164,23 @@ def _fault_telemetry(runtime: LocalMapReduceRuntime) -> dict[str, int]:
     return totals
 
 
+def _check_driver_args(
+    n: int, k: int, lloyd_max_iter: int, *, l: float | None = None, r: int | None = None
+) -> None:
+    """The checks ``ScalableKMeans`` and ``KMeans`` make on the same
+    arguments, run before the first job."""
+    k = check_positive_int(k, name="k")
+    if k > n:
+        raise ValidationError(f"k={k} exceeds the number of points n={n}")
+    check_positive_int(lloyd_max_iter, name="lloyd_max_iter")
+    if l is not None:
+        check_in_range(l, name="l", low=0.0, low_inclusive=False)
+    if r is not None and (
+        isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 0
+    ):
+        raise ValidationError(f"r must be an int >= 0, got {r!r}")
+
+
 def mr_lloyd(
     runtime: LocalMapReduceRuntime,
     centers: FloatArray,
@@ -174,8 +193,13 @@ def mr_lloyd(
     Stops when the maximum squared center shift is ``<= tol`` or after
     ``max_iter`` jobs (the paper bounds the parallel ``Random`` baseline
     at 20 iterations). Returns ``(centers, final_phi, n_iter)``.
+    ``tol`` means what it means for :func:`repro.core.lloyd.lloyd`; the
+    README's "Two front doors" states the conventions both doors share.
     """
     centers = np.array(centers, dtype=np.float64, copy=True)
+    # The checks lloyd makes, before the first job.
+    check_positive_int(max_iter, name="max_iter")
+    check_in_range(tol, name="tol", low=0.0)
     phi = float("inf")
     n_iter = 0
     for _ in range(max_iter):
@@ -216,9 +240,13 @@ def mr_scalable_kmeans(
     (memory-mapped); ``workers`` fans map/reduce tasks out and
     ``backend`` selects the execution backend (``"serial"`` /
     ``"thread"`` / ``"process"``; default: the process-wide one).
+    ``k``, ``l``, ``r`` and ``lloyd_max_iter`` are checked as the
+    in-memory door checks them; the README's "Two front doors" states
+    how ``l`` relates to ``ScalableKMeans(oversampling_factor=)``.
     """
     source = as_split_source(X)
-    d = source.shape[1]
+    n, d = source.shape
+    _check_driver_args(n, k, lloyd_max_iter, l=l, r=r)
     # Driver-side sections (top-up sampling, seed-cost scan) run over this
     # handle; for a file source it is a memmap and the chunked kernels
     # stream it rather than materializing.
@@ -352,6 +380,7 @@ def mr_random_kmeans(
     (Section 4.2).
     """
     source = as_split_source(X)
+    _check_driver_args(source.shape[0], k, lloyd_max_iter)
     X_arr = source.as_array()
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,

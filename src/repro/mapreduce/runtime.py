@@ -14,11 +14,9 @@ the linalg engine, so an engine call inside a mapper body can never
 oversubscribe the machine.  Map tasks are shipped as picklable *split
 descriptors* (for a file-backed source: just ``(path, start, stop)``,
 re-opened as a memory map inside the worker process), so the process
-backend stays out-of-core end to end.  The worker count defaults to the
-linalg engine's configuration (``REPRO_ENGINE_WORKERS`` /
-:func:`repro.linalg.set_engine`) and can be overridden per-runtime, via
-:func:`set_default_mr_workers`, or with the ``REPRO_MR_WORKERS``
-environment variable.
+backend stays out-of-core end to end.  The worker count is the
+``workers`` argument, else the ``exec_workers`` setting of
+:mod:`repro.config`, else the linalg engine's worker count.
 
 Determinism: every (job, split) pair gets its own RNG pre-spawned from
 the runtime seed *before* dispatch, results and counters are collected
@@ -65,21 +63,22 @@ from typing import Any, Callable, Hashable
 
 import numpy as np
 
+from repro.config import get_config
 from repro.data.splits import SplitDescriptor, SplitSource, as_split_source
 from repro.exceptions import MapReduceError, ValidationError
 from repro.exec import (
     ExecBackend,
     FaultStats,
     RetryPolicy,
+    default_retry_policy,
     get_backend,
     resolve_backend,
-    resolve_retry_policy,
 )
+from repro.linalg.engine import get_engine
 from repro.mapreduce.cluster import ClusterModel, PhaseTime
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import KeyValue, MapReduceJob, SplitContext
 from repro.plane.broadcast import publish_broadcast, resolve_broadcast
-from repro.plane.config import resolve_shared_broadcast
 from repro.plane.state import (
     SplitStateManager,
     SplitStateSpec,
@@ -87,7 +86,6 @@ from repro.plane.state import (
     collect_state_update,
 )
 from repro.shuffle.accounting import estimate_nbytes, record_nbytes
-from repro.shuffle.config import resolve_shuffle_budget
 from repro.shuffle.spill import SpillManifest
 from repro.shuffle.store import (
     MapSpillSpec,
@@ -108,61 +106,7 @@ __all__ = [
     "LocalMapReduceRuntime",
     "estimate_nbytes",
     "record_nbytes",
-    "resolve_mr_workers",
-    "set_default_mr_workers",
-    "ENV_MR_WORKERS",
 ]
-
-#: Environment variable read for the default map-task worker count.
-ENV_MR_WORKERS = "REPRO_MR_WORKERS"
-
-#: Process-wide default installed by :func:`set_default_mr_workers` (the
-#: CLI's ``--mr-workers`` lands here); ``None`` defers to the environment
-#: and then the linalg engine configuration.
-_default_workers: int | None = None
-
-
-def set_default_mr_workers(workers: int | None) -> int | None:
-    """Install a process-wide default MR worker count; returns the previous.
-
-    ``None`` resets to the environment/engine-derived default.
-    """
-    global _default_workers
-    if workers is not None and workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    previous = _default_workers
-    _default_workers = None if workers is None else int(workers)
-    return previous
-
-
-def resolve_mr_workers(workers: int | None = None) -> int:
-    """Resolve the map-phase worker count for a new runtime.
-
-    Precedence: explicit argument > :func:`set_default_mr_workers` >
-    ``REPRO_MR_WORKERS`` > the current linalg engine's worker count
-    (``REPRO_ENGINE_WORKERS`` / :func:`repro.linalg.set_engine`), so one
-    knob configures both layers unless the MR layer is pinned separately.
-    The resolved count is a *request*; the execution backend caps it
-    against the global worker budget at run time.
-    """
-    if workers is None:
-        workers = _default_workers
-    if workers is None:
-        raw = os.environ.get(ENV_MR_WORKERS)
-        if raw is not None and raw.strip():
-            try:
-                workers = int(raw)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{ENV_MR_WORKERS} must be an integer, got {raw!r}"
-                ) from exc
-    if workers is None:
-        from repro.linalg.engine import get_engine
-
-        workers = get_engine().workers
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    return int(workers)
 
 
 @dataclass
@@ -383,10 +327,10 @@ class LocalMapReduceRuntime:
         Master seed; per-(job, split) generators are derived from it.
     workers:
         Parallelism *requested* for map and reduce task fan-out (capped
-        by the global worker budget at run time). ``None`` resolves via
-        :func:`resolve_mr_workers` (CLI/env, then the linalg engine's
-        worker count). ``1`` runs tasks inline on the calling thread.
-        Output is bit-identical either way.
+        by the global worker budget at run time). ``None`` takes
+        ``exec_workers`` from :func:`repro.config.get_config`, else the
+        linalg engine's worker count. ``1`` runs tasks inline on the
+        calling thread. Output is bit-identical either way.
     backend:
         Execution backend for this runtime: an
         :class:`~repro.exec.ExecBackend`, a name (``"serial"`` /
@@ -394,19 +338,17 @@ class LocalMapReduceRuntime:
         process-wide backend (:func:`repro.exec.get_backend`) at each
         job — which is what the CLI's ``--backend`` flag configures.
     shuffle_budget:
-        Driver-held shuffle residency budget in *bytes*. ``None``
-        resolves via :func:`repro.shuffle.resolve_shuffle_budget`
-        (the CLI's ``--shuffle-budget-mib``, then
-        ``REPRO_SHUFFLE_BUDGET_MB``); if nothing is configured the
-        shuffle is held in memory (the historical zero-copy path). Any
-        value ``<= 0`` forces the in-memory store regardless of the
-        environment. Results are bit-identical either way; only where
-        the bytes live (and the spill telemetry) changes.
+        Driver-held shuffle residency budget in *bytes*. ``None`` takes
+        ``shuffle_budget`` from :func:`repro.config.get_config`; if
+        nothing is configured the shuffle is held in memory (the
+        historical zero-copy path). Any value ``<= 0`` forces the
+        in-memory store regardless of the configuration. Results are
+        bit-identical either way; only where the bytes live (and the
+        spill telemetry) changes.
     shared_broadcast:
-        The zero-copy data plane mode. ``None`` resolves via
-        :func:`repro.plane.resolve_shared_broadcast` (the CLI's
-        ``--no-shared-broadcast``, then ``REPRO_SHARED_BROADCAST``,
-        default off). When on: job broadcasts are published once per
+        The zero-copy data plane mode. ``None`` takes
+        ``shared_broadcast`` from :func:`repro.config.get_config`
+        (default off). When on: job broadcasts are published once per
         job (a shared-memory segment when the backend crosses
         processes) and tasks ship only ``(name, shape, dtype)``
         descriptors; split-state ndarrays live resident in driver-owned
@@ -417,10 +359,9 @@ class LocalMapReduceRuntime:
         broadcast term of simulated time) changes.
     retry_policy:
         Fault-tolerance policy for this runtime's parallel regions
-        (:class:`repro.exec.RetryPolicy`). ``None`` resolves via
-        :func:`repro.exec.resolve_retry_policy` (the CLI's
-        ``--max-task-retries`` / ``--task-timeout``, then
-        ``REPRO_FAULTS_*``). Crashed map tasks are retried with
+        (:class:`repro.exec.RetryPolicy`). ``None`` means
+        :func:`repro.exec.default_retry_policy`, built from the
+        configuration. Crashed map tasks are retried with
         their split state recomputed from lineage; outputs stay
         bit-identical to a fault-free run.
 
@@ -464,13 +405,26 @@ class LocalMapReduceRuntime:
         self._seed_root = ensure_generator(seed)
         self._bounds = np.linspace(0, n_rows, n_splits + 1).astype(int)
         try:
-            self.workers = resolve_mr_workers(workers)
+            config = get_config()
             self._backend = None if backend is None else resolve_backend(backend)
-            self.shuffle_budget = resolve_shuffle_budget(shuffle_budget)
-            self.shared_broadcast = resolve_shared_broadcast(shared_broadcast)
-            self.retry_policy = resolve_retry_policy(retry_policy)
         except ValidationError as exc:
             raise MapReduceError(str(exc)) from exc
+        if workers is None:
+            workers = config.exec_workers or get_engine().workers
+        if workers < 1:
+            raise MapReduceError(f"workers must be >= 1, got {workers}")
+        self.workers = int(workers)
+        if shuffle_budget is None:
+            shuffle_budget = config.shuffle_budget
+        self.shuffle_budget = (
+            int(shuffle_budget) if shuffle_budget and shuffle_budget > 0 else None
+        )
+        self.shared_broadcast = bool(
+            config.shared_broadcast if shared_broadcast is None else shared_broadcast
+        )
+        self.retry_policy = (
+            retry_policy if retry_policy is not None else default_retry_policy()
+        )
         #: Runtime-lifetime spill telemetry (see class docstring).
         self.shuffle_counters = Counters()
         self._active_store: ShuffleStore | None = None

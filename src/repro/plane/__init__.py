@@ -15,7 +15,8 @@ Three pieces, all consumed by the MapReduce runtime
   with finalizers, freed on job completion, shutdown, interrupt, GC,
   and interpreter exit; fork-safe.
 
-Configuration (the broadcast mode) lives in :mod:`repro.plane.config`.
+The broadcast mode is the ``shared_broadcast`` setting of
+:mod:`repro.config`.
 """
 
 from repro.plane.broadcast import (
@@ -25,11 +26,6 @@ from repro.plane.broadcast import (
     SharedArrayBroadcast,
     publish_broadcast,
     resolve_broadcast,
-)
-from repro.plane.config import (
-    ENV_SHARED_BROADCAST,
-    resolve_shared_broadcast,
-    set_default_shared_broadcast,
 )
 from repro.plane.shm import (
     ATTACH_CACHE_SIZE,
@@ -71,7 +67,4 @@ __all__ = [
     "release_all_segments",
     "SEGMENT_PREFIX",
     "ATTACH_CACHE_SIZE",
-    "resolve_shared_broadcast",
-    "set_default_shared_broadcast",
-    "ENV_SHARED_BROADCAST",
 ]

@@ -23,9 +23,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
+from repro.config import get_config
 from repro.exceptions import ValidationError
 from repro.plane.broadcast import PublishedBroadcast, publish_broadcast
-from repro.plane.config import resolve_shared_broadcast
 from repro.serve.model import ServedModel, _check_centers
 from repro.types import FloatArray
 
@@ -41,8 +41,9 @@ class ModelRegistry:
         Broadcast transport for published centers: ``True`` publishes
         each version once to a shared-memory segment (worker processes
         attach by descriptor), ``False`` keeps the frozen array inline.
-        ``None`` resolves the plane default (``$REPRO_SHARED_BROADCAST``
-        / the CLI knob), like the MapReduce runtime.
+        ``None`` takes ``shared_broadcast`` from
+        :func:`repro.config.get_config` (default off), like the
+        MapReduce runtime.
     keep_versions:
         Retired versions retained behind the current one before their
         segments are released.  The current version never expires.
@@ -53,7 +54,9 @@ class ModelRegistry:
             raise ValidationError(
                 f"keep_versions must be >= 0, got {keep_versions}"
             )
-        self._shared = resolve_shared_broadcast(shared)
+        self._shared = bool(
+            get_config().shared_broadcast if shared is None else shared
+        )
         self._keep = int(keep_versions)
         self._lock = threading.Lock()
         self._published: "OrderedDict[int, tuple[ServedModel, PublishedBroadcast]]" = (

@@ -16,10 +16,10 @@ Pieces:
 * :mod:`repro.shuffle.spill` — sorted on-disk runs, map-side spill
   manifests, and the deterministic sorted-key external merge;
 * :mod:`repro.shuffle.store` — the in-memory (zero-copy fast path) and
-  spilling (hash-partitioned, combiner-aware, budgeted) stores;
-* :mod:`repro.shuffle.config` — budget resolution
-  (``shuffle_budget=`` > CLI ``--shuffle-budget-mib`` >
-  ``REPRO_SHUFFLE_BUDGET_MB``).
+  spilling (hash-partitioned, combiner-aware, budgeted) stores.
+
+The budget is the runtime's ``shuffle_budget=`` argument, else the
+``shuffle_budget`` setting of :mod:`repro.config`.
 
 The load-bearing invariant, pinned by the property-test matrix: centers,
 costs, counters, and output key order are bit-identical between stores,
@@ -27,11 +27,6 @@ across execution backends, worker counts, and budgets.
 """
 
 from repro.shuffle.accounting import estimate_nbytes, record_nbytes
-from repro.shuffle.config import (
-    ENV_SHUFFLE_BUDGET,
-    resolve_shuffle_budget,
-    set_default_shuffle_budget,
-)
 from repro.shuffle.spill import (
     SpillManifest,
     SpillRun,
@@ -55,9 +50,6 @@ from repro.shuffle.store import (
 __all__ = [
     "estimate_nbytes",
     "record_nbytes",
-    "ENV_SHUFFLE_BUDGET",
-    "resolve_shuffle_budget",
-    "set_default_shuffle_budget",
     "SpillManifest",
     "SpillRun",
     "canonical_order_key",

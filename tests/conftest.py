@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
+
+from repro.config import get_config
 
 #: True when the suite runs under ambient chaos injection (the CI chaos
 #: leg, ``REPRO_FAULTS_CHAOS=1``).  Outputs stay bit-identical, but
 #: *placement* — which worker pid ran which task, steal counts, pool
 #: residency — legitimately changes when workers are killed and slots
 #: retired mid-region.
-CHAOS_ENV = os.environ.get("REPRO_FAULTS_CHAOS", "").strip().lower() not in (
-    "", "0", "false",
-)
+CHAOS_ENV = get_config().faults_chaos
 
 skip_under_chaos = pytest.mark.skipif(
     CHAOS_ENV,

@@ -5,6 +5,21 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import get_config, set_config
+
+
+@pytest.fixture(autouse=True)
+def _reset_cli_state():
+    """``main`` installs its config and rebuilds the process-wide
+    backend, budget and engine from it; undo all of that per test."""
+    from repro.exec import set_backend, set_worker_budget
+    from repro.linalg.engine import set_engine
+
+    yield
+    set_config(None)
+    set_backend(None)
+    set_worker_budget(None)
+    set_engine(None)
 
 
 class TestParser:
@@ -44,19 +59,13 @@ class TestParser:
         assert args.l is None
         assert args.rounds == 5
         assert args.n_splits == 8
-        assert args.mr_workers is None
+        assert args.exec_workers is None
 
     def test_mr_requires_dataset_and_k(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mr", "-k", "5"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mr", "--splits-from", "x.npy"])
-
-    def test_mr_workers_global_flag(self):
-        args = build_parser().parse_args(
-            ["--mr-workers", "4", "mr", "--splits-from", "x.npy", "-k", "3"]
-        )
-        assert args.mr_workers == 4
 
 
 class TestMain:
@@ -100,17 +109,9 @@ class TestMRCommand:
         np.save(path, X)
         return path
 
-    @pytest.fixture(autouse=True)
-    def _reset_mr_workers_default(self):
-        from repro.mapreduce.runtime import set_default_mr_workers
-
-        previous = set_default_mr_workers(None)
-        yield
-        set_default_mr_workers(previous)
-
     def test_scalable_over_mmap_file(self, dataset_npy, capsys):
         code = main([
-            "--mr-workers", "2", "mr",
+            "--exec-workers", "2", "mr",
             "--splits-from", str(dataset_npy),
             "-k", "3", "--rounds", "2", "--n-splits", "4",
         ])
@@ -132,10 +133,10 @@ class TestMRCommand:
             main(["mr", "--splits-from", str(tmp_path / "nope.npy"), "-k", "3"])
         assert exc.value.code == 2
 
-    def test_bad_mr_workers_rejected(self, dataset_npy):
+    def test_bad_exec_workers_rejected(self, dataset_npy):
         with pytest.raises(SystemExit) as exc:
             main([
-                "--mr-workers", "0", "mr",
+                "--exec-workers", "0", "mr",
                 "--splits-from", str(dataset_npy), "-k", "3",
             ])
         assert exc.value.code == 2
@@ -143,22 +144,6 @@ class TestMRCommand:
 
 class TestExecFlags:
     """Global --backend / --exec-workers wiring."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_exec_state(self):
-        from repro.exec import set_backend, set_worker_budget
-        from repro.linalg.engine import set_engine
-        from repro.mapreduce.runtime import set_default_mr_workers
-
-        prev_backend = set_backend(None)
-        prev_budget = set_worker_budget(None)
-        prev_engine = set_engine(None)
-        prev_workers = set_default_mr_workers(None)
-        yield
-        set_backend(prev_backend)
-        set_worker_budget(prev_budget)
-        set_engine(prev_engine)
-        set_default_mr_workers(prev_workers)
 
     def test_backend_flag_parsed(self):
         args = build_parser().parse_args(
@@ -180,27 +165,18 @@ class TestExecFlags:
 
     def test_exec_workers_sets_budget_and_worker_requests(self, capsys):
         # '--exec-workers 8' alone must buy real parallelism: budget 8
-        # AND an 8-worker request for the engine (which MR inherits).
+        # AND an 8-worker request for the engine and for MR.
+        import numpy as np
+
         from repro.exec import get_worker_budget
         from repro.linalg.engine import get_engine
-        from repro.mapreduce.runtime import resolve_mr_workers
+        from repro.mapreduce.runtime import LocalMapReduceRuntime
 
         assert main(["--exec-workers", "8", "list"]) == 0
         assert get_worker_budget().limit == 8
         assert get_engine().workers == 8
-        assert resolve_mr_workers() == 8
-        capsys.readouterr()
-
-    def test_explicit_layer_flags_beat_exec_workers(self, capsys):
-        from repro.linalg.engine import get_engine
-        from repro.mapreduce.runtime import resolve_mr_workers
-
-        assert main([
-            "--exec-workers", "8", "--engine-workers", "2",
-            "--mr-workers", "3", "list",
-        ]) == 0
-        assert get_engine().workers == 2
-        assert resolve_mr_workers() == 3
+        with LocalMapReduceRuntime(np.zeros((4, 2)), n_splits=2) as rt:
+            assert rt.workers == 8
         capsys.readouterr()
 
     def test_bad_exec_env_is_clean_error(self, monkeypatch, capsys):
@@ -228,14 +204,6 @@ class TestExecFlags:
 class TestShuffleBudgetFlag:
     """Global --shuffle-budget-mib wiring (out-of-core shuffle)."""
 
-    @pytest.fixture(autouse=True)
-    def _reset_shuffle_default(self):
-        from repro.shuffle import set_default_shuffle_budget
-
-        previous = set_default_shuffle_budget(None)
-        yield
-        set_default_shuffle_budget(previous)
-
     @pytest.fixture
     def dataset_npy(self, tmp_path):
         import numpy as np
@@ -252,24 +220,18 @@ class TestShuffleBudgetFlag:
         assert args.shuffle_budget_mib == 0.25
 
     def test_flag_installs_process_default(self, capsys):
-        from repro.shuffle import resolve_shuffle_budget
-
         assert main(["--shuffle-budget-mib", "2", "list"]) == 0
-        assert resolve_shuffle_budget() == 2 * 1024 * 1024
+        assert get_config().shuffle_budget == 2 * 1024 * 1024
         capsys.readouterr()
 
     def test_zero_forces_in_memory_over_environment(self, monkeypatch, capsys):
-        from repro.shuffle import ENV_SHUFFLE_BUDGET, resolve_shuffle_budget
-
-        monkeypatch.setenv(ENV_SHUFFLE_BUDGET, "4")
+        monkeypatch.setenv("REPRO_SHUFFLE_BUDGET_MB", "4")
         assert main(["--shuffle-budget-mib", "0", "list"]) == 0
-        assert resolve_shuffle_budget() is None
+        assert get_config().shuffle_budget is None
         capsys.readouterr()
 
     def test_bad_env_is_clean_error(self, monkeypatch):
-        from repro.shuffle import ENV_SHUFFLE_BUDGET
-
-        monkeypatch.setenv(ENV_SHUFFLE_BUDGET, "lots")
+        monkeypatch.setenv("REPRO_SHUFFLE_BUDGET_MB", "lots")
         with pytest.raises(SystemExit) as exc:
             main(["list"])
         assert exc.value.code == 2

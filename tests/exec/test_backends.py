@@ -11,7 +11,6 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.exec import (
     BACKENDS,
-    ENV_BACKEND,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -23,6 +22,8 @@ from repro.exec import (
     set_worker_budget,
     use_backend,
 )
+
+ENV_BACKEND = "REPRO_EXEC_BACKEND"
 
 
 @pytest.fixture(autouse=True)

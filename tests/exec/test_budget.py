@@ -5,18 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.exec.budget import (
-    DEFAULT_BUDGET_FLOOR,
-    ENV_EXEC_WORKERS,
-    WorkerBudget,
-    default_budget_limit,
-)
+from repro.exec.budget import DEFAULT_BUDGET_FLOOR, WorkerBudget
+
+ENV_EXEC_WORKERS = "REPRO_EXEC_WORKERS"
 
 
 class TestDefaults:
     def test_default_limit_floor(self, monkeypatch):
         monkeypatch.delenv(ENV_EXEC_WORKERS, raising=False)
-        assert default_budget_limit() >= DEFAULT_BUDGET_FLOOR
+        assert WorkerBudget().limit >= DEFAULT_BUDGET_FLOOR
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(ENV_EXEC_WORKERS, "7")

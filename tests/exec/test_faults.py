@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.config import use_config
 from repro.exceptions import TaskFailedError, ValidationError
 from repro.exec import (
     ChaosInjector,
@@ -26,17 +27,12 @@ from repro.exec import (
     TaskTimeoutError,
     ThreadBackend,
     WorkerBudget,
+    default_retry_policy,
     is_crash_failure,
-    resolve_retry_policy,
-    set_default_retry_policy,
     set_fault_injector,
 )
-from repro.exec.faults import (
-    ENV_BACKOFF_S,
-    ENV_MAX_RETRIES,
-    ENV_TASK_TIMEOUT,
-    FaultInjector,
-)
+from repro.exec.backends import _FaultContext
+from repro.exec.faults import FaultInjector
 
 FAST = RetryPolicy(max_task_retries=3, backoff_s=0.0)
 
@@ -44,10 +40,8 @@ FAST = RetryPolicy(max_task_retries=3, backoff_s=0.0)
 @pytest.fixture(autouse=True)
 def _clean_fault_state():
     prev_injector = set_fault_injector(None)
-    prev_policy = set_default_retry_policy(None)
     yield
     set_fault_injector(prev_injector)
-    set_default_retry_policy(prev_policy)
 
 
 def _square(x):
@@ -134,28 +128,26 @@ class TestRetryPolicy:
         assert RetryPolicy(backoff_s=0.0).backoff("r", 0, 1) == 0.0
 
     def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(ENV_MAX_RETRIES, "7")
-        monkeypatch.setenv(ENV_TASK_TIMEOUT, "2.5")
-        monkeypatch.setenv(ENV_BACKOFF_S, "0.125")
-        policy = resolve_retry_policy()
+        monkeypatch.setenv("REPRO_FAULTS_MAX_RETRIES", "7")
+        monkeypatch.setenv("REPRO_FAULTS_TASK_TIMEOUT", "2.5")
+        policy = default_retry_policy()
         assert policy.max_task_retries == 7
         assert policy.task_timeout_s == 2.5
-        assert policy.backoff_s == 0.125
+        assert policy.backoff_s == RetryPolicy().backoff_s
 
     def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(ENV_MAX_RETRIES, "lots")
-        with pytest.raises(ValidationError):
-            resolve_retry_policy()
+        monkeypatch.setenv("REPRO_FAULTS_MAX_RETRIES", "lots")
+        with pytest.raises(ValidationError, match="REPRO_FAULTS_MAX_RETRIES"):
+            default_retry_policy()
 
     def test_resolution_precedence(self, monkeypatch):
-        monkeypatch.setenv(ENV_MAX_RETRIES, "9")
-        installed = RetryPolicy(max_task_retries=4)
-        set_default_retry_policy(installed)
-        assert resolve_retry_policy().max_task_retries == 4
+        # argument > installed config > environment.
+        monkeypatch.setenv("REPRO_FAULTS_MAX_RETRIES", "9")
+        with use_config(faults_max_retries=4):
+            assert _FaultContext(_square).policy.max_task_retries == 4
         explicit = RetryPolicy(max_task_retries=1)
-        assert resolve_retry_policy(explicit) is explicit
-        set_default_retry_policy(None)
-        assert resolve_retry_policy().max_task_retries == 9
+        assert _FaultContext(_square, retry=explicit).policy is explicit
+        assert _FaultContext(_square).policy.max_task_retries == 9
 
 
 class TestFaultStats:

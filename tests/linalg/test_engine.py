@@ -15,14 +15,7 @@ from repro.linalg.distances import (
     update_min_sq_dists,
     update_min_sq_dists_argmin,
 )
-from repro.linalg.engine import (
-    ENV_CHUNK_BYTES,
-    ENV_WORKERS,
-    Engine,
-    get_engine,
-    set_engine,
-    use_engine,
-)
+from repro.linalg.engine import Engine, get_engine, set_engine, use_engine
 from repro.utils.chunking import DEFAULT_CHUNK_BYTES
 
 
@@ -41,14 +34,13 @@ class TestEngineConfig:
         assert eng.chunk_bytes == DEFAULT_CHUNK_BYTES
 
     def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(ENV_WORKERS, "3")
-        monkeypatch.setenv(ENV_CHUNK_BYTES, "4096")
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
         eng = Engine()
         assert eng.workers == 3
-        assert eng.chunk_bytes == 4096
+        assert eng.chunk_bytes == DEFAULT_CHUNK_BYTES
 
     def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(ENV_WORKERS, "many")
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", "many")
         with pytest.raises(ValidationError, match="integer"):
             Engine()
 

@@ -5,15 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import use_config
 from repro.exceptions import MapReduceError
 from repro.mapreduce.job import BlockMapper, MapReduceJob, Reducer
-from repro.mapreduce.runtime import (
-    LocalMapReduceRuntime,
-    estimate_nbytes,
-    record_nbytes,
-    resolve_mr_workers,
-    set_default_mr_workers,
-)
+from repro.mapreduce.runtime import LocalMapReduceRuntime, estimate_nbytes, record_nbytes
 
 
 class RowSumMapper(BlockMapper):
@@ -314,33 +309,39 @@ class TestParallelExecution:
 
 
 class TestWorkerResolution:
-    def test_explicit_wins(self):
-        assert resolve_mr_workers(3) == 3
+    """argument > installed config > REPRO_EXEC_WORKERS > engine count."""
 
-    def test_default_install_and_reset(self):
-        previous = set_default_mr_workers(5)
-        try:
-            assert resolve_mr_workers() == 5
-        finally:
-            set_default_mr_workers(previous)
+    @staticmethod
+    def _workers(**kwargs) -> int:
+        X = np.zeros((8, 2))
+        with LocalMapReduceRuntime(X, n_splits=2, **kwargs) as rt:
+            return rt.workers
+
+    def test_explicit_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", "7")
+        assert self._workers(workers=3) == 3
+
+    def test_default_install_and_reset(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", "7")
+        with use_config(exec_workers=5):
+            assert self._workers() == 5
+        assert self._workers() == 7
 
     def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MR_WORKERS", "7")
-        assert resolve_mr_workers() == 7
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", "7")
+        assert self._workers() == 7
 
     def test_bad_env_var(self, monkeypatch):
-        from repro.exceptions import ValidationError
-
-        monkeypatch.setenv("REPRO_MR_WORKERS", "many")
-        with pytest.raises(ValidationError):
-            resolve_mr_workers()
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", "many")
+        with pytest.raises(MapReduceError, match="REPRO_EXEC_WORKERS"):
+            self._workers()
 
     def test_falls_back_to_engine_workers(self, monkeypatch):
         from repro.linalg.engine import Engine, use_engine
 
-        monkeypatch.delenv("REPRO_MR_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
         with use_engine(Engine(workers=6)):
-            assert resolve_mr_workers() == 6
+            assert self._workers() == 6
 
 
 class TestRuntimeBasics:
@@ -624,9 +625,7 @@ class TestOutOfCoreShuffle:
         assert t_spill.total - t_spill.spill == pytest.approx(t_mem.total)
 
     def test_explicit_zero_budget_overrides_environment(self, rng, monkeypatch):
-        from repro.shuffle import ENV_SHUFFLE_BUDGET
-
-        monkeypatch.setenv(ENV_SHUFFLE_BUDGET, "0.001")
+        monkeypatch.setenv("REPRO_SHUFFLE_BUDGET_MB", "0.001")
         X = rng.normal(size=(400, 3))
         env_rt = LocalMapReduceRuntime(X, n_splits=4, seed=0)
         assert env_rt.shuffle_budget == 1048  # 0.001 MiB

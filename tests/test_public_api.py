@@ -8,6 +8,7 @@ import pytest
 
 PUBLIC_MODULES = [
     "repro",
+    "repro.config",
     "repro.core",
     "repro.baselines",
     "repro.data",
