@@ -1,3 +1,6 @@
-"""Benchmark suite: one module per paper table/figure, plus ablations
-and kernel micro-benchmarks. Run with ``pytest benchmarks/ --benchmark-only``.
+"""Paper reproductions: one module per table/figure of Section 5, plus the
+ablations, each timed with pytest-benchmark. Run with
+``pytest benchmarks/ --benchmark-only``. ``bench_shuffle.py`` and
+``bench_sparse.py`` are standalone scripts; end-to-end performance numbers
+come from ``python3 perfbench/run.py``.
 """

@@ -1,14 +1,15 @@
 """Shared fixtures for the benchmark suite.
 
 Every ``bench_table*.py`` / ``bench_figure*.py`` module regenerates one
-table or figure of the paper at ``bench`` scale, times it with
-pytest-benchmark, prints the rendered artifact, and archives it under
-``benchmarks/results/`` so the output survives pytest's capture.
+table or figure of the paper at ``bench`` scale (``bench_ablations.py``
+the ablations), times it with pytest-benchmark, prints the rendered
+artifact, and archives it under ``benchmarks/results/`` so the output
+survives pytest's capture.
 
-Run with::
+Run from the repository root with::
 
-    pytest benchmarks/ --benchmark-only            # timings + artifacts
-    pytest benchmarks/ --benchmark-only -s         # also print tables live
+    PYTHONPATH=src pytest benchmarks/ --benchmark-only       # timings + artifacts
+    PYTHONPATH=src pytest benchmarks/ --benchmark-only -s    # also print tables live
 """
 
 from __future__ import annotations

@@ -1,10 +1,22 @@
-"""Legacy shim so ``pip install -e .`` works offline (no `wheel` available).
+"""Packaging metadata for the ``repro`` distribution.
 
-All metadata lives in ``pyproject.toml``; this file only enables the
-legacy ``setup.py develop`` editable path used when PEP 660 builds are
-impossible (as in the offline evaluation environment).
+``pip install -e .`` or, with no network and no ``wheel``,
+``python setup.py develop`` installs the package from ``src/``.  The
+version is read from ``src/repro/_version.py``, so the distribution and
+``repro.__version__`` cannot disagree.
 """
+
+import pathlib
 
 from setuptools import setup
 
-setup()
+_version: dict = {}
+_version_file = pathlib.Path(__file__).parent / "src" / "repro" / "_version.py"
+exec(_version_file.read_text(), _version)
+
+setup(
+    name="repro",
+    version=_version["__version__"],
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

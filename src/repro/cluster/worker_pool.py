@@ -5,10 +5,9 @@ processes by default, or externally started ``python -m repro worker``
 daemons on other machines) connect, send ``HELLO``, and receive a
 ``WELCOME`` carrying their index, the driver engine's ``chunk_bytes``,
 and the heartbeat interval.  Per worker the pool runs one receiver
-thread that demultiplexes ``RESULT`` frames (resolving event-based
-pending futures) and ``PING`` frames (refreshing ``last_ping`` — the
-skywriting model — and forwarding liveness into the in-flight tasks'
-:class:`~repro.exec.faults.FaultStats` via ``slot_last_ping``).
+thread that resolves event-based pending futures from ``RESULT``
+frames; every frame it reads, ``PING`` included, refreshes the worker's
+``last_ping`` (the skywriting model).
 
 Failure detection is asynchronous and two-pronged: a hard connection
 loss (EOF, reset, torn frame) fails the worker immediately; a monitor
@@ -23,7 +22,8 @@ Broadcasts are send-once: :meth:`register_broadcast` records the pickled
 payload; each worker's first subsequent ``TASK`` frame carries it, and
 every later frame to that worker is a cache hit (id only).  Released
 broadcast ids piggyback as ``free`` markers on the next task frame per
-worker.  Wire accounting (``stats``) backs ``BENCH_cluster.json``.
+worker.  Wire accounting (``stats``: bytes sent, broadcast sends and
+hits) lets the cluster identity suite assert the send-once bound.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Any, Optional
 
 from repro.cluster.protocol import (
     HELLO,
-    PING,
     RESULT,
     SHUTDOWN,
     TASK,
@@ -57,8 +56,8 @@ from repro.exec.faults import TaskTimeoutError, WorkerLostError
 __all__ = ["WorkerPool", "RemoteWorker"]
 
 #: Interval of the daemons' ``PING`` frames: cheap (one small frame)
-#: and fine-grained enough that ``FaultStats`` sees liveness during
-#: long map tasks.
+#: and fine-grained enough that the monitor sees liveness during long
+#: map tasks.
 HEARTBEAT_S = 0.5
 #: A worker whose ``last_ping`` is older than this is declared lost.
 #: Hard connection drops (EOF, reset) are detected at once; this only
@@ -93,14 +92,13 @@ def _shutdown_live_pools() -> None:
 class _Pending:
     """One in-flight task: an event the submitting lane waits on."""
 
-    __slots__ = ("event", "ok", "value", "error", "ctx")
+    __slots__ = ("event", "ok", "value", "error")
 
-    def __init__(self, ctx: Any):
+    def __init__(self):
         self.event = threading.Event()
         self.ok = False
         self.value: Any = None
         self.error: Optional[BaseException] = None
-        self.ctx = ctx
 
     def resolve(self, ok: bool, value: Any) -> None:
         self.ok = ok
@@ -278,9 +276,8 @@ class WorkerPool:
         try:
             while worker.alive:
                 message = recv_frame(worker.sock)
-                kind = message.get("type")
                 worker.last_ping = time.monotonic()
-                if kind == RESULT:
+                if message.get("type") == RESULT:
                     with worker.pending_lock:
                         pending = worker.pending.pop(message["id"], None)
                         worker.tasks_done += 1
@@ -288,13 +285,6 @@ class WorkerPool:
                         pending.resolve(
                             bool(message.get("ok")), message.get("value")
                         )
-                elif kind == PING:
-                    with worker.pending_lock:
-                        contexts = {
-                            id(p.ctx): p.ctx for p in worker.pending.values()
-                        }
-                    for ctx in contexts.values():
-                        ctx.ping(worker.index)
         except (ProtocolError, OSError):
             if worker.alive:
                 self._fail_worker(worker, WorkerLostError(
@@ -446,10 +436,10 @@ class WorkerPool:
     # -- dispatch -----------------------------------------------------
 
     def submit(
-        self, worker: RemoteWorker, task_fn: Any, task_args: tuple, ctx: Any
+        self, worker: RemoteWorker, task_fn: Any, task_args: tuple
     ) -> _Pending:
         task_id = next(self._next_task)
-        pending = _Pending(ctx)
+        pending = _Pending()
         with self._lock:
             attach: list[tuple[str, bytes]] = []
             for broadcast_id, payload in self._broadcasts.items():
@@ -496,8 +486,7 @@ class WorkerPool:
         :class:`TaskTimeoutError` for the retry loop, or re-raises the
         remote task exception (fail-fast for user errors).
         """
-        pending = self.submit(worker, task_fn, task_args, ctx)
-        ctx.ping(worker.index)
+        pending = self.submit(worker, task_fn, task_args)
         timeout = ctx.policy.task_timeout_s
         if not pending.event.wait(timeout):
             ctx.bump("timeouts")
@@ -516,7 +505,6 @@ class WorkerPool:
             ):
                 ctx.bump("heartbeat_timeouts")
             raise pending.error
-        ctx.ping(worker.index)
         if pending.ok:
             return pending.value
         raise pending.value

@@ -187,14 +187,6 @@ class _FaultContext:
             return args
         return tuple(self.retry_args(index, attempt, exc))
 
-    def ping(self, slot: int) -> None:
-        """Heartbeat: a cluster worker slot just accepted work, pinged,
-        or returned a result.  Feeds :attr:`FaultStats.slot_last_ping`."""
-        if self.stats is not None:
-            record = getattr(self.stats, "ping", None)
-            if record is not None:
-                record(slot)
-
     def record_crash(self, exc: Exception) -> None:
         # Timeouts are already counted at the submit site that killed
         # the worker; count everything else as a crash.

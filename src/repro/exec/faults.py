@@ -16,10 +16,10 @@ run that lost none.  The chaos suite pins this down.
 
 :class:`FaultInjector` is the test/benchmark hook: installed process
 wide (:func:`set_fault_injector`) or via ``REPRO_FAULTS_CHAOS=1``, it
-gets a callback before and after every task attempt and may delay the
-task or kill the worker.  :class:`ChaosInjector` is the shipped
-implementation — deterministic per (seed, region, task, point), firing
-only on first attempts so any retry budget >= 1 converges.
+gets a callback before and after every task attempt and may kill the
+worker.  :class:`ChaosInjector` is the shipped implementation —
+deterministic per (seed, region, task, point), firing only on first
+attempts so any retry budget >= 1 converges.
 
 The retry count, the task timeout and ambient chaos are settings of
 :mod:`repro.config`.
@@ -31,7 +31,6 @@ import abc
 import itertools
 import os
 import threading
-import time
 import zlib
 from concurrent.futures import BrokenExecutor, CancelledError
 from dataclasses import dataclass
@@ -214,38 +213,12 @@ class FaultStats:
         self._lock = threading.Lock()
         for field in self.FIELDS:
             setattr(self, field, 0)
-        #: Monotonic timestamp of the last sign of life from each cluster
-        #: worker slot (task accepted, ping or result received) — the
-        #: skywriting-style ``last_ping`` heartbeat.  Not part of
-        #: :attr:`FIELDS`: timestamps, not counters, and excluded from
-        #: :meth:`as_dict` so job telemetry stays integer-valued.
-        self.slot_last_ping: dict[int, float] = {}
-
-    def ping(self, slot: int, when: float | None = None) -> None:
-        """Record a heartbeat for a worker slot."""
-        stamp = time.monotonic() if when is None else float(when)
-        with self._lock:
-            previous = self.slot_last_ping.get(slot)
-            if previous is None or stamp > previous:
-                self.slot_last_ping[slot] = stamp
 
     def bump(self, field: str, n: int = 1) -> None:
         if field not in self.FIELDS:
             raise ValidationError(f"unknown fault counter {field!r}")
         with self._lock:
             setattr(self, field, getattr(self, field) + int(n))
-
-    def merge(self, other: "FaultStats") -> None:
-        with other._lock:
-            snapshot = [(f, getattr(other, f)) for f in self.FIELDS]
-            pings = dict(other.slot_last_ping)
-        with self._lock:
-            for field, value in snapshot:
-                setattr(self, field, getattr(self, field) + value)
-            for slot, stamp in pings.items():
-                previous = self.slot_last_ping.get(slot)
-                if previous is None or stamp > previous:
-                    self.slot_last_ping[slot] = stamp
 
     def as_dict(self) -> dict[str, int]:
         with self._lock:
@@ -276,7 +249,7 @@ class FaultInjector(abc.ABC):
 
 
 class ChaosInjector(FaultInjector):
-    """Deterministic random kills/delays, keyed on (seed, region, task).
+    """Deterministic random kills, keyed on (seed, region, task, point).
 
     Decisions hash the coordinates (``crc32``), so a given seed kills
     the same tasks at the same points on every run — chaos you can
@@ -287,44 +260,21 @@ class ChaosInjector(FaultInjector):
     :class:`SimulatedWorkerCrash`.
     """
 
-    def __init__(
-        self,
-        rate: float = 0.05,
-        seed: int = 0,
-        *,
-        delay_rate: float = 0.0,
-        delay_s: float = 0.0,
-        points: tuple[str, ...] = ("before", "after"),
-    ):
+    def __init__(self, rate: float = 0.05, seed: int = 0):
         if not 0.0 <= rate <= 1.0:
             raise ValidationError(f"chaos rate must be in [0, 1], got {rate}")
-        if not 0.0 <= delay_rate <= 1.0:
-            raise ValidationError(
-                f"chaos delay_rate must be in [0, 1], got {delay_rate}"
-            )
-        if delay_s < 0:
-            raise ValidationError(f"chaos delay_s must be >= 0, got {delay_s}")
         self.rate = float(rate)
         self.seed = int(seed)
-        self.delay_rate = float(delay_rate)
-        self.delay_s = float(delay_s)
-        self.points = tuple(points)
         # Captured at construction on the driver: lets fire() distinguish
         # "I am in a worker process" (really exit) from "I am on the
         # driver thread" (raise, so the driver itself survives).
         self.driver_pid = os.getpid()
 
-    def _chance(self, kind: str, point: str, region: str, index: int) -> float:
-        key = f"{self.seed}:{kind}:{point}:{region}:{index}"
-        return zlib.crc32(key.encode()) / 0xFFFFFFFF
-
     def fire(self, point: str, region: str, index: int, attempt: int) -> None:
-        if attempt != 0 or point not in self.points:
+        if attempt != 0 or self.rate <= 0:
             return
-        if self.delay_rate > 0 and self.delay_s > 0:
-            if self._chance("delay", point, region, index) < self.delay_rate:
-                time.sleep(self.delay_s)
-        if self.rate > 0 and self._chance("kill", point, region, index) < self.rate:
+        key = f"{self.seed}:kill:{point}:{region}:{index}"
+        if zlib.crc32(key.encode()) / 0xFFFFFFFF < self.rate:
             if os.getpid() != self.driver_pid:
                 os._exit(29)
             raise SimulatedWorkerCrash(
@@ -332,10 +282,7 @@ class ChaosInjector(FaultInjector):
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ChaosInjector(rate={self.rate}, seed={self.seed}, "
-            f"delay_rate={self.delay_rate}, delay_s={self.delay_s})"
-        )
+        return f"ChaosInjector(rate={self.rate}, seed={self.seed})"
 
 
 def call_with_faults(

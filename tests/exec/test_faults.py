@@ -151,13 +151,12 @@ class TestRetryPolicy:
 
 
 class TestFaultStats:
-    def test_bump_merge_as_dict(self):
-        a, b = FaultStats(), FaultStats()
-        a.bump("retries")
-        a.bump("state_recomputed_bytes", 1024)
-        b.bump("retries", 2)
-        a.merge(b)
-        snapshot = a.as_dict()
+    def test_bump_as_dict(self):
+        stats = FaultStats()
+        stats.bump("retries")
+        stats.bump("retries", 2)
+        stats.bump("state_recomputed_bytes", 1024)
+        snapshot = stats.as_dict()
         assert snapshot["retries"] == 3
         assert snapshot["state_recomputed_bytes"] == 1024
         assert snapshot["crashes"] == 0
@@ -165,33 +164,6 @@ class TestFaultStats:
     def test_unknown_counter_rejected(self):
         with pytest.raises(ValidationError):
             FaultStats().bump("optimism")
-
-    def test_ping_keeps_latest_heartbeat_per_slot(self):
-        stats = FaultStats()
-        stats.ping(0, when=10.0)
-        stats.ping(0, when=12.5)
-        stats.ping(0, when=11.0)  # stale stamp never rewinds the clock
-        stats.ping(2, when=1.0)
-        assert stats.slot_last_ping == {0: 12.5, 2: 1.0}
-        # Heartbeats are liveness telemetry, not job counters: they stay
-        # out of the integer-valued as_dict() snapshot.
-        assert "slot_last_ping" not in stats.as_dict()
-
-    def test_ping_defaults_to_monotonic_now(self):
-        stats = FaultStats()
-        before = time.monotonic()
-        stats.ping(1)
-        after = time.monotonic()
-        assert before <= stats.slot_last_ping[1] <= after
-
-    def test_merge_takes_freshest_heartbeat(self):
-        a, b = FaultStats(), FaultStats()
-        a.ping(0, when=5.0)
-        a.ping(1, when=9.0)
-        b.ping(0, when=7.0)
-        b.ping(2, when=3.0)
-        a.merge(b)
-        assert a.slot_last_ping == {0: 7.0, 1: 9.0, 2: 3.0}
 
 
 class TestChaosInjector:
@@ -217,8 +189,6 @@ class TestChaosInjector:
     def test_validation_and_pickle(self):
         with pytest.raises(ValidationError):
             ChaosInjector(rate=1.5)
-        with pytest.raises(ValidationError):
-            ChaosInjector(rate=0.1, delay_s=-1.0)
         injector = ChaosInjector(rate=0.2, seed=9)
         clone = pickle.loads(pickle.dumps(injector))
         assert clone.rate == 0.2 and clone.driver_pid == injector.driver_pid

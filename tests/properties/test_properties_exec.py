@@ -148,22 +148,28 @@ class TestMmapBackendInvariance:
     """The process backend's home turf: out-of-core splits."""
 
     def test_pipeline_identical_from_mmap_source(self, backends, tmp_path, rng):
+        """One reference for every backend x worker count x source cell:
+        workers=1 and workers=4 must agree too, not only backends at a
+        shared worker count."""
         X = rng.normal(size=(400, 6))
         path = tmp_path / "data.npy"
         np.save(path, X)
         source = MmapSplitSource(path)
         reference = None
         for name, backend in backends.items():
-            for data in (X, source):
-                report = mr_scalable_kmeans(
-                    data, 6, l=12.0, r=2, n_splits=5, seed=11,
-                    lloyd_max_iter=3, workers=3, backend=backend,
-                )
-                fp = _report_fingerprint(report)
-                if reference is None:
-                    reference = fp
-                else:
-                    assert fp == reference, (name, type(data).__name__)
+            for workers in (1, 2, 4):
+                for data in (X, source):
+                    report = mr_scalable_kmeans(
+                        data, 6, l=12.0, r=2, n_splits=5, seed=11,
+                        lloyd_max_iter=3, workers=workers, backend=backend,
+                    )
+                    fp = _report_fingerprint(report)
+                    if reference is None:
+                        reference = fp
+                    else:
+                        assert fp == reference, (
+                            name, workers, type(data).__name__
+                        )
 
     def test_mmap_descriptors_ship_no_rows(self, tmp_path, rng):
         # The process backend's map calls must carry (path, start, stop),

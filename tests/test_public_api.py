@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
+import pathlib
+import runpy
+import subprocess
+import sys
+import types
 
 import pytest
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 PUBLIC_MODULES = [
     "repro",
@@ -42,6 +50,31 @@ class TestTopLevelSurface:
         import repro
 
         assert repro.__version__.count(".") == 2
+
+    def test_setup_metadata_matches_package(self, monkeypatch):
+        # A stub ``setuptools`` captures the metadata, so this check runs
+        # on interpreters that ship without setuptools (CPython >= 3.12).
+        import repro
+
+        captured: dict = {}
+        stub = types.ModuleType("setuptools")
+        stub.setup = lambda **kw: captured.update(kw)
+        monkeypatch.setitem(sys.modules, "setuptools", stub)
+        runpy.run_path(str(REPO_ROOT / "setup.py"))
+        assert captured["name"] == "repro"
+        assert captured["version"] == repro.__version__
+        assert captured["install_requires"] == ["numpy"]
+
+    @pytest.mark.skipif(importlib.util.find_spec("setuptools") is None,
+                        reason="setuptools is not installed")
+    def test_distribution_version_is_package_version(self):
+        import repro
+
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--version"],
+            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split()[-1] == repro.__version__
 
     def test_headline_classes_exported(self):
         import repro
