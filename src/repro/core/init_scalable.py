@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.costs import normalized_d2, potential, potential_from_d2
 from repro.core.init_base import Initializer, resolve_working_dtype
+from repro.core.lloyd_fast import expansion_slack
 from repro.core.reclustering import (
     KMeansPlusPlusReclusterer,
     Reclusterer,
@@ -45,10 +46,11 @@ from repro.core.results import InitResult, RoundRecord
 from repro.exceptions import ValidationError
 from repro.linalg.centroids import cluster_sizes
 from repro.linalg.distances import (
+    _assign_labels_at,
     assign_labels,
     row_norms_sq,
     sq_dists_to_point,
-    update_min_sq_dists,
+    update_min_sq_dists_argmin,
 )
 from repro.types import FloatArray, SeedLike
 from repro.utils.validation import check_in_range
@@ -192,6 +194,10 @@ class ScalableKMeans(Initializer):
         d2 = sq_dists_to_point(Xw, Xw[first], x_norms_sq=x_norms).astype(
             np.float64, copy=False
         )
+        # Each point's nearest candidate so far and the margin to its next
+        # nearest, kept beside d2 by every round's fold for Step 7.
+        nearest = np.zeros(n, dtype=np.int64)
+        gap = np.full(n, np.inf)
 
         # Step 2: psi <- phi_X(C).
         psi = potential_from_d2(d2, weights=weights)
@@ -215,15 +221,38 @@ class ScalableKMeans(Initializer):
             if idx.size:
                 new_points = X[idx]
                 candidates.append(new_points)
-                update_min_sq_dists(Xw, Xw[idx], d2, x_norms_sq=x_norms)
+                update_min_sq_dists_argmin(
+                    Xw, Xw[idx], d2, nearest,
+                    offset=n_candidates, x_norms_sq=x_norms, gap=gap,
+                )
                 n_candidates += int(idx.size)
 
         candidate_arr = np.vstack([c.reshape(-1, X.shape[1]) for c in candidates])
 
-        # Step 7: weight each candidate by the mass of points nearest it
-        # (full-precision pass: the weights feed Step 8's reclustering).
-        x_norms64 = x_norms if Xw is X else row_norms_sq(X)
-        labels = assign_labels(X, candidate_arr, x_norms_sq=x_norms64)
+        # Step 7: weight each candidate by the mass of points nearest it,
+        # with the labels a full assign_labels(X, candidates) pass gives.
+        # The rounds' argmin is those labels except where round-off could
+        # reorder two candidates: candidate 0's d2 came from a matrix-
+        # vector product and each round's from its own GEMM, while the
+        # full pass computes every column in one GEMM, and a GEMM rounds a
+        # column by where it sits.  Each value is within `slack` of that
+        # pass's, so only points whose gap to the runner-up is within
+        # twice that are re-assigned, in the full pass's own tiles.
+        reread = False
+        if Xw is X:
+            labels = nearest
+            slack = expansion_slack(
+                x_norms, row_norms_sq(candidate_arr), X.shape[1], X.dtype
+            )
+            unsure = np.flatnonzero(gap <= 2.0 * slack)
+            if unsure.size:
+                reread = True
+                labels[unsure] = _assign_labels_at(X, candidate_arr, unsure, x_norms)
+        else:
+            # The weights feed Step 8, so a narrower working dtype pays
+            # one full-precision pass for them.
+            reread = True
+            labels = assign_labels(X, candidate_arr, x_norms_sq=row_norms_sq(X))
         cand_weights = cluster_sizes(labels, candidate_arr.shape[0], weights=weights)
 
         # Step 8: recluster the weighted candidates into k centers.
@@ -236,8 +265,9 @@ class ScalableKMeans(Initializer):
             seed_cost=potential(X, centers, weights=weights),
             n_candidates=int(candidate_arr.shape[0]),
             n_rounds=len(rounds),
-            # One pass to seed psi, one per sampling round, one to weight.
-            n_passes=len(rounds) + 2,
+            # One pass to seed psi and one per sampling round; Step 7 reads
+            # the data only for a narrower working dtype or a near tie.
+            n_passes=len(rounds) + 1 + reread,
             candidates=candidate_arr,
             candidate_weights=cand_weights,
             rounds=rounds,

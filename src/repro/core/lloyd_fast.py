@@ -53,8 +53,9 @@ from repro.exceptions import ConvergenceWarning
 from repro.linalg.centroids import weighted_centroids
 from repro.linalg.distances import (
     _row_scratch,
+    _sq_dist_tiles,
+    _tile_top2,
     assign_labels,
-    block_sq_dists,
     row_norms_sq,
 )
 from repro.linalg.engine import get_engine
@@ -82,27 +83,28 @@ def _assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows=None):
     """Exact assignment of all rows (``rows=None``) or an index subset,
     filling the Hamerly bounds.
 
-    Identical arithmetic (and therefore identical labels) to
-    :func:`~repro.linalg.distances.assign_labels`; additionally records
-    the distance to the winner (``ub``, padded up by ``slack``) and to
-    the runner-up (``lb``, padded down).
+    Uses the same in-place tiles and tile reduction as
+    :func:`~repro.linalg.distances.assign_labels` (ties to the lowest
+    index); additionally records the distance to the winner
+    (``ub``, padded up by ``slack``) and to the runner-up (``lb``, padded
+    down; ``+inf`` when ``k == 1``).
     """
     n = Xw.shape[0] if rows is None else rows.shape[0]
     k = Cw.shape[0]
+    neg2C = -2.0 * Cw
 
     def work(sl: slice) -> None:
-        idxs = sl if rows is None else rows[sl]
-        block = Xw[idxs]
-        d2 = block_sq_dists(block, Cw, x_norms[idxs], c_norms)
-        idx = d2.argmin(axis=1)
-        labels[idxs] = idx
-        best = np.take_along_axis(d2, idx[:, None], axis=1).ravel()
-        ub[idxs] = np.sqrt(best + slack)
-        if k >= 2:
-            second = np.partition(d2, 1, axis=1)[:, 1]
-            lb[idxs] = np.sqrt(np.maximum(second - slack, 0.0))
+        if rows is None:
+            block, xn, part, idxs = Xw, x_norms, sl, np.arange(sl.start, sl.stop)
         else:
-            lb[idxs] = np.inf
+            idxs = rows[sl]
+            block, xn = Xw[idxs], x_norms[idxs]
+            part = slice(0, idxs.shape[0])
+        for tile, d2 in _sq_dist_tiles(block, part, xn, neg2C, c_norms):
+            at = idxs[tile]
+            labels[at], best, second = _tile_top2(d2)
+            ub[at] = np.sqrt(best + slack)
+            lb[at] = np.sqrt(np.maximum(second - slack, 0.0))
 
     get_engine().run_chunks(n, _row_scratch(k), work)
     return n * k

@@ -62,8 +62,13 @@ class InitResult:
     n_rounds:
         Number of sampling rounds executed.
     n_passes:
-        Number of full passes over the data the method needed (the paper's
-        scalability argument is exactly about this number).
+        Number of passes over the data the method made (the paper's
+        scalability argument is exactly about this number).  A pass is
+        one sweep that evaluates distances from the points to a set of
+        centers: ``k-means||`` makes one for ``psi`` and one per sampling
+        round, and a Step 7 pass only when it has to read the data again
+        (a narrower ``working_dtype``, or points within round-off of a
+        tie between two candidates).
     rounds:
         Per-round :class:`RoundRecord` telemetry (seed-cost trajectories in
         Figures 5.2-5.3 are read from here).

@@ -131,18 +131,30 @@ class RowsSplitDescriptor(SplitDescriptor):
         return self.rows
 
 
-#: Per-process cache of open memory maps: path -> (pid, mmap). The pid
-#: key makes a forked child re-open its own map instead of sharing the
-#: parent's file handle state.
-_MMAP_CACHE: dict[str, tuple[int, np.ndarray]] = {}
+def _file_identity(path: str | os.PathLike) -> tuple[int, int, int, int]:
+    """``(device, inode, size, mtime_ns)`` of a file.
+
+    Changes when the file is deleted and saved again (a new inode),
+    rewritten in place (a new size or mtime) or replaced by an atomic
+    rename, so a cache keyed on it never serves a stale mapping.
+    """
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+#: Per-process cache of open memory maps: path -> ((pid, file identity),
+#: mmap). The pid makes a forked child re-open its own map instead of
+#: sharing the parent's file handle state; the identity re-opens a file
+#: that was rewritten since it was mapped.
+_MMAP_CACHE: dict[str, tuple[tuple, np.ndarray]] = {}
 
 
 def _cached_mmap(path: str) -> np.ndarray:
     resolved = resolve_data_path(path)
+    key = (os.getpid(), _file_identity(resolved))
     entry = _MMAP_CACHE.get(resolved)
-    pid = os.getpid()
-    if entry is None or entry[0] != pid:
-        entry = (pid, np.load(resolved, mmap_mode="r"))
+    if entry is None or entry[0] != key:
+        entry = (key, np.load(resolved, mmap_mode="r"))
         _MMAP_CACHE[resolved] = entry
     return entry[1]
 
@@ -591,24 +603,29 @@ def save_csr_dir(matrix, directory: str | os.PathLike) -> pathlib.Path:
     return directory
 
 
-#: Per-process cache of open CSR directories:
-#: resolved dir -> (pid, data, indices, indptr, shape).
+#: Per-process cache of open CSR directories: resolved dir ->
+#: ((pid, member file identities), data, indices, indptr, shape), keyed
+#: like :data:`_MMAP_CACHE`.
 _CSR_CACHE: dict[str, tuple] = {}
 
 
 def _cached_csr_dir(directory: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
-    """Memory-map (once per process) the member arrays of a CSR directory."""
+    """Memory-map (once per process and version) a CSR directory's members."""
     resolved = resolve_data_path(directory)
-    pid = os.getpid()
+    base = pathlib.Path(resolved)
+    if not is_csr_dir(base):
+        raise ValidationError(
+            f"{base} is not a CSR split directory (need {CSR_MEMBERS})"
+        )
+    members = [base / m for m in (*CSR_MEMBERS, CSR_META)]
+    key = (
+        os.getpid(),
+        tuple(_file_identity(m) if m.exists() else None for m in members),
+    )
     entry = _CSR_CACHE.get(resolved)
-    if entry is None or entry[0] != pid:
+    if entry is None or entry[0] != key:
         from repro.data.io import ensure_mmap_npy
 
-        base = pathlib.Path(resolved)
-        if not is_csr_dir(base):
-            raise ValidationError(
-                f"{base} is not a CSR split directory (need {CSR_MEMBERS})"
-            )
         data = np.load(ensure_mmap_npy(base / "data.npy"), mmap_mode="r")
         indices = np.load(ensure_mmap_npy(base / "indices.npy"), mmap_mode="r")
         indptr = np.load(ensure_mmap_npy(base / "indptr.npy"), mmap_mode="r")
@@ -631,7 +648,7 @@ def _cached_csr_dir(directory: str) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                 f"{base}: data has {data.shape[0]} entries but indices "
                 f"has {indices.shape[0]}"
             )
-        entry = (pid, data, indices, indptr, shape)
+        entry = (key, data, indices, indptr, shape)
         _CSR_CACHE[resolved] = entry
     return entry[1], entry[2], entry[3], entry[4]
 

@@ -49,7 +49,12 @@ def cluster_sums(
     fixed block boundaries — bit-identical to the dense fold on the
     same values (skipping exact ``+0.0`` additions cannot change an
     IEEE partial sum); see :func:`repro.linalg.sparse.sparse_cluster_sums`.
+
+    Unit weights (what an unweighted fit passes) skip the weighted copy
+    of each block: ``x * 1.0`` is ``x``, so the sums are unchanged.
     """
+    if weights is not None and not np.any(weights != 1.0):
+        weights = None
     if _sparse.is_sparse(X):
         return _sparse.sparse_cluster_sums(
             X, labels, k, weights=weights,

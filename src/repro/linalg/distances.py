@@ -26,10 +26,16 @@ every kernel here routes its row blocks through the current engine, so
 Inside a chunk the reduction kernels walk cache-sized tiles of rows
 through one reused ``(tile, k)`` buffer (see :data:`_TILE_BYTES`), so a
 tile is reduced while it is still in cache; the chunk's scratch is that
-one buffer.  The min-only kernels clamp each row's minimum rather than
-the whole tile: ``max(., 0)`` is monotone, so it commutes with ``min``.
-The argmin kernels clamp the tile before ``argmin``, so round-off
-negatives still break ties to the lowest index.
+one buffer.  All four reduce a tile the same way (:func:`_tile_argmin`):
+each row's ``argmin`` of the unclamped tile, then the minimum read at
+that index, so the argmin costs what a separate row ``min`` would.  The
+clamp is applied to the rows it can change and nowhere else: a row whose
+minimum is negative is clamped and reduced again, so round-off negatives
+become ties at zero that break to the lowest index.  A row whose minimum
+is ``>= 0`` is left as it is, which is exact because the expansion never
+yields ``-0.0`` (the last term added, ``||c||^2``, is never ``-0.0``):
+every entry is then already ``>= +0.0``, the clamp would change none,
+and the minimum at the first argmin is the row ``min`` bit for bit.
 
 Hot callers (Lloyd, the seeding loops) evaluate distances against the
 same ``X`` many times; each kernel therefore accepts a precomputed
@@ -54,6 +60,7 @@ import numpy as np
 
 from repro.linalg import sparse as _sparse
 from repro.linalg.engine import get_engine
+from repro.utils.chunking import chunk_slices
 from repro.utils.validation import check_matching_dims
 
 __all__ = [
@@ -198,6 +205,56 @@ def _sq_dist_tiles(
         )
 
 
+def _tile_argmin(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmin and minimum of the clamped tile ``max(d2, 0)``.
+
+    Bit for bit what clamping the whole tile and calling ``argmin`` and
+    ``min`` gives (ties to the lowest index), but only rows whose minimum
+    is negative are clamped and reduced again; see the module docstring.
+    ``d2`` is not modified.
+    """
+    idx = d2.argmin(axis=1)
+    best = d2.reshape(-1)[np.arange(0, d2.size, d2.shape[1]) + idx]
+    neg = np.flatnonzero(best < 0.0)
+    if neg.size:
+        idx[neg] = np.maximum(d2[neg], 0.0).argmin(axis=1)
+        best[neg] = 0.0
+    return idx, best
+
+
+def _tile_top2(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_tile_argmin` plus each row's second smallest clamped entry.
+
+    The runner-up is the same reduction run again with the winner's entry
+    set to ``+inf`` (so a value the row holds twice is its own runner-up,
+    and a one-column tile's runner-up is ``+inf``); ``d2`` is overwritten.
+    """
+    idx, best = _tile_argmin(d2)
+    d2[np.arange(d2.shape[0]), idx] = np.inf
+    return idx, best, _tile_argmin(d2)[1]
+
+
+def _merge_nearest(cur, near, gap, idx, best, second, offset) -> None:
+    """Fold one block's per-row nearest new center into the running profile.
+
+    ``cur``/``near`` (and ``gap`` unless ``None``) are views of the
+    caller's arrays, updated in place; ``second`` is the block's runner-up
+    (unused without ``gap``).  A tie keeps the earlier center.
+    """
+    improved = best < cur
+    if gap is not None:
+        np.copyto(
+            gap,
+            np.where(
+                improved,
+                np.minimum(second, cur) - best,
+                np.minimum(gap, best - cur),
+            ),
+        )
+    cur[improved] = best[improved]
+    near[improved] = idx[improved] + offset
+
+
 def block_sq_dists(
     block: np.ndarray,
     C: np.ndarray,
@@ -332,8 +389,7 @@ def min_sq_dists(
     def work(sl: slice) -> None:
         dst = out[sl]
         for rows, d2 in _sq_dist_tiles(X, sl, norms, neg2C, c_norms_sq):
-            d2.min(axis=1, out=dst[rows])
-        np.maximum(dst, 0.0, out=dst)
+            dst[rows] = _tile_argmin(d2)[1]
 
     get_engine().run_chunks(n, _row_scratch(k), work, chunk_bytes=chunk_bytes)
     return out
@@ -378,9 +434,7 @@ def update_min_sq_dists(
     def work(sl: slice) -> None:
         cur = current[sl]
         for rows, d2 in _sq_dist_tiles(X, sl, norms, neg2C, c_norms_sq):
-            best = d2.min(axis=1)
-            np.maximum(best, 0.0, out=best)
-            np.minimum(cur[rows], best, out=cur[rows])
+            np.minimum(cur[rows], _tile_argmin(d2)[1], out=cur[rows])
 
     get_engine().run_chunks(X.shape[0], _row_scratch(k_new), work, chunk_bytes=chunk_bytes)
     return current
@@ -395,6 +449,7 @@ def update_min_sq_dists_argmin(
     offset: int,
     x_norms_sq: np.ndarray | None = None,
     chunk_bytes: int | None = None,
+    gap: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`update_min_sq_dists` but also maintains the argmin.
 
@@ -404,12 +459,20 @@ def update_min_sq_dists_argmin(
     weighting job (Step 7 of ``k-means||``) run without any distance work
     — each mapper just bin-counts its cached ``nearest`` column.
 
+    ``gap``, when given, is maintained in place too: per point, how far
+    the next nearest of all centers folded so far lies beyond the nearest
+    (``0`` on a tie; start it at ``+inf``).  Each center's ``d^2`` agrees
+    with a full :func:`assign_labels` pass to round-off only -- the GEMM
+    rounds a column by where it sits in the product -- so a caller that
+    must reproduce that pass's labels bit for bit re-assigns the points
+    whose gap is within round-off (the in-memory ``k-means||`` does).
+
     Both ``current`` and ``nearest`` are updated in place and returned.
     """
     if _sparse.is_sparse(X):
         return _sparse.sparse_update_min_sq_dists_argmin(
             X, new_centers, current, nearest, offset=offset,
-            x_norms_sq=x_norms_sq, chunk_bytes=chunk_bytes,
+            x_norms_sq=x_norms_sq, chunk_bytes=chunk_bytes, gap=gap,
         )
     if new_centers.ndim == 1:
         new_centers = new_centers.reshape(1, -1)
@@ -418,6 +481,8 @@ def update_min_sq_dists_argmin(
     check_matching_dims(X, new_centers)
     if current.shape[0] != X.shape[0] or nearest.shape[0] != X.shape[0]:
         raise ValueError("current/nearest must have one entry per point")
+    if gap is not None and gap.shape[0] != X.shape[0]:
+        raise ValueError("gap must have one entry per point")
     X, new_centers = _as_working(X, new_centers)
     norms = _check_norms(x_norms_sq, X.shape[0])
     k_new = new_centers.shape[0]
@@ -425,19 +490,43 @@ def update_min_sq_dists_argmin(
 
     def work(sl: slice) -> None:
         for rows, d2 in _sq_dist_tiles(X, sl, norms, neg2C, c_norms_sq):
-            np.maximum(d2, 0.0, out=d2)
-            idx = d2.argmin(axis=1)
-            best_new = d2.min(axis=1)
-            # Slices are views: writing through `cur`/`near` updates the
-            # caller's arrays directly.
-            cur = current[sl][rows]
-            near = nearest[sl][rows]
-            improved = best_new < cur
-            cur[improved] = best_new[improved]
-            near[improved] = idx[improved] + offset
+            if gap is None:
+                idx, best_new, second = *_tile_argmin(d2), None
+            else:
+                idx, best_new, second = _tile_top2(d2)
+            # Slices are views: the merge writes the caller's arrays.
+            _merge_nearest(
+                current[sl][rows], nearest[sl][rows],
+                None if gap is None else gap[sl][rows],
+                idx, best_new, second, offset,
+            )
 
     get_engine().run_chunks(X.shape[0], _row_scratch(k_new), work, chunk_bytes=chunk_bytes)
     return current, nearest
+
+
+def _assign_labels_at(
+    X: np.ndarray, C: np.ndarray, rows: np.ndarray, x_norms_sq: np.ndarray
+) -> np.ndarray:
+    """``assign_labels(X, C, x_norms_sq=x_norms_sq)[rows]``, bit for bit.
+
+    ``rows`` must be sorted.  Walks the engine chunks and tile cuts that
+    :func:`assign_labels` would, but evaluates only the tiles holding
+    ``rows``: a GEMM rounds a row by where it sits in the product, so a
+    row's labels are reproduced only by the very tile that held it.
+    """
+    X, C = _as_working(X, C)
+    n, k = X.shape[0], C.shape[0]
+    neg2C, c_norms_sq = -2.0 * C, row_norms_sq(C)
+    labels = np.empty(rows.shape[0], dtype=np.int64)
+    for sl in chunk_slices(n, get_engine().resolve_chunk_rows(_row_scratch(k))):
+        cuts = sl.start + np.asarray(_tile_cuts(sl.stop - sl.start, k))
+        at = np.searchsorted(rows, cuts)
+        for lo, hi, a, b in zip(cuts, cuts[1:], at, at[1:]):
+            if a < b:
+                d2 = _fold(X[lo:hi], neg2C, x_norms_sq[lo:hi], c_norms_sq)
+                labels[a:b] = _tile_argmin(d2)[0][rows[a:b] - lo]
+    return labels
 
 
 def assign_labels(
@@ -471,10 +560,10 @@ def assign_labels(
 
     def work(sl: slice) -> None:
         for rows, d2 in _sq_dist_tiles(X, sl, norms, neg2C, c_norms_sq):
-            np.maximum(d2, 0.0, out=d2)
-            d2.argmin(axis=1, out=labels[sl][rows])
+            idx, d2_min = _tile_argmin(d2)
+            labels[sl][rows] = idx
             if best is not None:
-                d2.min(axis=1, out=best[sl][rows])
+                best[sl][rows] = d2_min
 
     get_engine().run_chunks(n, _row_scratch(k), work, chunk_bytes=chunk_bytes)
     if best is not None:

@@ -320,8 +320,11 @@ def sparse_update_min_sq_dists_argmin(
     offset: int,
     x_norms_sq: np.ndarray | None = None,
     chunk_bytes: int | None = None,
+    gap: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR sibling of :func:`~repro.linalg.distances.update_min_sq_dists_argmin`."""
+    from repro.linalg.distances import _merge_nearest, _tile_argmin, _tile_top2
+
     new_centers = np.atleast_2d(np.asarray(new_centers))
     if new_centers.shape[0] == 0:
         return current, nearest
@@ -335,13 +338,14 @@ def sparse_update_min_sq_dists_argmin(
 
     def work(sl: slice) -> None:
         d2 = sparse_block_sq_dists(X[sl], new_centers, norms[sl], c_norms_sq)
-        idx = d2.argmin(axis=1)
-        best_new = np.take_along_axis(d2, idx[:, None], axis=1).ravel()
-        cur = current[sl]
-        near = nearest[sl]
-        improved = best_new < cur
-        cur[improved] = best_new[improved]
-        near[improved] = idx[improved] + offset
+        if gap is None:
+            idx, best_new, second = *_tile_argmin(d2), None
+        else:
+            idx, best_new, second = _tile_top2(d2)
+        _merge_nearest(
+            current[sl], nearest[sl], None if gap is None else gap[sl],
+            idx, best_new, second, offset,
+        )
 
     get_engine().run_slices(
         _csr_slices(X, new_centers.shape[0], chunk_bytes), work

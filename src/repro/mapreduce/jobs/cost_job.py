@@ -8,9 +8,14 @@ and emits its split's partial potential. The reducer sums partials into
 ``phi_X(C)`` (Section 3.5).
 
 The mapper also maintains the *argmin* (index of the nearest candidate)
-alongside the minimum. That costs nothing extra during the fold and makes
-Step 7 (candidate weighting) a zero-distance-work bincount pass — see
-:class:`repro.mapreduce.jobs.weight_job.CachedWeightMapper`.
+alongside the minimum, which makes Step 7 (candidate weighting) a
+zero-distance-work bincount pass — see
+:class:`repro.mapreduce.jobs.weight_job.CachedWeightMapper`.  The fold's
+tile reduction reads each row's minimum at its argmin, so keeping the
+argmin costs about what the minimum alone does: at n = 100k, d = 16,
+64 centers, one BLAS thread, 21.5-28.6 ms a fold against 23-24 ms for
+:func:`~repro.linalg.distances.update_min_sq_dists` (a separate row
+``min`` and ``argmin`` took 36-40 ms against 27-28 ms).
 """
 
 from __future__ import annotations

@@ -102,8 +102,14 @@ class TestAlgorithm:
         assert scal <= pp * 2.0  # "consistently as good or better" (with noise slack)
 
     def test_n_passes_accounting(self, blobs):
+        # The psi pass plus one per round; Step 7 reads the rounds' argmin.
         X, _ = blobs
         result = ScalableKMeans(oversampling_factor=2, n_rounds=5).run(X, 5, seed=0)
+        assert result.n_passes == result.n_rounds + 1
+        # A narrower working dtype pays one float64 pass for the weights.
+        result = ScalableKMeans(
+            oversampling_factor=2, n_rounds=5, working_dtype="float32"
+        ).run(X, 5, seed=0)
         assert result.n_passes == result.n_rounds + 2
 
     def test_zero_rounds_single_candidate(self, blobs):

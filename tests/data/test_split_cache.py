@@ -1,0 +1,70 @@
+"""A file rewritten at a cached path is read afresh, never from the old map.
+
+Split descriptors memory-map their file once per process and cache the
+map by path.  A ``.npy`` deleted and saved again, overwritten in place,
+or a CSR directory rewritten must be re-opened: a stale map serves the
+old rows (or the old header over the new bytes) without any error, and a
+MapReduce run over the path then mixes data sets.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.data.splits import MmapSplitSource
+from repro.mapreduce.kmeans_mr import mr_scalable_kmeans
+
+
+def _load(path, n):
+    return np.asarray(MmapSplitSource(path).descriptor(0, n).load())
+
+
+def test_deleted_and_saved_again(tmp_path):
+    path = tmp_path / "x.npy"
+    np.save(path, np.zeros((50, 4)))
+    assert _load(path, 50).max() == 0.0
+    path.unlink()
+    np.save(path, np.ones((50, 4)))
+    np.testing.assert_array_equal(_load(path, 50), np.ones((50, 4)))
+
+
+def test_overwritten_in_place_with_a_new_shape(tmp_path):
+    path = tmp_path / "x.npy"
+    np.save(path, np.zeros((50, 4)))
+    assert _load(path, 50).shape == (50, 4)
+    new = np.arange(30 * 3, dtype=np.float64).reshape(30, 3)
+    np.save(path, new)  # same inode: np.save truncates the open file
+    np.testing.assert_array_equal(_load(path, 30), new)
+
+
+def test_csr_directory_rewritten(tmp_path):
+    scipy_sparse = pytest.importorskip("scipy.sparse")
+    from repro.data.splits import CsrSplitSource, save_csr_dir
+
+    old = np.zeros((20, 5))
+    old[::4, 1] = 1.0
+    new = np.arange(20 * 5, dtype=np.float64).reshape(20, 5) % 3
+    directory = tmp_path / "csr"
+    save_csr_dir(scipy_sparse.csr_matrix(old), directory)
+    first = CsrSplitSource(directory).descriptor(0, 20).load()
+    np.testing.assert_array_equal(first.toarray(), old)
+    save_csr_dir(scipy_sparse.csr_matrix(new), directory)
+    again = CsrSplitSource(directory).descriptor(0, 20).load()
+    np.testing.assert_array_equal(again.toarray(), new)
+
+
+def test_mr_pipeline_reads_the_new_file(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "data.npy"
+    kwargs = dict(l=8.0, r=2, n_splits=4, seed=3, lloyd_max_iter=3, backend="serial")
+    np.save(path, rng.normal(size=(300, 4)))
+    mr_scalable_kmeans(path, 4, **kwargs)
+    path.unlink()
+    X = rng.normal(size=(300, 4)) + 5.0
+    np.save(path, X)
+    from_path = mr_scalable_kmeans(path, 4, **kwargs)
+    in_memory = mr_scalable_kmeans(X, 4, **kwargs)
+    assert from_path.centers.tobytes() == in_memory.centers.tobytes()
+    assert from_path.seed_cost == in_memory.seed_cost
+    assert from_path.final_cost == in_memory.final_cost

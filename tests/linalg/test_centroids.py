@@ -90,3 +90,29 @@ class TestWeightedCentroids:
         labels = rng.integers(0, 7, size=50)
         _, mass = weighted_centroids(X, labels, 7, weights=w)
         assert mass.sum() == pytest.approx(w.sum())
+
+
+class TestUnitMass:
+    """Unit weights skip the weighted copy; the sums keep their bytes."""
+
+    @pytest.fixture
+    def data(self, rng):
+        # Several engine blocks of the fixed sums budget, so the skipped
+        # multiply would show in any block.
+        X = rng.normal(size=(200_000, 9)) * 1e3
+        return X, rng.integers(0, 6, size=X.shape[0])
+
+    def test_unit_weights_equal_no_weights_byte_for_byte(self, data):
+        X, labels = data
+        centers, mass = weighted_centroids(X, labels, 6, weights=np.ones(X.shape[0]))
+        want_centers, want_mass = weighted_centroids(X, labels, 6)
+        assert centers.tobytes() == want_centers.tobytes()
+        assert mass.tobytes() == want_mass.tobytes()
+
+    def test_one_weight_off_one_takes_the_multiply(self, data):
+        X, labels = data
+        w = np.ones(X.shape[0])
+        w[17] = 2.5
+        sums = cluster_sums(X, labels, 6, weights=w)
+        assert sums.tobytes() == cluster_sums(X * w[:, None], labels, 6).tobytes()
+        assert sums.tobytes() != cluster_sums(X, labels, 6).tobytes()
