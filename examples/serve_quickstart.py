@@ -6,14 +6,13 @@ Walks the serving stack end to end:
    :class:`repro.ModelRegistry` (versioned, atomically swappable);
 2. hammer the micro-batching :class:`repro.AssignmentService` from a
    small fleet of threads — concurrent requests coalesce into single
-   chunked-engine GEMMs, with triangle-inequality pruning trimming the
-   distance evaluations;
+   chunked-engine GEMMs;
 3. stream fresh mini-batches through a
    :class:`repro.StreamingRefresher`, which folds them into the center
    estimates and publishes new versions without ever blocking readers.
 
-Every label returned is bit-identical to the naive full-distance
-assignment against the exact version that served it.
+Every label returned is bit-identical to ``assign_labels`` against the
+exact version that served it.
 
 Run with::
 
@@ -75,8 +74,8 @@ def main() -> None:
                   f"GEMM batches (mean {stats.mean_batch_points:.0f} points, "
                   f"{stats.n_fast_path} fast-path)")
             print(f"distance evals: {stats.n_dist_evals:,} "
-                  f"({stats.n_pruned:,} points pruned below the full "
-                  f"k-column scan)")
+                  f"({stats.n_points:,} points x {registry.current().k} "
+                  f"centers)")
 
         # -- refresh the model from a stream ---------------------------
         refresher = StreamingRefresher(registry, publish_every=4)

@@ -188,10 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Train (or load) a center set, publish it through the model "
             "registry, and drive a concurrent query stream through the "
             "micro-batching assignment service — reporting throughput, "
-            "coalescing behavior, pruning savings, and (with "
-            "--refresh-every) streaming model refresh. Labels are "
-            "bit-identical to the naive full-distance assignment; this "
-            "command re-checks that on every run."
+            "coalescing behavior and (with --refresh-every) streaming "
+            "model refresh. Labels are bit-identical to assign_labels "
+            "against the served centers; this command re-checks that on "
+            "every run."
         ),
     )
     serve_p.add_argument(
@@ -226,11 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--max-wait-us", type=float, default=200.0, metavar="US",
         help="leader linger for followers, microseconds (default: 200)",
-    )
-    serve_p.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable bounds pruning (labels are identical either way)",
     )
     serve_p.add_argument(
         "--refresh-every", type=int, default=0, metavar="B",
@@ -414,12 +409,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.core import KMeans
-    from repro.serve import (
-        AssignmentService,
-        ModelRegistry,
-        StreamingRefresher,
-        assign_serve,
-    )
+    from repro.linalg.distances import assign_labels
+    from repro.serve import AssignmentService, ModelRegistry, StreamingRefresher
 
     if args.splits_from is not None:
         if str(args.splits_from).endswith(".npy"):
@@ -469,19 +460,12 @@ def _run_serve(args: argparse.Namespace) -> int:
     with ModelRegistry(keep_versions=args.keep_versions) as registry:
         registry.publish(centers)
         refresher = (
-            StreamingRefresher(
-                registry,
-                publish_every=args.refresh_every,
-                prune=not args.no_prune,
-            )
+            StreamingRefresher(registry, publish_every=args.refresh_every)
             if args.refresh_every > 0
             else None
         )
         service = AssignmentService(
-            registry,
-            max_batch=args.max_batch,
-            max_wait_us=args.max_wait_us,
-            prune=not args.no_prune,
+            registry, max_batch=args.max_batch, max_wait_us=args.max_wait_us
         )
         responses: list = [None] * len(queries)
         cursor = iter(range(len(queries)))
@@ -511,38 +495,34 @@ def _run_serve(args: argparse.Namespace) -> int:
 
         stats = service.stats()
         total_points = stats.n_points
-        naive_evals = total_points * args.k
         print(f"served {stats.n_requests} requests / {total_points} points "
               f"in {wall:.3f}s  ({total_points / wall:,.0f} points/s)")
         print(f"    batches={stats.n_batches} "
               f"mean_batch={stats.mean_batch_points:.1f}pt "
               f"max_batch={stats.max_batch_points}pt "
               f"fast_path={stats.n_fast_path}")
-        print(f"    dist_evals={stats.n_dist_evals} "
-              f"naive={naive_evals} "
-              f"({stats.n_dist_evals / max(1, naive_evals):.2%} of naive), "
-              f"pruned={stats.n_pruned / max(1, total_points):.2%} of points")
+        print(f"    dist_evals={stats.n_dist_evals}")
         if refresher is not None:
             print(f"    refresh: observed={refresher.n_observed}pt "
                   f"published={refresher.n_published} versions "
                   f"(current v{registry.current().version}, "
                   f"retained {registry.versions()})")
 
-        # Identity gate: every response must match the naive assignment
-        # against the version it was served under.
+        # Identity gate: every response must match assign_labels against
+        # the centers of the version it was served under.
         checked = 0
         for query, response in zip(queries, responses):
             try:
                 served = registry.get(response.version)
             except KeyError:
                 continue  # version retired since; centers are gone
-            expected = assign_serve(query, served, prune=False).labels
+            expected = assign_labels(query, served.centers)
             if not np.array_equal(response.labels, expected):
                 print("IDENTITY CHECK FAILED", file=sys.stderr)
                 return 1
             checked += 1
         print(f"    identity: {checked}/{len(queries)} responses re-checked "
-              f"against the naive assignment — identical")
+              f"against assign_labels — identical")
     return 0
 
 

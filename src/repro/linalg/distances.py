@@ -264,9 +264,9 @@ def block_sq_dists(
     """One clamped GEMM-expansion block: ``||x - c||^2`` for a row block.
 
     The in-place fold every chunked kernel in this module evaluates tile
-    by tile — shared so callers outside the module (the bounds-accelerated
-    Lloyd, the serving path) produce *byte-identical* squared distances to
-    the reference kernels for the same operands.  ``block`` and ``C`` must
+    by tile — shared so callers outside the module produce
+    *byte-identical* squared distances to the reference kernels for the
+    same operands.  ``block`` and ``C`` must
     already be in a common working dtype (see :func:`_as_working`);
     ``x_norms_sq`` / ``c_norms_sq`` are the precomputed row norms of the
     block and of ``C``.  A CSR ``block`` routes through the SpMM sibling

@@ -1,4 +1,4 @@
-"""Low-latency serving path: registry, pruned assignment, micro-batching.
+"""Low-latency serving path: registry, assignment, micro-batching.
 
 The training side of this repository ends with a center matrix; this
 package is what happens *after* — answering nearest-center queries at
@@ -7,8 +7,9 @@ serving rates:
 * :class:`~repro.serve.registry.ModelRegistry` — versioned, atomically
   swapped :class:`~repro.serve.model.ServedModel` snapshots, published
   through the data plane's broadcast machinery;
-* :func:`~repro.serve.assign.assign_serve` — bounds-pruned assignment,
-  bit-identical to the naive kernel but cheaper per point;
+* :func:`~repro.serve.assign.assign_serve` — one
+  :func:`~repro.linalg.distances.assign_labels` call against a served
+  model, with that kernel's labels and distances bit for bit;
 * :class:`~repro.serve.service.AssignmentService` — leader/follower
   micro-batching of concurrent callers into single chunked-engine runs;
 * :class:`~repro.serve.refresh.StreamingRefresher` — mini-batch folding
@@ -16,7 +17,7 @@ serving rates:
 """
 
 from repro.serve.assign import AssignResult, assign_serve
-from repro.serve.model import PruneIndex, ServedModel
+from repro.serve.model import ServedModel
 from repro.serve.refresh import StreamingRefresher, fold_centers, offline_fold
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import AssignmentService, ServeResponse, ServeStats
@@ -25,7 +26,6 @@ __all__ = [
     "AssignResult",
     "AssignmentService",
     "ModelRegistry",
-    "PruneIndex",
     "ServeResponse",
     "ServeStats",
     "ServedModel",

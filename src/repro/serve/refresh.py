@@ -16,9 +16,9 @@ and nobody ever blocks on the refresher.  Centers with no observed
 points keep their previous position bit-exactly, so an idle cluster can
 never drift from arithmetic noise.
 
-:func:`offline_fold` replays the same schedule with the naive assignment
-kernel — the reference the property tests hold the streaming path to,
-which doubles as an end-to-end check of the pruned serving path.
+:func:`offline_fold` replays the same schedule with the plain
+:func:`~repro.linalg.distances.assign_labels` kernel — the reference the
+property tests hold the streaming path to.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.serve.assign import assign_serve
 from repro.serve.model import ServedModel
 from repro.serve.registry import ModelRegistry
 from repro.types import FloatArray, IntArray
+from repro.utils.validation import check_finite
 
 __all__ = ["StreamingRefresher", "fold_centers", "offline_fold"]
 
@@ -86,10 +87,6 @@ class StreamingRefresher:
     prior_weight:
         Phantom mass at each old center per publish — see
         :func:`fold_centers`.
-    prune:
-        Assign observed batches through the pruned serving path
-        (identical labels either way; this is the production wiring and
-        doubles as a continuous cross-check in the property tests).
     """
 
     def __init__(
@@ -99,7 +96,6 @@ class StreamingRefresher:
         publish_every: int | None = None,
         drift_threshold: float | None = None,
         prior_weight: float = 0.0,
-        prune: bool = True,
     ):
         if publish_every is not None and publish_every < 1:
             raise ValidationError(
@@ -117,7 +113,6 @@ class StreamingRefresher:
         self._publish_every = publish_every
         self._drift_threshold = drift_threshold
         self._prior_weight = float(prior_weight)
-        self._prune = bool(prune)
         self._lock = threading.Lock()
         model = registry.current()  # refresher needs a base model
         self._model = model
@@ -141,16 +136,20 @@ class StreamingRefresher:
         ``labels`` short-circuits assignment when the caller already has
         them (e.g. the serving path just computed them) — they must be
         against :attr:`model`, i.e. the version this refresher last
-        published or was created from.
+        published or was created from.  A batch with a NaN or an
+        infinity is rejected before anything is folded: one such row
+        would poison the running sums and every later publish.
         """
         if _sparse.is_sparse(batch):
             X = _sparse.to_csr(batch)
+            values = X.data
         else:
-            X = np.asarray(batch)
+            X = values = np.asarray(batch)
         if X.ndim != 2:
             raise ValidationError(
                 f"batch must be 2-dimensional, got shape {X.shape}"
             )
+        check_finite(values, name="batch")
         with self._lock:
             model = self._model
             if X.shape[1] != model.d:
@@ -159,7 +158,7 @@ class StreamingRefresher:
                     f"model has d={model.d}"
                 )
             if labels is None:
-                labels = assign_serve(X, model, prune=self._prune).labels
+                labels = assign_serve(X, model).labels
             else:
                 labels = np.asarray(labels)
                 if labels.shape != (X.shape[0],):
@@ -235,8 +234,7 @@ def offline_fold(
     Returns the list of center matrices a :class:`StreamingRefresher`
     (same knobs, plus a trailing flush) publishes — computed with the
     plain :func:`~repro.linalg.distances.assign_labels` kernel and the
-    same fold arithmetic.  The property tests assert bit-identity, which
-    simultaneously certifies the pruned assignment inside ``observe``.
+    same fold arithmetic.  The property tests assert bit-identity.
     """
     current = np.asarray(centers, dtype=np.float64)
     dtype = np.asarray(centers).dtype

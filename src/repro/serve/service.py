@@ -21,10 +21,11 @@ exactly like a serving system's dynamic batcher.
 
 Labels are *coalescing-invariant*: whatever requests end up sharing a
 batch, each caller's labels are bit-identical to a solo
-``assign_labels(points, centers)`` call — the pruning contract of
-:mod:`repro.serve.assign` holds for any batch split.  Every batch is
-served against **one** model version (a single ``registry.current()``
-read per drain), so a request's rows can never straddle a version flip.
+``assign_labels(points, centers)`` call.  A batch is one ``assign_labels``
+call per (sparsity, dtype) group, and the distance kernels give a row the
+same bits wherever it sits in the batch.  Every batch is served against
+**one** model version (a single ``registry.current()`` read per drain),
+so a request's rows can never straddle a version flip.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.linalg import sparse as _sparse
 from repro.serve.assign import assign_serve
 from repro.serve.registry import ModelRegistry
 from repro.types import FloatArray, IntArray
+from repro.utils.validation import check_finite
 
 __all__ = ["AssignmentService", "ServeResponse", "ServeStats"]
 
@@ -69,6 +71,8 @@ class ServeStats:
     n_points: int = 0
     n_fast_path: int = 0
     n_dist_evals: int = 0
+    #: Always 0: serving prunes no distance evaluations.  Kept because
+    #: perfbench's ``serve.prune_frac`` reads it.
     n_pruned: int = 0
     max_batch_points: int = 0
 
@@ -100,8 +104,6 @@ class AssignmentService:
         How long the leader lingers for followers, in microseconds.  0
         disables coalescing waits — batching then only happens when
         callers genuinely overlap.
-    prune:
-        Use the bounds-pruned path (labels are identical either way).
     """
 
     def __init__(
@@ -110,7 +112,6 @@ class AssignmentService:
         *,
         max_batch: int = 4096,
         max_wait_us: float = 200.0,
-        prune: bool = True,
         return_sq_dists: bool = False,
     ):
         if max_batch < 1:
@@ -122,7 +123,6 @@ class AssignmentService:
         self._registry = registry
         self._max_batch = int(max_batch)
         self._max_wait_s = float(max_wait_us) * 1e-6
-        self._prune = bool(prune)
         self._return_sq_dists = bool(return_sq_dists)
         self._lock = threading.Lock()
         self._queue_cv = threading.Condition(self._lock)
@@ -137,18 +137,22 @@ class AssignmentService:
         """Assign ``points`` to their nearest centers; blocks until served.
 
         Thread-safe; concurrent callers are coalesced.  Each call is
-        served in one piece against one model version.
+        served in one piece against one model version.  Points with a
+        NaN or an infinity are rejected here, before they can join a
+        batch.
         """
         if _sparse.is_sparse(points):
             X = _sparse.to_csr(points)
+            values = X.data
         else:
-            X = np.asarray(points)
+            X = values = np.asarray(points)
             if X.ndim == 1:
                 X = X[None, :]
         if X.ndim != 2:
             raise ValidationError(
                 f"points must be 1- or 2-dimensional, got shape {X.shape}"
             )
+        check_finite(values, name="points")
         model = self._registry.current()  # validates d early; raises if empty
         if X.shape[1] != model.d:
             raise ValidationError(
@@ -236,7 +240,7 @@ class AssignmentService:
             groups.setdefault(key, []).append(i)
 
         responses: list[ServeResponse | None] = [None] * len(batch)
-        evals = pruned = 0
+        evals = 0
         for members in groups.values():
             if len(members) == 1:
                 X = batch[members[0]].points
@@ -252,13 +256,9 @@ class AssignmentService:
             else:
                 X = np.concatenate([batch[i].points for i in members], axis=0)
             result = assign_serve(
-                X,
-                model,
-                prune=self._prune,
-                return_sq_dists=self._return_sq_dists,
+                X, model, return_sq_dists=self._return_sq_dists
             )
             evals += result.n_dist_evals
-            pruned += result.n_pruned
             offset = 0
             for i in members:
                 rows = sizes[i]
@@ -287,7 +287,6 @@ class AssignmentService:
             stats.n_points += total
             stats.n_fast_path += 1 if fast_path else 0
             stats.n_dist_evals += evals
-            stats.n_pruned += pruned
             stats.max_batch_points = max(stats.max_batch_points, total)
 
         for request, response in zip(batch, responses):
@@ -315,5 +314,5 @@ class AssignmentService:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"AssignmentService(max_batch={self._max_batch}, "
-            f"max_wait_us={self._max_wait_s * 1e6:.0f}, prune={self._prune})"
+            f"max_wait_us={self._max_wait_s * 1e6:.0f})"
         )

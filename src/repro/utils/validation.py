@@ -16,6 +16,7 @@ from repro.types import ArrayLike, FloatArray
 
 __all__ = [
     "check_array",
+    "check_finite",
     "check_weights",
     "check_positive_int",
     "check_in_range",
@@ -66,10 +67,19 @@ def check_array(
         )
     if arr.shape[1] < 1:
         raise ValidationError(f"{name} must have at least one feature column")
-    if not np.isfinite(arr).all():
-        bad = int(np.count_nonzero(~np.isfinite(arr)))
-        raise ValidationError(f"{name} contains {bad} non-finite value(s) (nan/inf)")
+    check_finite(arr, name=name)
     return np.ascontiguousarray(arr)
+
+
+def check_finite(values: np.ndarray, *, name: str = "X") -> None:
+    """Raise if *values* holds a NaN or an infinity.
+
+    A CSR matrix's implicit zeros are finite, so its callers pass its
+    stored ``.data``.
+    """
+    if not np.isfinite(values).all():
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        raise ValidationError(f"{name} contains {bad} non-finite value(s) (nan/inf)")
 
 
 def check_weights(weights: ArrayLike | None, n: int, *, name: str = "weights") -> FloatArray:

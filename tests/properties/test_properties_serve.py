@@ -2,10 +2,12 @@
 
 Two contracts under arbitrary adversarial instances:
 
-* **Assignment identity** — pruned, micro-batched assignment returns
-  labels bit-identical to ``assign_labels`` (lowest-index ties and all)
-  for any batch split, any engine worker count, and both working
-  dtypes.  This is the guarantee the whole serving path leans on.
+* **Assignment identity** — micro-batched assignment returns labels
+  bit-identical to ``assign_labels`` (lowest-index ties and all) for
+  any batch split, any engine worker count, and both working dtypes.
+  This is the guarantee the whole serving path leans on; it rests on
+  the distance kernels giving a row the same bits wherever it sits in
+  a batch.
 * **Refresh identity** — folding a stream of mini-batches through
   :class:`StreamingRefresher` publishes exactly the center matrices of
   the :func:`offline_fold` reference replay (which assigns with the
@@ -59,18 +61,6 @@ class TestAssignIdentity:
 
     @given(data=st.data())
     @settings(**SETTINGS)
-    def test_telemetry_never_exceeds_naive_work(self, data):
-        X, k = data.draw(points_and_k(min_rows=4))
-        model = ServedModel.freeze(1, X[:k].copy())
-        result = assign_serve(X, model)
-        assert 0 <= result.n_pruned <= X.shape[0]
-        if model.index_for(np.float64) is None:
-            assert result.n_dist_evals == X.shape[0] * k
-        # (With an index, overhead can exceed naive on tiny adversarial
-        # instances; the bench asserts the savings on realistic ones.)
-
-    @given(data=st.data())
-    @settings(**SETTINGS)
     def test_sq_dists_match_reference_rounding(self, data):
         X, k = data.draw(points_and_k(min_rows=4))
         centers = X[:k].copy()
@@ -79,10 +69,7 @@ class TestAssignIdentity:
         _, d2 = assign_labels(
             *_as_working(X, centers), return_sq_dists=True
         )
-        scale = float(max(1.0, np.abs(X).max()) ** 2) * X.shape[1]
-        np.testing.assert_allclose(
-            result.sq_dists, d2, rtol=1e-9, atol=1e-9 * scale
-        )
+        np.testing.assert_array_equal(result.sq_dists, d2)
 
 
 class TestRefreshIdentity:

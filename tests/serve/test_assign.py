@@ -1,4 +1,4 @@
-"""assign_serve: bit-identity to the naive kernel plus pruning telemetry."""
+"""assign_serve: bit-identity to the naive kernel, in labels, distances and work."""
 
 from __future__ import annotations
 
@@ -30,33 +30,20 @@ def test_labels_bit_identical_to_naive(workload, dtype):
     result = assign_serve(X.astype(dtype), model, return_sq_dists=True)
     labels, d2 = naive(X.astype(dtype), centers.astype(dtype))
     np.testing.assert_array_equal(result.labels, labels)
-    # Pruned rows recompute their winning distance with the same
-    # expansion; fallback rows are byte-identical rows of the reference.
-    # Tolerance tracks the working precision: the ||x||^2+||c||^2 GEMM
-    # expansion cancels catastrophically in float32.
-    tol = 1e-6 if dtype is np.float64 else 1e-3
-    np.testing.assert_allclose(result.sq_dists, d2, rtol=tol, atol=tol)
-
-
-def test_pruning_reduces_distance_evals(workload):
-    X, centers = workload
-    model = ServedModel.freeze(1, centers)
-    result = assign_serve(X, model)
-    naive_evals = X.shape[0] * centers.shape[0]
-    assert result.n_dist_evals < naive_evals
-    assert result.n_pruned > 0
-    assert 0.0 < result.prune_fraction <= 1.0
+    np.testing.assert_array_equal(result.sq_dists, d2)
 
 
 def test_prune_false_is_exactly_the_naive_path(workload):
+    """Serving prunes nothing: every call is the naive path, bits and work."""
     X, centers = workload
     model = ServedModel.freeze(1, centers)
-    result = assign_serve(X, model, prune=False, return_sq_dists=True)
+    result = assign_serve(X, model, return_sq_dists=True)
     labels, d2 = naive(X, centers)
     np.testing.assert_array_equal(result.labels, labels)
     np.testing.assert_array_equal(result.sq_dists, d2)
     assert result.n_dist_evals == X.shape[0] * centers.shape[0]
-    assert result.n_pruned == 0
+    with pytest.raises(TypeError):
+        assign_serve(X, model, prune=False)
 
 
 def test_micro_batch_split_invariance(workload):
@@ -79,7 +66,6 @@ def test_worker_count_invariance(workload):
         parallel = assign_serve(X, model)
     np.testing.assert_array_equal(serial.labels, parallel.labels)
     assert serial.n_dist_evals == parallel.n_dist_evals
-    assert serial.n_pruned == parallel.n_pruned
 
 
 def test_duplicate_centers_tie_break_matches_naive():
@@ -112,7 +98,6 @@ def test_single_point_and_empty(workload):
     assert empty.labels.shape == (0,)
     assert empty.sq_dists.shape == (0,)
     assert empty.n_dist_evals == 0
-    assert empty.prune_fraction == 0.0
 
 
 def test_tiny_k_falls_back_to_full_rows():
@@ -123,7 +108,7 @@ def test_tiny_k_falls_back_to_full_rows():
     result = assign_serve(X, model)
     labels, _ = naive(X, centers)
     np.testing.assert_array_equal(result.labels, labels)
-    assert result.n_pruned == 0  # no index for k < 4
+    assert result.n_dist_evals == X.shape[0] * centers.shape[0]
 
 
 def test_dimension_mismatch_raises(workload):

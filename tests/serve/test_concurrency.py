@@ -90,7 +90,9 @@ def test_lagging_reader_survives_aggressive_retirement(workload):
     before = active_owned_segments()
     with ModelRegistry(shared=True, keep_versions=0) as registry:
         held = registry.publish(centers)
-        expected = assign_serve(X[:64], held, prune=False).labels
+        expected = assign_labels(
+            *_as_working(X[:64], np.asarray(held.centers))
+        )
         stop = threading.Event()
 
         def writer() -> None:

@@ -1,4 +1,4 @@
-"""ServedModel and PruneIndex: freezing, geometry, caching, pickling."""
+"""ServedModel: freezing, validation, read-only centers, pickling."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.serve.model import PruneIndex, ServedModel
+from repro.serve.model import ServedModel
 
 
 def test_freeze_basics(blobs):
@@ -65,50 +65,3 @@ def test_pickle_round_trip(blobs):
         np.asarray(clone.centers), np.asarray(model.centers)
     )
 
-
-class TestPruneIndex:
-    def test_tiny_k_builds_no_index(self):
-        rng = np.random.default_rng(0)
-        for k in (1, 2, 3):
-            assert PruneIndex.build(rng.normal(size=(k, 3)), np.float64) is None
-
-    def test_coincident_centers_build_no_index(self):
-        assert PruneIndex.build(np.ones((10, 3)), np.float64) is None
-
-    def test_partition_covers_every_center(self):
-        rng = np.random.default_rng(1)
-        C = rng.normal(size=(25, 4))
-        index = PruneIndex.build(C, np.float64)
-        assert index is not None
-        assert index.n_groups >= 2
-        assert index.starts[-1] == 25
-        assert sorted(index.perm.tolist()) == list(range(25))
-        np.testing.assert_array_equal(
-            index.group_sizes, np.diff(index.starts)
-        )
-        np.testing.assert_array_equal(index.Cg, index.Cw[index.perm])
-
-    def test_radius_bounds_members(self):
-        rng = np.random.default_rng(2)
-        C = rng.normal(size=(30, 3))
-        index = PruneIndex.build(C, np.float64)
-        for gi in range(index.n_groups):
-            members = index.perm[index.starts[gi]:index.starts[gi + 1]]
-            dists = np.linalg.norm(C[members] - index.reps_w[gi], axis=1)
-            assert (dists <= index.radius_hi[gi]).all()
-
-    def test_separation_bound_is_a_lower_bound(self):
-        rng = np.random.default_rng(3)
-        C = rng.normal(size=(20, 5))
-        index = PruneIndex.build(C, np.float64)
-        D = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=2)
-        np.fill_diagonal(D, np.inf)
-        assert (index.s_half_lo <= D.min(axis=1) / 2.0 + 1e-12).all()
-
-    def test_index_is_cached_per_dtype(self, blobs):
-        X, _ = blobs
-        model = ServedModel.freeze(1, X[:12])
-        first = model.index_for(np.float64)
-        assert model.index_for(np.float64) is first
-        other = model.index_for(np.float32)
-        assert other is not first

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.gauss_mixture import make_gauss_mixture
 from repro.exceptions import ValidationError
+from repro.linalg import sparse as _sparse
 from repro.serve import ModelRegistry, StreamingRefresher, fold_centers, offline_fold
 
 
@@ -132,6 +133,56 @@ class TestStreamingRefresher:
         np.testing.assert_array_equal(
             np.asarray(via_labels.centers), np.asarray(via_assign.centers)
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_batch_rejected_before_folding(self, workload, bad):
+        X, centers = workload
+        good = batches_of(X, 300)
+        poisoned = good[2].copy()
+        poisoned[7, 3] = bad
+        with ModelRegistry(shared=False, keep_versions=20) as registry:
+            registry.publish(centers)
+            refresher = StreamingRefresher(registry, publish_every=2)
+            published = []
+            for i, batch in enumerate(good):
+                if i == 3:  # one batch pending, so the sums are not zero
+                    before = (
+                        refresher.n_observed,
+                        refresher._pending_batches,
+                        refresher._sums.copy(),
+                        refresher._counts.copy(),
+                    )
+                    with pytest.raises(ValidationError, match="non-finite"):
+                        refresher.observe(poisoned)
+                    assert refresher.n_observed == before[0]
+                    assert refresher._pending_batches == before[1]
+                    np.testing.assert_array_equal(refresher._sums, before[2])
+                    np.testing.assert_array_equal(refresher._counts, before[3])
+                model = refresher.observe(batch)
+                if model is not None:
+                    published.append(np.asarray(model.centers))
+            model = refresher.flush()
+            if model is not None:
+                published.append(np.asarray(model.centers))
+        reference = offline_fold(centers, good, publish_every=2)
+        assert len(published) == len(reference) > 1
+        for got, want in zip(published, reference):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.skipif(not _sparse.HAVE_SCIPY, reason="needs scipy")
+    def test_non_finite_csr_batch_rejected(self, workload):
+        from scipy.sparse import csr_matrix
+
+        X, centers = workload
+        poisoned = csr_matrix(X[:50])
+        poisoned.data[11] = np.nan
+        with ModelRegistry(shared=False) as registry:
+            registry.publish(centers)
+            refresher = StreamingRefresher(registry, publish_every=1)
+            with pytest.raises(ValidationError):
+                refresher.observe(poisoned)
+            assert refresher.n_observed == 0
+            assert registry.current().version == 1
 
     def test_flush_without_pending_is_noop(self, workload):
         _, centers = workload

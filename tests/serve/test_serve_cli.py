@@ -11,11 +11,10 @@ from repro.cli import build_parser, main
 def test_parser_accepts_serve_flags():
     args = build_parser().parse_args(
         ["serve", "-k", "8", "--queries", "4", "--max-wait-us", "50",
-         "--no-prune", "--refresh-every", "2"]
+         "--refresh-every", "2"]
     )
     assert args.command == "serve"
     assert args.k == 8
-    assert args.no_prune
     assert args.refresh_every == 2
 
 
@@ -32,10 +31,14 @@ def test_serve_end_to_end_generated(capsys):
 
 
 def test_serve_with_refresh_and_no_prune(capsys):
+    """Refresh runs end to end; the removed ``--no-prune`` flag is refused."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "--no-prune"])
+    capsys.readouterr()
     code = main(
         ["serve", "--n", "300", "--d", "3", "-k", "6", "--queries", "8",
          "--query-points", "8", "--threads", "2", "--refresh-every", "2",
-         "--no-prune", "--seed", "5"]
+         "--seed", "5"]
     )
     out = capsys.readouterr().out
     assert code == 0

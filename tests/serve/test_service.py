@@ -9,8 +9,11 @@ import pytest
 
 from repro.data.gauss_mixture import make_gauss_mixture
 from repro.exceptions import ValidationError
+from repro.linalg import sparse as _sparse
 from repro.linalg.distances import _as_working, assign_labels
 from repro.serve import AssignmentService, ModelRegistry
+from repro.serve import assign as serve_assign
+from repro.serve.service import _Request
 
 
 @pytest.fixture(scope="module")
@@ -134,14 +137,97 @@ def test_mixed_dtype_requests_share_a_batch(workload, registry):
     )
 
 
-def test_prune_and_no_prune_agree(workload, registry):
-    X, _ = workload
-    with AssignmentService(registry, prune=True) as pruned, AssignmentService(
-        registry, prune=False
-    ) as plain:
+def test_one_assign_labels_call_per_group(workload, registry, monkeypatch):
+    """A coalesced batch is one kernel call per (sparsity, dtype) group."""
+    X, centers = workload
+    calls = []
+    kernel = serve_assign.assign_labels
+
+    def spy(Xw, Cw, **kwargs):
+        calls.append((_sparse.is_sparse(Xw), Xw.dtype.str, Xw.shape[0]))
+        return kernel(Xw, Cw, **kwargs)
+
+    monkeypatch.setattr(serve_assign, "assign_labels", spy)
+    parts = [
+        X[:10],
+        X[10:30].astype(np.float32),
+        X[30:40],
+        X[40:45].astype(np.float32),
+    ]
+    # Centers are float64, so every group's working dtype is too; the
+    # float32 requests still make their own call.
+    f64 = np.dtype(np.float64).str
+    expected_calls = [(False, f64, 20), (False, f64, 25)]
+    if _sparse.HAVE_SCIPY:
+        from scipy.sparse import csr_matrix
+
+        parts += [csr_matrix(X[45:60]), csr_matrix(X[60:62])]
+        expected_calls.append((True, f64, 17))
+    batch = [_Request(points) for points in parts]
+    with AssignmentService(registry) as service:
+        service._serve_batch(batch, fast_path=False)
+    assert sorted(calls) == expected_calls
+    total = sum(p.shape[0] for p in parts)
+    for request, points in zip(batch, parts):
+        assert request.error is None
+        assert request.response.batch_points == total
         np.testing.assert_array_equal(
-            pruned.assign(X[:200]).labels, plain.assign(X[:200]).labels
+            request.response.labels, assign_labels(points, centers)
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_request_rejected_before_queueing(workload, registry, bad):
+    X, centers = workload
+    poisoned = X[200:232].copy()
+    poisoned[5, 1] = bad
+    good = X[:64]
+    errors: list[BaseException] = []
+    out = {}
+    with AssignmentService(registry, max_wait_us=20_000.0) as service:
+        barrier = threading.Barrier(3)
+
+        def finite_client():
+            barrier.wait()
+            out["labels"] = service.assign(good).labels
+
+        def bad_client(points):
+            barrier.wait()
+            try:
+                service.assign(points)
+            except ValidationError as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=finite_client),
+            threading.Thread(target=bad_client, args=(poisoned,)),
+            threading.Thread(target=bad_client, args=(poisoned[5],)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        stats = service.stats()
+    assert len(errors) == 2
+    assert all("non-finite" in str(exc) for exc in errors)
+    np.testing.assert_array_equal(out["labels"], naive_labels(good, centers))
+    # Rejected in the caller: neither bad request joined a batch.
+    assert stats.n_requests == 1
+    assert stats.n_points == good.shape[0]
+
+
+@pytest.mark.skipif(not _sparse.HAVE_SCIPY, reason="needs scipy")
+def test_non_finite_csr_request_rejected(workload, registry):
+    from scipy.sparse import csr_matrix
+
+    X, _ = workload
+    poisoned = csr_matrix(X[:8])
+    poisoned.data[3] = np.nan
+    with AssignmentService(registry) as service:
+        with pytest.raises(ValidationError):
+            service.assign(poisoned)
+        assert service.stats().n_requests == 0
 
 
 def test_return_sq_dists(workload, registry):
@@ -152,7 +238,7 @@ def test_return_sq_dists(workload, registry):
         _, d2 = assign_labels(
             *_as_working(X[:30], np.asarray(centers)), return_sq_dists=True
         )
-        np.testing.assert_allclose(response.sq_dists, d2, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(response.sq_dists, d2)
 
 
 def test_dimension_mismatch_raises_in_caller(workload, registry):
