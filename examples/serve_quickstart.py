@@ -4,9 +4,9 @@ Walks the serving stack end to end:
 
 1. train a model with k-means|| and publish it into a
    :class:`repro.ModelRegistry` (versioned, atomically swappable);
-2. hammer the micro-batching :class:`repro.AssignmentService` from a
-   small fleet of threads — concurrent requests coalesce into single
-   chunked-engine GEMMs;
+2. hammer the :class:`repro.AssignmentService` from a small fleet of
+   threads — each request is one ``assign_labels`` call on its own
+   thread, and the threads run the kernel side by side;
 3. stream fresh mini-batches through a
    :class:`repro.StreamingRefresher`, which folds them into the center
    estimates and publishes new versions without ever blocking readers.
@@ -50,7 +50,7 @@ def main() -> None:
               f"(k={registry.current().k}, d={registry.current().d})")
 
         # -- serve from a fleet of client threads ----------------------
-        with AssignmentService(registry, max_batch=512) as service:
+        with AssignmentService(registry) as service:
             cursor = iter(queries)
             lock = threading.Lock()
 
@@ -70,12 +70,10 @@ def main() -> None:
                 t.join()
 
             stats = service.stats()
-            print(f"served {stats.n_requests} requests in {stats.n_batches} "
-                  f"GEMM batches (mean {stats.mean_batch_points:.0f} points, "
-                  f"{stats.n_fast_path} fast-path)")
+            print(f"served {stats.n_requests} requests "
+                  f"({stats.n_points:,} points) from {len(threads)} threads")
             print(f"distance evals: {stats.n_dist_evals:,} "
-                  f"({stats.n_points:,} points x {registry.current().k} "
-                  f"centers)")
+                  f"(points x {registry.current().k} centers)")
 
         # -- refresh the model from a stream ---------------------------
         refresher = StreamingRefresher(registry, publish_every=4)

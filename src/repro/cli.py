@@ -187,10 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Train (or load) a center set, publish it through the model "
             "registry, and drive a concurrent query stream through the "
-            "micro-batching assignment service — reporting throughput, "
-            "coalescing behavior and (with --refresh-every) streaming "
-            "model refresh. Labels are bit-identical to assign_labels "
-            "against the served centers; this command re-checks that on "
+            "assignment service, each request served on its client "
+            "thread — reporting throughput and (with --refresh-every) "
+            "streaming model refresh. Labels are bit-identical to "
+            "assign_labels against the centers of the version that "
+            "served them; this command re-checks every response on "
             "every run."
         ),
     )
@@ -220,18 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent client threads (default: 8)",
     )
     serve_p.add_argument(
-        "--max-batch", type=int, default=4096, metavar="P",
-        help="micro-batch coalescing target, in points (default: 4096)",
-    )
-    serve_p.add_argument(
-        "--max-wait-us", type=float, default=200.0, metavar="US",
-        help="leader linger for followers, microseconds (default: 200)",
-    )
-    serve_p.add_argument(
         "--refresh-every", type=int, default=0, metavar="B",
         help=(
-            "fold every served batch into a streaming refresher and publish "
-            "a new model version every B batches (default: 0 = off)"
+            "fold every served request into a streaming refresher and "
+            "publish a new model version every B requests (default: 0 = off)"
         ),
     )
     serve_p.add_argument(
@@ -402,7 +395,7 @@ def _run_data(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` subcommand: model registry + micro-batched queries."""
+    """The ``serve`` subcommand: model registry + concurrent queries."""
     import threading
     import time
 
@@ -458,15 +451,17 @@ def _run_serve(args: argparse.Namespace) -> int:
     ]
 
     with ModelRegistry(keep_versions=args.keep_versions) as registry:
-        registry.publish(centers)
+        # Every version's centers, recorded as it is published: the
+        # registry retires old versions, and the audit below must still
+        # re-check the responses they served.
+        first = registry.publish(centers)
+        published = {first.version: np.array(first.centers)}
         refresher = (
             StreamingRefresher(registry, publish_every=args.refresh_every)
             if args.refresh_every > 0
             else None
         )
-        service = AssignmentService(
-            registry, max_batch=args.max_batch, max_wait_us=args.max_wait_us
-        )
+        service = AssignmentService(registry)
         responses: list = [None] * len(queries)
         cursor = iter(range(len(queries)))
         lock = threading.Lock()
@@ -479,7 +474,10 @@ def _run_serve(args: argparse.Namespace) -> int:
                     return
                 responses[i] = service.assign(queries[i])
                 if refresher is not None:
-                    refresher.observe(queries[i], labels=None)
+                    model = refresher.observe(queries[i])
+                    if model is not None:
+                        with lock:
+                            published[model.version] = np.array(model.centers)
 
         t0 = time.perf_counter()
         workers = [
@@ -497,10 +495,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         total_points = stats.n_points
         print(f"served {stats.n_requests} requests / {total_points} points "
               f"in {wall:.3f}s  ({total_points / wall:,.0f} points/s)")
-        print(f"    batches={stats.n_batches} "
-              f"mean_batch={stats.mean_batch_points:.1f}pt "
-              f"max_batch={stats.max_batch_points}pt "
-              f"fast_path={stats.n_fast_path}")
         print(f"    dist_evals={stats.n_dist_evals}")
         if refresher is not None:
             print(f"    refresh: observed={refresher.n_observed}pt "
@@ -510,19 +504,18 @@ def _run_serve(args: argparse.Namespace) -> int:
 
         # Identity gate: every response must match assign_labels against
         # the centers of the version it was served under.
-        checked = 0
         for query, response in zip(queries, responses):
-            try:
-                served = registry.get(response.version)
-            except KeyError:
-                continue  # version retired since; centers are gone
-            expected = assign_labels(query, served.centers)
-            if not np.array_equal(response.labels, expected):
-                print("IDENTITY CHECK FAILED", file=sys.stderr)
+            if response.version not in published:
+                print(f"IDENTITY CHECK FAILED: v{response.version} was "
+                      f"never recorded as published", file=sys.stderr)
                 return 1
-            checked += 1
-        print(f"    identity: {checked}/{len(queries)} responses re-checked "
-              f"against assign_labels — identical")
+            expected = assign_labels(query, published[response.version])
+            if not np.array_equal(response.labels, expected):
+                print(f"IDENTITY CHECK FAILED under v{response.version}",
+                      file=sys.stderr)
+                return 1
+        print(f"    identity: {len(queries)}/{len(queries)} responses "
+              f"re-checked against assign_labels — identical")
     return 0
 
 

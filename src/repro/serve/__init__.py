@@ -1,4 +1,4 @@
-"""Low-latency serving path: registry, assignment, micro-batching.
+"""Low-latency serving path: registry, assignment, streaming refresh.
 
 The training side of this repository ends with a center matrix; this
 package is what happens *after* — answering nearest-center queries at
@@ -10,8 +10,9 @@ serving rates:
 * :func:`~repro.serve.assign.assign_serve` — one
   :func:`~repro.linalg.distances.assign_labels` call against a served
   model, with that kernel's labels and distances bit for bit;
-* :class:`~repro.serve.service.AssignmentService` — leader/follower
-  micro-batching of concurrent callers into single chunked-engine runs;
+* :class:`~repro.serve.service.AssignmentService` — the thread-safe
+  front end: each request is one ``assign_serve`` call on its caller's
+  thread, against the version current when it arrived;
 * :class:`~repro.serve.refresh.StreamingRefresher` — mini-batch folding
   of observed data into fresh model versions without blocking readers.
 """

@@ -31,22 +31,17 @@ __all__ = ["AssignResult", "assign_serve"]
 
 @dataclass
 class AssignResult:
-    """Outcome + work telemetry of one (micro-batched) assignment call."""
+    """Outcome + work telemetry of one assignment call."""
 
     labels: IntArray
-    sq_dists: FloatArray | None
+    sq_dists: FloatArray
     version: int | None
     n_points: int
     #: Point-center distance evaluations performed: ``n_points * k``.
     n_dist_evals: int
 
 
-def assign_serve(
-    X: FloatArray,
-    model: ServedModel,
-    *,
-    return_sq_dists: bool = False,
-) -> AssignResult:
+def assign_serve(X: FloatArray, model: ServedModel) -> AssignResult:
     """Nearest-center assignment against a :class:`ServedModel`.
 
     Labels and ``sq_dists`` are bit-identical to ``assign_labels`` on
@@ -73,7 +68,7 @@ def assign_serve(
     n = X.shape[0]
     return AssignResult(
         labels=labels,
-        sq_dists=best if return_sq_dists else None,
+        sq_dists=best,
         version=model.version,
         n_points=n,
         n_dist_evals=n * model.k,

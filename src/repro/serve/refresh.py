@@ -34,42 +34,26 @@ from repro.linalg.distances import assign_labels
 from repro.serve.assign import assign_serve
 from repro.serve.model import ServedModel
 from repro.serve.registry import ModelRegistry
-from repro.types import FloatArray, IntArray
+from repro.types import FloatArray
 from repro.utils.validation import check_finite
 
 __all__ = ["StreamingRefresher", "fold_centers", "offline_fold"]
 
 
 def fold_centers(
-    centers: FloatArray,
-    sums: FloatArray,
-    counts: FloatArray,
-    *,
-    prior_weight: float = 0.0,
+    centers: FloatArray, sums: FloatArray, counts: FloatArray
 ) -> FloatArray:
     """Collapse accumulated evidence into new centers (float64).
 
-    Centers that observed mass move to the (prior-blended) mean of their
-    points; centers with zero observed mass keep their previous row
-    **bit-exactly** — no multiply-by-one round trip.
-
-    ``prior_weight`` is the mini-batch damping term: each old center
-    counts as that many phantom points at its current position, so small
-    batches nudge rather than teleport centers (``c_new = (w*c_old +
-    sum) / (w + count)``).  0 gives the plain batch mean.
+    Centers that observed mass move to the mean of their points; centers
+    with zero observed mass keep their previous row **bit-exactly** — no
+    multiply-by-one round trip.
     """
-    if prior_weight < 0:
-        raise ValidationError(
-            f"prior_weight must be >= 0, got {prior_weight}"
-        )
     centers = np.asarray(centers, dtype=np.float64)
     new = centers.copy()
     moved = np.asarray(counts) > 0
     if moved.any():
-        w = float(prior_weight)
-        new[moved] = (w * centers[moved] + sums[moved]) / (
-            w + counts[moved, None]
-        )
+        new[moved] = sums[moved] / counts[moved, None]
     return new
 
 
@@ -80,39 +64,18 @@ class StreamingRefresher:
     ----------
     publish_every:
         Publish after this many observed batches (``None`` = never on
-        count; call :meth:`flush` or rely on ``drift_threshold``).
-    drift_threshold:
-        Publish as soon as the folded centers would move any center at
-        least this far (Euclidean, float64) from the served ones.
-    prior_weight:
-        Phantom mass at each old center per publish — see
-        :func:`fold_centers`.
+        count; call :meth:`flush`).
     """
 
     def __init__(
-        self,
-        registry: ModelRegistry,
-        *,
-        publish_every: int | None = None,
-        drift_threshold: float | None = None,
-        prior_weight: float = 0.0,
+        self, registry: ModelRegistry, *, publish_every: int | None = None
     ):
         if publish_every is not None and publish_every < 1:
             raise ValidationError(
                 f"publish_every must be >= 1, got {publish_every}"
             )
-        if drift_threshold is not None and drift_threshold < 0:
-            raise ValidationError(
-                f"drift_threshold must be >= 0, got {drift_threshold}"
-            )
-        if prior_weight < 0:
-            raise ValidationError(
-                f"prior_weight must be >= 0, got {prior_weight}"
-            )
         self._registry = registry
         self._publish_every = publish_every
-        self._drift_threshold = drift_threshold
-        self._prior_weight = float(prior_weight)
         self._lock = threading.Lock()
         model = registry.current()  # refresher needs a base model
         self._model = model
@@ -128,17 +91,14 @@ class StreamingRefresher:
         """The model evidence is currently accumulated against."""
         return self._model
 
-    def observe(
-        self, batch: FloatArray, labels: IntArray | None = None
-    ) -> ServedModel | None:
+    def observe(self, batch: FloatArray) -> ServedModel | None:
         """Fold one mini-batch; returns the new model if one was published.
 
-        ``labels`` short-circuits assignment when the caller already has
-        them (e.g. the serving path just computed them) — they must be
-        against :attr:`model`, i.e. the version this refresher last
-        published or was created from.  A batch with a NaN or an
-        infinity is rejected before anything is folded: one such row
-        would poison the running sums and every later publish.
+        The batch is assigned against :attr:`model`, the version this
+        refresher last published or was created from.  A batch that is
+        not real numbers, or holds a NaN or an infinity, is rejected
+        before anything is folded: one such row would poison the running
+        sums and every later publish.
         """
         if _sparse.is_sparse(batch):
             X = _sparse.to_csr(batch)
@@ -157,20 +117,17 @@ class StreamingRefresher:
                     f"dimension mismatch: batch has d={X.shape[1]}, "
                     f"model has d={model.d}"
                 )
-            if labels is None:
-                labels = assign_serve(X, model).labels
-            else:
-                labels = np.asarray(labels)
-                if labels.shape != (X.shape[0],):
-                    raise ValidationError(
-                        f"labels shape {labels.shape} does not match "
-                        f"batch of {X.shape[0]} points"
-                    )
+            labels = assign_serve(X, model).labels
             self._sums += cluster_sums(X, labels, model.k)
             self._counts += cluster_sizes(labels, model.k)
             self._pending_batches += 1
             self.n_observed += X.shape[0]
-            return self._maybe_publish_locked()
+            if (
+                self._publish_every is not None
+                and self._pending_batches >= self._publish_every
+            ):
+                return self._publish_locked()
+            return None
 
     def flush(self) -> ServedModel | None:
         """Publish whatever evidence is pending (no-op when none)."""
@@ -180,31 +137,9 @@ class StreamingRefresher:
             return self._publish_locked()
 
     # ------------------------------------------------------------------
-    def _maybe_publish_locked(self) -> ServedModel | None:
-        due = (
-            self._publish_every is not None
-            and self._pending_batches >= self._publish_every
-        )
-        if not due and self._drift_threshold is not None:
-            folded = fold_centers(
-                self._model.centers,
-                self._sums,
-                self._counts,
-                prior_weight=self._prior_weight,
-            )
-            drift = np.sqrt(
-                ((folded - np.asarray(self._model.centers, dtype=np.float64))
-                 ** 2).sum(axis=1)
-            ).max()
-            due = drift >= self._drift_threshold
-        return self._publish_locked() if due else None
-
     def _publish_locked(self) -> ServedModel:
         new_centers = fold_centers(
-            self._model.centers,
-            self._sums,
-            self._counts,
-            prior_weight=self._prior_weight,
+            self._model.centers, self._sums, self._counts
         ).astype(self._model.dtype)
         model = self._registry.publish(new_centers)
         self._model = model
@@ -226,15 +161,14 @@ def offline_fold(
     batches: list[FloatArray],
     *,
     publish_every: int | None = None,
-    drift_threshold: float | None = None,
-    prior_weight: float = 0.0,
 ) -> list[FloatArray]:
     """Reference replay of the streaming refresh with naive assignment.
 
     Returns the list of center matrices a :class:`StreamingRefresher`
-    (same knobs, plus a trailing flush) publishes — computed with the
-    plain :func:`~repro.linalg.distances.assign_labels` kernel and the
-    same fold arithmetic.  The property tests assert bit-identity.
+    (same ``publish_every``, plus a trailing flush) publishes — computed
+    with the plain :func:`~repro.linalg.distances.assign_labels` kernel
+    and the same fold arithmetic.  The property tests assert
+    bit-identity.
     """
     current = np.asarray(centers, dtype=np.float64)
     dtype = np.asarray(centers).dtype
@@ -247,9 +181,7 @@ def offline_fold(
     published: list[FloatArray] = []
 
     def fold() -> FloatArray:
-        return fold_centers(
-            current.astype(dtype), sums, counts, prior_weight=prior_weight
-        )
+        return fold_centers(current.astype(dtype), sums, counts).astype(dtype)
 
     for batch in batches:
         X = np.asarray(batch)
@@ -257,22 +189,13 @@ def offline_fold(
         sums += cluster_sums(X, labels, k)
         counts += cluster_sizes(labels, k)
         pending += 1
-        due = publish_every is not None and pending >= publish_every
-        if not due and drift_threshold is not None:
-            folded = fold()
-            drift = np.sqrt(
-                ((folded - current.astype(dtype).astype(np.float64)) ** 2)
-                .sum(axis=1)
-            ).max()
-            due = drift >= drift_threshold
-        if due:
-            new = fold().astype(dtype)
+        if publish_every is not None and pending >= publish_every:
+            new = fold()
             published.append(new)
             current = new.astype(np.float64)
             sums[:] = 0.0
             counts[:] = 0.0
             pending = 0
     if pending:
-        new = fold().astype(dtype)
-        published.append(new)
+        published.append(fold())
     return published

@@ -49,9 +49,14 @@ def check_array(
         Force a copy even when *X* is already a conforming ndarray.
     """
     try:
-        arr = np.array(X, dtype=np.float64, copy=copy or None, order="C")
+        arr = np.asarray(X)
+        # Cast after the complex check: the cast would keep the real part.
+        if arr.dtype.kind != "c":
+            arr = np.array(arr, dtype=np.float64, copy=copy or None, order="C")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} is not convertible to a float array: {exc}") from exc
+    if arr.dtype.kind == "c":
+        raise ValidationError(f"{name} must hold real numbers, got dtype {arr.dtype}")
     if arr.ndim == 1:
         if not allow_1d:
             raise ValidationError(
@@ -72,11 +77,15 @@ def check_array(
 
 
 def check_finite(values: np.ndarray, *, name: str = "X") -> None:
-    """Raise if *values* holds a NaN or an infinity.
+    """Raise unless *values* holds only real, finite numbers.
 
-    A CSR matrix's implicit zeros are finite, so its callers pass its
-    stored ``.data``.
+    Boolean, integer and floating dtypes pass; any other dtype (complex,
+    object, string, ...) raises, as does a NaN or an infinity.  A CSR
+    matrix's implicit zeros are finite, so its callers pass its stored
+    ``.data``.
     """
+    if values.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must hold real numbers, got dtype {values.dtype}")
     if not np.isfinite(values).all():
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise ValidationError(f"{name} contains {bad} non-finite value(s) (nan/inf)")

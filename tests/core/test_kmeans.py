@@ -121,7 +121,24 @@ class TestPredictTransformScore:
         assert "k-means||" in text
 
 
+NOT_REAL = {
+    "complex": lambda X: X.astype(np.complex128),
+    "object": lambda X: X.astype(np.complex128).astype(object),
+    "string": lambda X: np.full(X.shape, "x"),
+}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("kind", sorted(NOT_REAL))
+    def test_fit_and_predict_reject_non_real_points(self, blobs, kind):
+        X, _ = blobs
+        bad = NOT_REAL[kind](X)
+        with pytest.raises(ValidationError):
+            KMeans(n_clusters=5, seed=0).fit(bad)
+        model = KMeans(n_clusters=5, seed=0).fit(X)
+        with pytest.raises(ValidationError):
+            model.predict(bad)
+
     def test_n_too_small(self):
         with pytest.raises(ValidationError, match="at least"):
             KMeans(n_clusters=10).fit(np.ones((3, 2)))

@@ -2,7 +2,7 @@
 
 Two contracts under arbitrary adversarial instances:
 
-* **Assignment identity** — micro-batched assignment returns labels
+* **Assignment identity** — ``assign_serve`` returns labels
   bit-identical to ``assign_labels`` (lowest-index ties and all) for
   any batch split, any engine worker count, and both working dtypes.
   This is the guarantee the whole serving path leans on; it rests on
@@ -65,7 +65,7 @@ class TestAssignIdentity:
         X, k = data.draw(points_and_k(min_rows=4))
         centers = X[:k].copy()
         model = ServedModel.freeze(1, centers)
-        result = assign_serve(X, model, return_sq_dists=True)
+        result = assign_serve(X, model)
         _, d2 = assign_labels(
             *_as_working(X, centers), return_sq_dists=True
         )
@@ -80,8 +80,6 @@ class TestRefreshIdentity:
         centers = X[:k].copy()
         n_batches = data.draw(st.integers(1, 4))
         publish_every = data.draw(st.sampled_from([1, 2, None]))
-        prior = data.draw(st.sampled_from([0.0, 2.5]))
-        drift = None if publish_every is not None else 0.0
         batches = [
             np.asarray(part)
             for part in np.array_split(X, n_batches)
@@ -89,12 +87,7 @@ class TestRefreshIdentity:
         ]
         with ModelRegistry(shared=False, keep_versions=50) as registry:
             registry.publish(centers)
-            refresher = StreamingRefresher(
-                registry,
-                publish_every=publish_every,
-                drift_threshold=drift,
-                prior_weight=prior,
-            )
+            refresher = StreamingRefresher(registry, publish_every=publish_every)
             published = []
             for batch in batches:
                 model = refresher.observe(batch)
@@ -103,13 +96,7 @@ class TestRefreshIdentity:
             model = refresher.flush()
             if model is not None:
                 published.append(np.asarray(model.centers))
-        reference = offline_fold(
-            centers,
-            batches,
-            publish_every=publish_every,
-            drift_threshold=drift,
-            prior_weight=prior,
-        )
+        reference = offline_fold(centers, batches, publish_every=publish_every)
         assert len(published) == len(reference)
         for got, want in zip(published, reference):
             np.testing.assert_array_equal(got, want)

@@ -27,7 +27,7 @@ def naive(X, centers):
 def test_labels_bit_identical_to_naive(workload, dtype):
     X, centers = workload
     model = ServedModel.freeze(1, centers.astype(dtype))
-    result = assign_serve(X.astype(dtype), model, return_sq_dists=True)
+    result = assign_serve(X.astype(dtype), model)
     labels, d2 = naive(X.astype(dtype), centers.astype(dtype))
     np.testing.assert_array_equal(result.labels, labels)
     np.testing.assert_array_equal(result.sq_dists, d2)
@@ -37,7 +37,7 @@ def test_prune_false_is_exactly_the_naive_path(workload):
     """Serving prunes nothing: every call is the naive path, bits and work."""
     X, centers = workload
     model = ServedModel.freeze(1, centers)
-    result = assign_serve(X, model, return_sq_dists=True)
+    result = assign_serve(X, model)
     labels, d2 = naive(X, centers)
     np.testing.assert_array_equal(result.labels, labels)
     np.testing.assert_array_equal(result.sq_dists, d2)
@@ -94,7 +94,7 @@ def test_single_point_and_empty(workload):
     one = assign_serve(X[:1], model)
     labels, _ = naive(X[:1], centers)
     np.testing.assert_array_equal(one.labels, labels)
-    empty = assign_serve(X[:0], model, return_sq_dists=True)
+    empty = assign_serve(X[:0], model)
     assert empty.labels.shape == (0,)
     assert empty.sq_dists.shape == (0,)
     assert empty.n_dist_evals == 0

@@ -38,7 +38,7 @@ def test_no_torn_reads_during_version_flips(workload):
     # Retain every version so each response can be audited afterwards.
     with ModelRegistry(shared=True, keep_versions=N_VERSIONS + 1) as registry:
         registry.publish(centers)
-        service = AssignmentService(registry, max_wait_us=500.0)
+        service = AssignmentService(registry)
         results: list[tuple[np.ndarray, object]] = []
         results_lock = threading.Lock()
         start = threading.Barrier(N_CLIENTS + 1)

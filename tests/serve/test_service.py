@@ -1,8 +1,10 @@
-"""AssignmentService: micro-batching, fast path, dtype grouping, errors."""
+"""AssignmentService: each request served on its caller's thread, errors."""
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from repro.linalg import sparse as _sparse
 from repro.linalg.distances import _as_working, assign_labels
 from repro.serve import AssignmentService, ModelRegistry
 from repro.serve import assign as serve_assign
-from repro.serve.service import _Request
+from repro.serve import service as serve_service
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,16 @@ def naive_labels(X, centers):
     return assign_labels(*_as_working(np.asarray(X), np.asarray(centers)))
 
 
+def run_threads(targets, timeout=30):
+    """Start one thread per ``(target, args)`` pair and join them all."""
+    threads = [threading.Thread(target=t, args=args) for t, args in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=timeout)
+        assert not t.is_alive()
+
+
 def test_fast_path_single_caller(workload, registry):
     X, centers = workload
     with AssignmentService(registry) as service:
@@ -42,7 +54,6 @@ def test_fast_path_single_caller(workload, registry):
             response.labels, naive_labels(X[:50], centers)
         )
         assert response.version == 1
-        assert response.batch_points == 50
         stats = service.stats()
         assert stats.n_requests == 1
         assert stats.n_batches == 1
@@ -60,26 +71,28 @@ def test_single_point_1d_request(workload, registry):
 
 
 def test_concurrent_callers_coalesce_and_match_naive(workload, registry):
+    """Thirty callers released together each get their own naive labels.
+
+    A short switch interval makes a lost update of the shared counters
+    likely if they were not locked.
+    """
     X, centers = workload
     requests = np.array_split(X, 30)
     responses = [None] * len(requests)
-    # A long linger plus a barrier makes coalescing all but certain.
-    with AssignmentService(registry, max_wait_us=20_000.0) as service:
-        barrier = threading.Barrier(len(requests))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with AssignmentService(registry) as service:
+            barrier = threading.Barrier(len(requests))
 
-        def client(i):
-            barrier.wait()
-            responses[i] = service.assign(requests[i])
+            def client(i):
+                barrier.wait()
+                responses[i] = service.assign(requests[i])
 
-        threads = [
-            threading.Thread(target=client, args=(i,))
-            for i in range(len(requests))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = service.stats()
+            run_threads([(client, (i,)) for i in range(len(requests))])
+            stats = service.stats()
+    finally:
+        sys.setswitchinterval(interval)
 
     for request, response in zip(requests, responses):
         np.testing.assert_array_equal(
@@ -87,93 +100,102 @@ def test_concurrent_callers_coalesce_and_match_naive(workload, registry):
         )
     assert stats.n_requests == len(requests)
     assert stats.n_points == X.shape[0]
-    # Coalescing must actually have happened: fewer batches than requests.
-    assert stats.n_batches < len(requests)
-    assert stats.max_batch_points > max(r.shape[0] for r in requests)
-
-
-def test_max_batch_bounds_drain(workload, registry):
-    X, _ = workload
-    with AssignmentService(registry, max_batch=10, max_wait_us=20_000.0) as service:
-        barrier = threading.Barrier(4)
-        responses = [None] * 4
-
-        def client(i):
-            barrier.wait()
-            responses[i] = service.assign(X[i * 40:(i + 1) * 40])
-
-        threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    assert all(r is not None for r in responses)
 
 
 def test_mixed_dtype_requests_share_a_batch(workload, registry):
+    """Concurrent float64, float32 and CSR requests each get their own labels."""
     X, centers = workload
-    with AssignmentService(registry, max_wait_us=20_000.0) as service:
-        barrier = threading.Barrier(2)
-        out = {}
-
-        def client(name, points):
-            barrier.wait()
-            out[name] = service.assign(points)
-
-        a = threading.Thread(
-            target=client, args=("f64", X[:80].astype(np.float64))
-        )
-        b = threading.Thread(
-            target=client, args=("f32", X[80:160].astype(np.float32))
-        )
-        a.start(); b.start(); a.join(); b.join()
-
-    np.testing.assert_array_equal(
-        out["f64"].labels, naive_labels(X[:80].astype(np.float64), centers)
-    )
-    np.testing.assert_array_equal(
-        out["f32"].labels,
-        naive_labels(X[80:160].astype(np.float32), centers),
-    )
-
-
-def test_one_assign_labels_call_per_group(workload, registry, monkeypatch):
-    """A coalesced batch is one kernel call per (sparsity, dtype) group."""
-    X, centers = workload
-    calls = []
-    kernel = serve_assign.assign_labels
-
-    def spy(Xw, Cw, **kwargs):
-        calls.append((_sparse.is_sparse(Xw), Xw.dtype.str, Xw.shape[0]))
-        return kernel(Xw, Cw, **kwargs)
-
-    monkeypatch.setattr(serve_assign, "assign_labels", spy)
-    parts = [
-        X[:10],
-        X[10:30].astype(np.float32),
-        X[30:40],
-        X[40:45].astype(np.float32),
-    ]
-    # Centers are float64, so every group's working dtype is too; the
-    # float32 requests still make their own call.
-    f64 = np.dtype(np.float64).str
-    expected_calls = [(False, f64, 20), (False, f64, 25)]
+    requests = {
+        "f64": X[:80].astype(np.float64),
+        "f32": X[80:160].astype(np.float32),
+    }
     if _sparse.HAVE_SCIPY:
         from scipy.sparse import csr_matrix
 
-        parts += [csr_matrix(X[45:60]), csr_matrix(X[60:62])]
-        expected_calls.append((True, f64, 17))
-    batch = [_Request(points) for points in parts]
+        requests["csr"] = csr_matrix(X[160:200])
+    out = {}
     with AssignmentService(registry) as service:
-        service._serve_batch(batch, fast_path=False)
-    assert sorted(calls) == expected_calls
-    total = sum(p.shape[0] for p in parts)
-    for request, points in zip(batch, parts):
-        assert request.error is None
-        assert request.response.batch_points == total
+        barrier = threading.Barrier(len(requests))
+
+        def client(name):
+            barrier.wait()
+            out[name] = service.assign(requests[name])
+
+        run_threads([(client, (name,)) for name in requests])
+
+    for name, points in requests.items():
         np.testing.assert_array_equal(
-            request.response.labels, assign_labels(points, centers)
+            out[name].labels, assign_labels(points, np.asarray(centers))
         )
+
+
+def test_concurrent_calls_are_in_the_kernel_together(
+    workload, registry, monkeypatch
+):
+    """A second caller does not wait for the first to leave the kernel."""
+    X, centers = workload
+    inside = threading.Barrier(2, timeout=10)
+    kernel = serve_assign.assign_labels
+
+    def spy(Xw, Cw, **kwargs):
+        inside.wait()  # breaks after 10 s unless both calls get here
+        return kernel(Xw, Cw, **kwargs)
+
+    monkeypatch.setattr(serve_assign, "assign_labels", spy)
+    parts = [X[:30], X[30:70]]
+    out = [None, None]
+    errors = []
+    with AssignmentService(registry) as service:
+
+        def client(i):
+            try:
+                out[i] = service.assign(parts[i])
+            except threading.BrokenBarrierError as exc:
+                errors.append(exc)
+
+        run_threads([(client, (0,)), (client, (1,))])
+    assert errors == []
+    for part, response in zip(parts, out):
+        np.testing.assert_array_equal(
+            response.labels, naive_labels(part, centers)
+        )
+
+
+def test_each_call_is_one_assign_serve_on_its_callers_thread(
+    workload, registry, monkeypatch
+):
+    X, centers = workload
+    calls = []
+    calls_lock = threading.Lock()
+    serve = serve_service.assign_serve
+
+    def spy(points, model):
+        with calls_lock:
+            calls.append((threading.get_ident(), points.shape[0]))
+        time.sleep(0.02)  # keep the others arriving while this call runs
+        return serve(points, model)
+
+    monkeypatch.setattr(serve_service, "assign_serve", spy)
+    parts = np.array_split(X[:120], 6)
+    callers = [None] * len(parts)
+    labels = [None] * len(parts)
+    with AssignmentService(registry) as service:
+        barrier = threading.Barrier(len(parts))
+
+        def client(i):
+            callers[i] = threading.get_ident()
+            barrier.wait()
+            labels[i] = service.assign(parts[i]).labels
+
+        run_threads([(client, (i,)) for i in range(len(parts))])
+        stats = service.stats()
+    assert sorted(calls) == sorted(
+        (ident, part.shape[0]) for ident, part in zip(callers, parts)
+    )
+    for part, got in zip(parts, labels):
+        np.testing.assert_array_equal(got, naive_labels(part, centers))
+    assert stats.n_requests == len(parts)
+    assert stats.n_batches == stats.n_fast_path == stats.n_requests
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -184,7 +206,7 @@ def test_non_finite_request_rejected_before_queueing(workload, registry, bad):
     good = X[:64]
     errors: list[BaseException] = []
     out = {}
-    with AssignmentService(registry, max_wait_us=20_000.0) as service:
+    with AssignmentService(registry) as service:
         barrier = threading.Barrier(3)
 
         def finite_client():
@@ -198,23 +220,34 @@ def test_non_finite_request_rejected_before_queueing(workload, registry, bad):
             except ValidationError as exc:
                 errors.append(exc)
 
-        threads = [
-            threading.Thread(target=finite_client),
-            threading.Thread(target=bad_client, args=(poisoned,)),
-            threading.Thread(target=bad_client, args=(poisoned[5],)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-            assert not t.is_alive()
+        run_threads([
+            (finite_client, ()),
+            (bad_client, (poisoned,)),
+            (bad_client, (poisoned[5],)),
+        ])
         stats = service.stats()
     assert len(errors) == 2
     assert all("non-finite" in str(exc) for exc in errors)
     np.testing.assert_array_equal(out["labels"], naive_labels(good, centers))
-    # Rejected in the caller: neither bad request joined a batch.
+    # Rejected in the caller: neither bad request was served.
     assert stats.n_requests == 1
     assert stats.n_points == good.shape[0]
+
+
+NOT_REAL = {
+    "complex": lambda X: X.astype(np.complex128),
+    "object": lambda X: X.astype(object),
+    "string": lambda X: X.astype(str),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_REAL))
+def test_non_real_request_rejected(workload, registry, kind):
+    X, _ = workload
+    with AssignmentService(registry) as service:
+        with pytest.raises(ValidationError, match="real numbers"):
+            service.assign(NOT_REAL[kind](X[:8]))
+        assert service.stats().n_requests == 0
 
 
 @pytest.mark.skipif(not _sparse.HAVE_SCIPY, reason="needs scipy")
@@ -232,7 +265,7 @@ def test_non_finite_csr_request_rejected(workload, registry):
 
 def test_return_sq_dists(workload, registry):
     X, centers = workload
-    with AssignmentService(registry, return_sq_dists=True) as service:
+    with AssignmentService(registry) as service:
         response = service.assign(X[:30])
         assert response.sq_dists is not None
         _, d2 = assign_labels(
@@ -259,13 +292,6 @@ def test_closed_service_rejects(workload, registry):
     service.close()
     with pytest.raises(ValidationError):
         service.assign(X[:5])
-
-
-def test_knob_validation(registry):
-    with pytest.raises(ValidationError):
-        AssignmentService(registry, max_batch=0)
-    with pytest.raises(ValidationError):
-        AssignmentService(registry, max_wait_us=-1.0)
 
 
 def test_dist_eval_attribution_sums_to_batch_total(workload, registry):

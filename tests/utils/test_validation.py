@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
 from repro.utils.validation import (
     check_array,
+    check_finite,
     check_in_range,
     check_matching_dims,
     check_positive_int,
@@ -68,6 +71,33 @@ class TestCheckArray:
     def test_custom_name_in_message(self):
         with pytest.raises(ValidationError, match="centers"):
             check_array([1.0], name="centers")
+
+    def test_complex_rejected_before_the_cast(self):
+        # The float64 cast would keep the real parts with only a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="real numbers"):
+                check_array(np.array([[1.0 + 2.0j, 3.0]]))
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float16, np.float64])
+    def test_real_dtypes_pass(self, dtype):
+        check_finite(np.ones((2, 3), dtype=dtype))
+
+    @pytest.mark.parametrize("values", [
+        np.ones((2, 3), dtype=np.complex64),
+        np.ones((2, 3)).astype(object),
+        np.array([["1.0", "2.0"]]),
+        np.array([[np.timedelta64(1, "s")]]),
+    ])
+    def test_other_dtypes_rejected(self, values):
+        with pytest.raises(ValidationError, match="real numbers"):
+            check_finite(values, name="points")
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValidationError, match="1 non-finite"):
+            check_finite(np.array([1.0, np.nan]))
 
 
 class TestCheckWeights:
