@@ -36,6 +36,9 @@ is ``>= 0`` is left as it is, which is exact because the expansion never
 yields ``-0.0`` (the last term added, ``||c||^2``, is never ``-0.0``):
 every entry is then already ``>= +0.0``, the clamp would change none,
 and the minimum at the first argmin is the row ``min`` bit for bit.
+An :func:`assign_labels` input that would be one chunk holding one tile
+(a served request, typically) skips the engine and the tile walk and
+runs the same tile body directly (:func:`_assign`).
 
 Hot callers (Lloyd, the seeding loops) evaluate distances against the
 same ``X`` many times; each kernel therefore accepts a precomputed
@@ -136,6 +139,11 @@ _TILE_BYTES = 1 << 20
 _TILE_MIN_ROWS = 256
 
 
+def _tile_step(k: int) -> int:
+    """Rows between tile starts against ``k`` centers."""
+    return max(_TILE_MIN_ROWS, _TILE_BYTES // _row_scratch(k))
+
+
 def _tile_cuts(rows: int, k: int) -> list[int]:
     """Row offsets that cut a chunk of ``rows`` rows into tiles.
 
@@ -145,11 +153,12 @@ def _tile_cuts(rows: int, k: int) -> list[int]:
     that rounds differently from the chunk-sized product.  For the same
     reason a one-column product (``k == 1``), which NumPy hands to a
     matrix-vector routine whose rounding depends on the row count, is
-    never cut.
+    never cut.  A chunk is thus one tile exactly when ``k == 1`` or
+    ``rows < 2 * step``.
     """
     if k == 1:
         return [0, rows]
-    step = max(_TILE_MIN_ROWS, _TILE_BYTES // _row_scratch(k))
+    step = _tile_step(k)
     return [*range(0, max(1, rows // step) * step, step), rows]
 
 
@@ -180,6 +189,30 @@ def _fold(
     return out
 
 
+def _tiles(
+    X: np.ndarray,
+    sl: slice,
+    x_norms_sq: np.ndarray | None,
+    neg2C: np.ndarray,
+    c_norms_sq: np.ndarray,
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(rows, block, xn, buf)`` for each tile of the chunk ``X[sl]``.
+
+    ``rows`` indexes the tile within the chunk, ``block`` and ``xn`` are
+    its points and their norms, and ``buf`` is its view of the one
+    ``(tile, k)`` buffer every tile of the chunk reuses -- the caller
+    reduces a tile before asking for the next.
+    """
+    block = X[sl]
+    xn = np.einsum("ij,ij->i", block, block) if x_norms_sq is None else x_norms_sq[sl]
+    cuts = _tile_cuts(block.shape[0], neg2C.shape[0])
+    buf = np.empty(
+        (cuts[-1] - cuts[-2], neg2C.shape[0]), np.result_type(neg2C, xn, c_norms_sq)
+    )
+    for lo, hi in zip(cuts, cuts[1:]):
+        yield slice(lo, hi), block[lo:hi], xn[lo:hi], buf[: hi - lo]
+
+
 def _sq_dist_tiles(
     X: np.ndarray,
     sl: slice,
@@ -189,20 +222,11 @@ def _sq_dist_tiles(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(rows, d2)`` for each tile of the chunk ``X[sl]``.
 
-    ``rows`` indexes the tile within the chunk; ``d2`` is its unclamped
-    squared-distance block, a view of one buffer every tile of the chunk
-    reuses -- the caller reduces it before asking for the next tile.
+    ``d2`` is the tile's unclamped squared-distance block, folded into
+    its buffer (see :func:`_tiles`).
     """
-    block = X[sl]
-    xn = row_norms_sq(block) if x_norms_sq is None else x_norms_sq[sl]
-    cuts = _tile_cuts(block.shape[0], neg2C.shape[0])
-    buf = np.empty(
-        (cuts[-1] - cuts[-2], neg2C.shape[0]), np.result_type(neg2C, xn, c_norms_sq)
-    )
-    for lo, hi in zip(cuts, cuts[1:]):
-        yield slice(lo, hi), _fold(
-            block[lo:hi], neg2C, xn[lo:hi], c_norms_sq, buf[: hi - lo]
-        )
+    for rows, block, xn, buf in _tiles(X, sl, x_norms_sq, neg2C, c_norms_sq):
+        yield rows, _fold(block, neg2C, xn, c_norms_sq, buf)
 
 
 def _tile_argmin(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,6 +244,23 @@ def _tile_argmin(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx[neg] = np.maximum(d2[neg], 0.0).argmin(axis=1)
         best[neg] = 0.0
     return idx, best
+
+
+def _nearest_tile(
+    block: np.ndarray,
+    neg2C: np.ndarray,
+    x_norms_sq: np.ndarray,
+    c_norms_sq: np.ndarray,
+    buf: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tile body of :func:`assign_labels`: nearest center and its ``d^2``.
+
+    Folds the tile's squared distances into ``buf`` (:func:`_fold`) and
+    reduces them (:func:`_tile_argmin`).  Both of :func:`_assign`'s routes
+    and :func:`_assign_labels_at` run this one function, so they give the
+    same bits.
+    """
+    return _tile_argmin(_fold(block, neg2C, x_norms_sq, c_norms_sq, buf))
 
 
 def _tile_top2(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -524,9 +565,53 @@ def _assign_labels_at(
         at = np.searchsorted(rows, cuts)
         for lo, hi, a, b in zip(cuts, cuts[1:], at, at[1:]):
             if a < b:
-                d2 = _fold(X[lo:hi], neg2C, x_norms_sq[lo:hi], c_norms_sq)
-                labels[a:b] = _tile_argmin(d2)[0][rows[a:b] - lo]
+                idx = _nearest_tile(X[lo:hi], neg2C, x_norms_sq[lo:hi], c_norms_sq)[0]
+                labels[a:b] = idx[rows[a:b] - lo]
     return labels
+
+
+def _assign(
+    X: np.ndarray,
+    neg2C: np.ndarray,
+    c_norms_sq: np.ndarray,
+    *,
+    x_norms_sq: np.ndarray | None = None,
+    chunk_bytes: int | None = None,
+    return_sq_dists: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`assign_labels` of a dense working-dtype ``X`` from ``C``'s terms.
+
+    ``neg2C`` and ``c_norms_sq`` are ``-2 * C`` and ``row_norms_sq(C)`` in
+    ``X``'s dtype, so a caller that assigns many inputs against one ``C``
+    (a served model) computes them once.  Returns the labels and, when
+    ``return_sq_dists``, the float64 squared distances (else ``None``).
+
+    An input the current engine keeps in one chunk that holds one tile
+    (see :func:`_tile_cuts`) skips the engine and the tile walk: the tile
+    body runs on it directly, as the chunk loop would run it on that one
+    tile, so both routes give the same bits.
+    """
+    n, k = X.shape[0], neg2C.shape[0]
+    engine = get_engine()
+    if (k == 1 or n < 2 * _tile_step(k)) and n <= engine.resolve_chunk_rows(
+        _row_scratch(k), chunk_bytes
+    ):
+        xn = np.einsum("ij,ij->i", X, X) if x_norms_sq is None else x_norms_sq
+        buf = np.empty((n, k), np.result_type(neg2C, xn, c_norms_sq))
+        labels, best = _nearest_tile(X, neg2C, xn, c_norms_sq, buf)
+        return labels, best.astype(np.float64, copy=False) if return_sq_dists else None
+    labels = np.empty(n, dtype=np.int64)
+    best = np.empty(n, dtype=np.float64) if return_sq_dists else None
+
+    def work(sl: slice) -> None:
+        for rows, block, xn, buf in _tiles(X, sl, x_norms_sq, neg2C, c_norms_sq):
+            idx, d2_min = _nearest_tile(block, neg2C, xn, c_norms_sq, buf)
+            labels[sl][rows] = idx
+            if best is not None:
+                best[sl][rows] = d2_min
+
+    engine.run_chunks(n, _row_scratch(k), work, chunk_bytes=chunk_bytes)
+    return labels, best
 
 
 def assign_labels(
@@ -552,20 +637,11 @@ def assign_labels(
         )
     check_matching_dims(X, C)
     X, C = _as_working(X, C)
-    norms = _check_norms(x_norms_sq, X.shape[0])
-    n, k = X.shape[0], C.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    best = np.empty(n, dtype=np.float64) if return_sq_dists else None
-    neg2C, c_norms_sq = -2.0 * C, row_norms_sq(C)
-
-    def work(sl: slice) -> None:
-        for rows, d2 in _sq_dist_tiles(X, sl, norms, neg2C, c_norms_sq):
-            idx, d2_min = _tile_argmin(d2)
-            labels[sl][rows] = idx
-            if best is not None:
-                best[sl][rows] = d2_min
-
-    get_engine().run_chunks(n, _row_scratch(k), work, chunk_bytes=chunk_bytes)
-    if best is not None:
+    labels, best = _assign(
+        X, -2.0 * C, row_norms_sq(C),
+        x_norms_sq=_check_norms(x_norms_sq, X.shape[0]),
+        chunk_bytes=chunk_bytes, return_sq_dists=return_sq_dists,
+    )
+    if return_sq_dists:
         return labels, best
     return labels

@@ -242,12 +242,20 @@ _current_engine: Engine | None = None
 
 
 def get_engine() -> Engine:
-    """The engine the kernels are currently routed through."""
+    """The engine the kernels are currently routed through.
+
+    Every kernel call reads it, so the read takes no lock: the global
+    only ever holds ``None`` or a fully built engine, and one read of it
+    is atomic.  The lock is taken only to build the default engine.
+    """
     global _current_engine
-    with _engine_lock:
-        if _current_engine is None:
-            _current_engine = Engine()
-        return _current_engine
+    engine = _current_engine
+    if engine is None:
+        with _engine_lock:
+            if _current_engine is None:
+                _current_engine = Engine()
+            engine = _current_engine
+    return engine
 
 
 def set_engine(engine: Engine | None) -> Engine | None:

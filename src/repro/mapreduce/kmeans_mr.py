@@ -54,7 +54,7 @@ from repro.mapreduce.jobs.sample_job import CANDIDATES_KEY, make_sample_job
 from repro.mapreduce.jobs.weight_job import WEIGHTS_KEY, make_cached_weight_job
 from repro.mapreduce.runtime import LocalMapReduceRuntime
 from repro.types import FloatArray, SeedLike
-from repro.utils.validation import check_in_range, check_positive_int
+from repro.utils.validation import check_in_range, check_positive_int, check_real_dtype
 
 __all__ = [
     "MRKMeansReport",
@@ -246,6 +246,7 @@ def mr_scalable_kmeans(
     """
     source = as_split_source(X)
     n, d = source.shape
+    check_real_dtype(source.dtype, name="X")
     _check_driver_args(n, k, lloyd_max_iter, l=l, r=r)
     # Driver-side sections (top-up sampling, seed-cost scan) run over this
     # handle; for a file source it is a memmap and the chunked kernels

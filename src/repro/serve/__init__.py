@@ -21,13 +21,12 @@ from repro.serve.assign import AssignResult, assign_serve
 from repro.serve.model import ServedModel
 from repro.serve.refresh import StreamingRefresher, fold_centers, offline_fold
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import AssignmentService, ServeResponse, ServeStats
+from repro.serve.service import AssignmentService, ServeStats
 
 __all__ = [
     "AssignResult",
     "AssignmentService",
     "ModelRegistry",
-    "ServeResponse",
     "ServeStats",
     "ServedModel",
     "StreamingRefresher",

@@ -2,11 +2,14 @@
 
 The paper's output is a center set used only through ``d²(x, C)``
 (Section 3.1), so serving a query is the reference kernel:
-:func:`assign_serve` checks the points against the model, casts both to
-one working dtype and makes one :func:`~repro.linalg.distances.
-assign_labels` call.  Labels (lowest-index ties included) and squared
-distances are that kernel's bits, and ``n_dist_evals`` is always
-``n_points * k``.
+:func:`assign_serve` checks the points against the model, casts them to
+the working dtype and evaluates :func:`~repro.linalg.distances.
+assign_labels`'s expansion with the model's cached center terms
+(``-2 C`` and ``||c||²``, computed once per version).  A request the
+kernel would evaluate as one tile, as every request of the usual sizes
+is, runs that tile's body directly.  Labels (lowest-index ties
+included) and squared distances are that kernel's bits, and
+``n_dist_evals`` is always ``n_points * k``.
 
 A query-side prune index (triangle-inequality groups over the centers
 plus Hamerly's separation test) once sat in front of this call.  It
@@ -22,19 +25,22 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.linalg import sparse as _sparse
-from repro.linalg.distances import _as_working, assign_labels
+from repro.linalg.distances import _assign, assign_labels
 from repro.serve.model import ServedModel
 from repro.types import FloatArray, IntArray
 
 __all__ = ["AssignResult", "assign_serve"]
 
+_F64 = np.dtype(np.float64)
+
 
 @dataclass
 class AssignResult:
-    """Outcome + work telemetry of one assignment call."""
+    """One assignment: labels, distances, the version and the work done."""
 
     labels: IntArray
     sq_dists: FloatArray
+    #: Model version the points were served against.
     version: int | None
     n_points: int
     #: Point-center distance evaluations performed: ``n_points * k``.
@@ -49,10 +55,8 @@ def assign_serve(X: FloatArray, model: ServedModel) -> AssignResult:
     scipy CSR matrix; it is then served by the sparse kernel, and the
     identity holds against ``assign_labels`` on the same CSR input.
     """
-    if _sparse.is_sparse(X):
-        X = _sparse.to_csr(X)
-    else:
-        X = np.asarray(X)
+    sparse = not isinstance(X, np.ndarray) and _sparse.is_sparse(X)
+    X = _sparse.to_csr(X) if sparse else np.asarray(X)
     if X.ndim != 2:
         raise ValidationError(f"X must be 2-dimensional, got shape {X.shape}")
     if X.shape[1] != model.d:
@@ -60,16 +64,14 @@ def assign_serve(X: FloatArray, model: ServedModel) -> AssignResult:
             f"dimension mismatch: points have d={X.shape[1]}, "
             f"model has d={model.d}"
         )
-    if _sparse.is_sparse(X):
+    if sparse:
         Xw, Cw = _sparse._as_working_sparse(X, model.centers)
+        labels, best = assign_labels(Xw, Cw, return_sq_dists=True)
     else:
-        Xw, Cw = _as_working(X, model.centers)
-    labels, best = assign_labels(Xw, Cw, return_sq_dists=True)
+        # The working dtype of assign_labels: the model's, or float64.
+        dtype = model.dtype if X.dtype == model.dtype else _F64
+        if X.dtype != dtype:
+            X = np.ascontiguousarray(X, dtype=dtype)
+        labels, best = _assign(X, *model.center_terms(dtype))
     n = X.shape[0]
-    return AssignResult(
-        labels=labels,
-        sq_dists=best,
-        version=model.version,
-        n_points=n,
-        n_dist_evals=n * model.k,
-    )
+    return AssignResult(labels, best, model.version, n, n * model.k)

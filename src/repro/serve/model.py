@@ -10,10 +10,15 @@ Resolution copies out of the segment (see :attr:`ServedModel.centers`):
 the segment is transport, so the registry can retire old versions
 without coordinating with readers.
 
-Models are value objects: the only mutable field is the lazily resolved
-centers cache, so handing the same ``ServedModel`` to many threads is
-safe and a reader can never observe a half-updated model (the registry
-swaps whole objects, never fields).
+A model also holds the center side of the distance expansion,
+``-2 C`` and ``||c||^2`` (see :meth:`ServedModel.center_terms`): the
+registry computes them once per version at publish, so a request pays
+only for its own points' arithmetic.
+
+Models are value objects: the only mutable fields are the lazily
+resolved centers and center-terms caches, so handing the same
+``ServedModel`` to many threads is safe and a reader can never observe
+a half-updated model (the registry swaps whole objects, never fields).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import threading
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.linalg.distances import row_norms_sq
 from repro.plane.broadcast import (
     BroadcastRef,
     InlineBroadcast,
@@ -40,7 +46,8 @@ class ServedModel:
     + zero-copy view in shared mode, the value itself inline) and caches
     the read-only array.  Instances pickle as
     ``(version, handle, shape, dtype)`` — a worker process that receives
-    one attaches the same shared segment instead of copying centers.
+    one attaches the same shared segment instead of copying centers, and
+    computes its own center terms.
     """
 
     def __init__(
@@ -56,6 +63,7 @@ class ServedModel:
         self.dtype = np.dtype(dtype)
         self._lock = threading.Lock()
         self._centers: np.ndarray | None = None
+        self._terms: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- plumbing ------------------------------------------------------
     def __getstate__(self):
@@ -108,6 +116,29 @@ class ServedModel:
                 value.flags.writeable = False
                 self._centers = value
             return self._centers
+
+    def center_terms(self, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+        """``(-2 C, ||c||^2)`` of the centers in working dtype ``dtype``.
+
+        The center side of the expansion
+        :func:`~repro.linalg.distances.assign_labels` evaluates, with its
+        bits: the centers cast to ``dtype`` (exactly, when widening), then
+        ``-2.0 * C`` and ``row_norms_sq(C)``.  Computed once per dtype and
+        cached read-only; the registry primes the model's own dtype at
+        publish, and an upcast is computed on first use.  Two threads
+        that race on a first use compute the same arrays, so the cache
+        takes no lock.
+        """
+        terms = self._terms.get(dtype)
+        if terms is None:
+            C = self.centers
+            if C.dtype != dtype:
+                C = np.ascontiguousarray(C, dtype=dtype)
+            terms = (-2.0 * C, row_norms_sq(C))
+            for term in terms:
+                term.flags.writeable = False
+            self._terms[dtype] = terms
+        return terms
 
     # -- construction helper ------------------------------------------
     @staticmethod

@@ -98,7 +98,8 @@ class ModelRegistry:
             # Prime the owner-side copy now: a reader that grabs this
             # model but first touches .centers after the version has
             # been retired (segment unlinked) must still be servable.
-            model.centers
+            # The center terms come with it, once per version.
+            model.center_terms(model.dtype)
             self._published[version] = (model, published)
             self._retire_locked()
             # The swap: one reference store.  Readers never lock.

@@ -6,7 +6,10 @@ calling thread, so a request is served against one model version and
 its rows can never straddle a version flip.  Concurrent callers run the
 kernel side by side; NumPy releases the GIL inside the GEMM.  Labels
 and distances are a solo ``assign_labels(points, centers)`` call's
-bits.
+bits, returned as the :class:`~repro.serve.assign.AssignResult` that
+``assign_serve`` built.  The request path takes no shared lock: each
+calling thread keeps its own counters, which :meth:`AssignmentService.
+stats` sums.
 
 A leader/follower micro-batcher once coalesced concurrent callers into
 one kernel call.  On the measured traffic it never formed a batch and
@@ -23,24 +26,12 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.linalg import sparse as _sparse
-from repro.serve.assign import assign_serve
+from repro.serve.assign import AssignResult, assign_serve
 from repro.serve.registry import ModelRegistry
-from repro.types import FloatArray, IntArray
+from repro.types import FloatArray
 from repro.utils.validation import check_finite
 
-__all__ = ["AssignmentService", "ServeResponse", "ServeStats"]
-
-
-@dataclass
-class ServeResponse:
-    """One caller's assignment."""
-
-    labels: IntArray
-    sq_dists: FloatArray
-    #: Model version the request was served against.
-    version: int
-    #: Distance evaluations made for this request: ``n_points * k``.
-    n_dist_evals: int
+__all__ = ["AssignmentService", "ServeStats"]
 
 
 @dataclass
@@ -73,11 +64,14 @@ class AssignmentService:
 
     def __init__(self, registry: ModelRegistry):
         self._registry = registry
-        self._lock = threading.Lock()
         self._closed = False
-        self._stats = ServeStats()
+        #: ``[requests, points, dist_evals]`` per calling thread, by thread
+        #: id.  Only its own thread writes a row, so no update is lost
+        #: without a lock; a thread that reuses a finished one's id
+        #: carries its row on.
+        self._counts: dict[int, list[int]] = {}
 
-    def assign(self, points: FloatArray) -> ServeResponse:
+    def assign(self, points: FloatArray) -> AssignResult:
         """Assign ``points`` to their nearest centers on the calling thread.
 
         A 1-d ``points`` is one point.  Points that are not real numbers,
@@ -99,22 +93,24 @@ class AssignmentService:
         if self._closed:
             raise ValidationError("assignment service is closed")
         result = assign_serve(X, self._registry.current())
-        with self._lock:
-            stats = self._stats
-            stats.n_requests += 1
-            stats.n_points += result.n_points
-            stats.n_dist_evals += result.n_dist_evals
-        return ServeResponse(
-            labels=result.labels,
-            sq_dists=result.sq_dists,
-            version=result.version,
-            n_dist_evals=result.n_dist_evals,
-        )
+        counts = self._counts.setdefault(threading.get_ident(), [0, 0, 0])
+        counts[0] += 1
+        counts[1] += result.n_points
+        counts[2] += result.n_dist_evals
+        return result
 
     def stats(self) -> ServeStats:
-        """A snapshot copy of the cumulative counters."""
-        with self._lock:
-            return ServeStats(**vars(self._stats))
+        """The cumulative counters, summed over calling threads.
+
+        Exact once the callers it should count have returned; a request
+        in flight may be counted in some fields and not yet in others.
+        """
+        stats = ServeStats()
+        for requests, points, dist_evals in list(self._counts.values()):
+            stats.n_requests += requests
+            stats.n_points += points
+            stats.n_dist_evals += dist_evals
+        return stats
 
     def close(self) -> None:
         """Reject new requests; calls already past the check finish normally."""

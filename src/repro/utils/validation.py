@@ -17,6 +17,7 @@ from repro.types import ArrayLike, FloatArray
 __all__ = [
     "check_array",
     "check_finite",
+    "check_real_dtype",
     "check_weights",
     "check_positive_int",
     "check_in_range",
@@ -35,6 +36,11 @@ def check_array(
 ) -> FloatArray:
     """Convert *X* to a finite, C-contiguous float64 ``(n, d)`` array.
 
+    *X* must hold real numbers: boolean, integer or floating values.
+    Strings, objects and complex numbers are rejected by dtype before
+    the cast, which would parse the strings, unbox the objects and keep
+    a complex number's real part.
+
     Parameters
     ----------
     X:
@@ -50,13 +56,10 @@ def check_array(
     """
     try:
         arr = np.asarray(X)
-        # Cast after the complex check: the cast would keep the real part.
-        if arr.dtype.kind != "c":
-            arr = np.array(arr, dtype=np.float64, copy=copy or None, order="C")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} is not convertible to a float array: {exc}") from exc
-    if arr.dtype.kind == "c":
-        raise ValidationError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    check_real_dtype(arr.dtype, name=name)
+    arr = np.array(arr, dtype=np.float64, copy=copy or None, order="C")
     if arr.ndim == 1:
         if not allow_1d:
             raise ValidationError(
@@ -79,16 +82,24 @@ def check_array(
 def check_finite(values: np.ndarray, *, name: str = "X") -> None:
     """Raise unless *values* holds only real, finite numbers.
 
-    Boolean, integer and floating dtypes pass; any other dtype (complex,
-    object, string, ...) raises, as does a NaN or an infinity.  A CSR
-    matrix's implicit zeros are finite, so its callers pass its stored
-    ``.data``.
+    The dtype must pass :func:`check_real_dtype`; a NaN or an infinity
+    raises too.  A CSR matrix's implicit zeros are finite, so its callers
+    pass its stored ``.data``.
     """
-    if values.dtype.kind not in "biuf":
-        raise ValidationError(f"{name} must hold real numbers, got dtype {values.dtype}")
+    check_real_dtype(values.dtype, name=name)
     if not np.isfinite(values).all():
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise ValidationError(f"{name} contains {bad} non-finite value(s) (nan/inf)")
+
+
+def check_real_dtype(dtype: np.dtype, *, name: str = "X") -> None:
+    """Raise unless *dtype* holds real numbers: boolean, integer or floating.
+
+    Every door that takes points applies this one rule; any other dtype
+    (complex, object, string, datetime, ...) raises.
+    """
+    if dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must hold real numbers, got dtype {dtype}")
 
 
 def check_weights(weights: ArrayLike | None, n: int, *, name: str = "weights") -> FloatArray:

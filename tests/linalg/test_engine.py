@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -76,6 +77,41 @@ class TestEngineConfig:
 
     def test_repr(self):
         assert "workers=2" in repr(Engine(workers=2))
+
+    def test_lock_free_reads_see_only_whole_engines(self):
+        """Readers racing ``use_engine`` and ``set_engine(None)`` never see ``None``."""
+        stop = threading.Event()
+        seen = []
+        bad = []
+
+        def reader():
+            while not stop.is_set():
+                engine = get_engine()
+                try:
+                    whole = engine.workers >= 1 and engine.chunk_bytes >= 1
+                except AttributeError:
+                    whole = False
+                if not (isinstance(engine, Engine) and whole):
+                    bad.append(engine)
+                seen.append(None)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        try:
+            for t in readers:
+                t.start()
+            for i in range(2000):
+                with use_engine(Engine(workers=1 + i % 2, chunk_bytes=1 << (10 + i % 5))):
+                    set_engine(None)
+                set_engine(None)
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=30)
+            sys.setswitchinterval(switch)
+        assert bad == []
+        assert len(seen) > 2000
 
 
 class TestScheduling:

@@ -11,7 +11,9 @@ leave zero shared-memory segments behind.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -111,3 +113,74 @@ def test_lagging_reader_survives_aggressive_retirement(workload):
             stop.set()
             w.join()
     assert active_owned_segments() == before
+
+
+def test_every_response_matches_its_version_across_flips(workload):
+    """Four callers serve while a writer publishes 20 versions.
+
+    Versions alternate float32 and float64 centers and callers alternate
+    float32 and float64 requests, so callers race on each version's
+    first use of its center terms.  Every response must be
+    ``assign_labels``'s bits against its own version's centers, and the
+    counters, kept without a lock, must count every request once.
+    """
+    X, centers = workload
+    n_callers, n_versions, n_requests = 4, 20, 60
+    rng = np.random.default_rng(7)
+    versions = {}
+    with ModelRegistry(shared=False, keep_versions=n_versions + 1) as registry:
+        versions[registry.publish(centers).version] = np.array(centers)
+        service = AssignmentService(registry)
+        results = [[] for _ in range(n_callers)]
+        start = threading.Barrier(n_callers + 1)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def caller(c: int) -> None:
+            order = np.random.default_rng(c).integers(0, X.shape[0] - 64, n_requests)
+            start.wait()
+            for i, lo in enumerate(order):
+                points = X[lo:lo + 1 + (c * 7 + i) % 64]
+                if (c + i) % 2:
+                    points = points.astype(np.float32)
+                results[c].append((points, service.assign(points)))
+
+        def writer() -> None:
+            start.wait()
+            for i in range(n_versions):
+                # Publish as the callers progress, so flips land mid-stream.
+                due = (i + 1) * n_callers * n_requests // (n_versions + 1)
+                deadline = time.monotonic() + 30
+                while sum(map(len, results)) < due and time.monotonic() < deadline:
+                    time.sleep(0)
+                jittered = centers + rng.normal(0.0, 0.05, size=centers.shape)
+                model = registry.publish(
+                    jittered.astype(np.float32 if i % 2 == 0 else np.float64)
+                )
+                versions[model.version] = np.array(model.centers)
+
+        threads = [threading.Thread(target=caller, args=(c,)) for c in range(n_callers)]
+        threads.append(threading.Thread(target=writer))
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        stats = service.stats()
+        service.close()
+
+    served = [pair for out in results for pair in out]
+    assert len(served) == n_callers * n_requests
+    for points, result in served:
+        labels, d2 = assign_labels(
+            *_as_working(points, versions[result.version]), return_sq_dists=True
+        )
+        assert result.labels.tobytes() == labels.tobytes()
+        assert result.sq_dists.tobytes() == d2.tobytes()
+    assert len({result.version for _, result in served}) > 1
+    assert stats.n_requests == len(served)
+    assert stats.n_points == sum(points.shape[0] for points, _ in served)
+    assert stats.n_dist_evals == stats.n_points * centers.shape[0]

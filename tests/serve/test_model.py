@@ -1,4 +1,4 @@
-"""ServedModel: freezing, validation, read-only centers, pickling."""
+"""ServedModel: freezing, validation, read-only centers, center terms, pickling."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.linalg.distances import row_norms_sq
+from repro.serve import ModelRegistry
 from repro.serve.model import ServedModel
 
 
@@ -65,3 +67,30 @@ def test_pickle_round_trip(blobs):
         np.asarray(clone.centers), np.asarray(model.centers)
     )
 
+
+
+def test_center_terms_once_per_version_and_never_pickled(blobs):
+    _, centers = blobs
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    with ModelRegistry(shared=True) as registry:
+        model = registry.publish(centers.astype(np.float32))
+        assert set(model._terms) == {f32}  # primed at publish
+        neg2C, c_norms = model.center_terms(f32)
+        assert model.center_terms(f32)[0] is neg2C
+        C = np.asarray(model.centers)
+        assert neg2C.tobytes() == (-2.0 * C).tobytes()
+        assert c_norms.tobytes() == row_norms_sq(C).tobytes()
+        assert not (neg2C.flags.writeable or c_norms.flags.writeable)
+        # An upcast is computed on first use, from the widened centers.
+        up_neg2C, up_norms = model.center_terms(f64)
+        C64 = C.astype(np.float64)
+        assert up_neg2C.tobytes() == (-2.0 * C64).tobytes()
+        assert up_norms.tobytes() == row_norms_sq(C64).tobytes()
+        # Neither travels: the model pickles as a never-used one does, and
+        # a worker computes its own.
+        payload = pickle.dumps(model)
+        unused = ServedModel(model.version, model._ref, (model.k, model.d), model.dtype)
+        assert payload == pickle.dumps(unused)
+        clone = pickle.loads(payload)
+        assert clone._terms == {}
+        assert clone.center_terms(f32)[0].tobytes() == neg2C.tobytes()

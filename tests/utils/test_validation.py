@@ -65,7 +65,7 @@ class TestCheckArray:
         assert out is arr or out.base is arr
 
     def test_non_numeric_rejected(self):
-        with pytest.raises(ValidationError, match="not convertible"):
+        with pytest.raises(ValidationError, match="real numbers"):
             check_array([["a", "b"]])
 
     def test_custom_name_in_message(self):
