@@ -538,15 +538,30 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _cli_config(args)
     except ValidationError as exc:
         parser.error(str(exc))
-    # The CLI's config wins over the environment from here on; the
-    # process-wide backend, budget and engine are rebuilt from it.
+    # The CLI's config wins over the environment while the command runs;
+    # the process-wide backend, budget and engine are rebuilt from it.
+    # All four are put back when it returns, and the backend the command
+    # built is shut down, so an in-process caller gets its process back.
     from repro.exec import set_backend, set_worker_budget
     from repro.linalg.engine import set_engine
 
-    set_config(config)
-    set_backend(None)
-    set_worker_budget(None)
-    set_engine(None)
+    previous_config = set_config(config)
+    previous_backend = set_backend(None)
+    previous_budget = set_worker_budget(None)
+    previous_engine = set_engine(None)
+    try:
+        return _run_command(parser, args)
+    finally:
+        set_config(previous_config)
+        built = set_backend(previous_backend)
+        set_worker_budget(previous_budget)
+        set_engine(previous_engine)
+        if built is not None:
+            built.shutdown()
+
+
+def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run the parsed command under the config :func:`main` installed."""
     if args.command == "mr":
         from repro.exceptions import MapReduceError
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg import sparse as _sparse
+from repro.linalg.distances import _scratch
 from repro.linalg.engine import get_engine
 from repro.utils.chunking import DEFAULT_CHUNK_BYTES
 
@@ -23,6 +24,10 @@ __all__ = ["cluster_sums", "cluster_sizes", "weighted_centroids"]
 #: chunk_bytes an Engine was built with. Worker count stays free —
 #: blocks fold in chunk order either way.
 _SUMS_CHUNK_BYTES = DEFAULT_CHUNK_BYTES
+#: Int64 index bytes per sub-block of a block: the index buffer (and the
+#: float64 values beside it, when they are copied) stays in a core's L2
+#: cache, and is kept between calls (see ``repro.linalg.distances._scratch``).
+_SUMS_SUB_BYTES = 1 << 20
 
 
 def cluster_sums(
@@ -35,20 +40,26 @@ def cluster_sums(
 ) -> np.ndarray:
     """Per-cluster (weighted) coordinate sums, shape ``(k, d)``.
 
-    One flattened-index bincount per row block (``labels * d + dim`` maps
-    every coordinate to a unique bin), which is the fastest pure-numpy
-    scatter-add for this shape — a single C-loop over ``n * d`` entries
-    instead of ``d`` passes over ``labels``.  Blocks run through the
-    current :mod:`~repro.linalg.engine` and fold in chunk order over a
+    The order rule: each coordinate maps to its own bin
+    (``labels * d + dim``); within a row block every value is added to
+    its bin in row-major order, starting from ``+0.0``; and the blocks'
+    partials fold in chunk order.  Those are the per-bin additions one
+    flattened-index ``np.bincount`` per block makes.  A block is folded
+    here in sub-blocks of about 1 MiB of indices (``_SUMS_SUB_BYTES``)
+    with ``np.add.at``, which continues from the block's accumulator,
+    so a block needs one kept, cache-sized index buffer instead of a
+    block-sized index array.  (``np.add.at`` runs a fast indexed loop
+    from NumPy 1.25; older NumPy gives the same bits, more slowly.)
+    Blocks run through the current :mod:`~repro.linalg.engine` over a
     *fixed* block size (see ``_SUMS_CHUNK_BYTES``), so the result is
     independent of both worker count and the engine's tunable budget;
-    only an explicit ``chunk_bytes`` argument changes the fold
-    boundaries.
+    only an explicit ``chunk_bytes`` argument changes the boundaries.
 
-    A scipy CSR ``X`` folds only its stored entries over the *same*
-    fixed block boundaries — bit-identical to the dense fold on the
-    same values (skipping exact ``+0.0`` additions cannot change an
-    IEEE partial sum); see :func:`repro.linalg.sparse.sparse_cluster_sums`.
+    A scipy CSR ``X`` keeps the same order rule over the *same* fixed
+    block boundaries, folding only its stored entries -- bit-identical to
+    the dense fold on the same values (skipping exact ``+0.0`` additions
+    cannot change an IEEE partial sum); see
+    :func:`repro.linalg.sparse.sparse_cluster_sums`.
 
     Unit weights (what an unweighted fit passes) skip the weighted copy
     of each block: ``x * 1.0`` is ``x``, so the sums are unchanged.
@@ -67,21 +78,44 @@ def cluster_sums(
     n, d = X.shape
     if n == 0:
         return np.zeros((k, d), dtype=np.float64)
+    labels = labels.astype(np.int64, copy=False)
     dim_offsets = np.arange(d, dtype=np.int64)
+    step = max(1, _SUMS_SUB_BYTES // (8 * max(1, d)))
+    # Float64 rows of a C-contiguous X are added in place; anything else
+    # is first cast (or weighted) into a float64 buffer beside the
+    # indices, as np.add.at's fast loop runs only without a cast.
+    copy = weights is not None or X.dtype != np.float64 or not X.flags.c_contiguous
 
     def work(sl: slice) -> np.ndarray:
-        block = X[sl]
-        vals = block if weights is None else block * weights[sl][:, None]
-        flat = (labels[sl].astype(np.int64) * d)[:, None] + dim_offsets
-        return np.bincount(
-            flat.ravel(), weights=np.ascontiguousarray(vals, dtype=np.float64).ravel(),
-            minlength=k * d,
-        )
+        part = np.zeros(k * d)
+        rows = min(step, sl.stop - sl.start)
+        size = rows * d
+        with _scratch(8 * (rows + size + (size if copy else 0))) as raw:
+            words = raw.view(np.int64)
+            lab_buf, flat_buf = words[:rows], words[rows : rows + size]
+            vals_buf = words[rows + size :].view(np.float64)
+            for lo in range(sl.start, sl.stop, step):
+                hi = min(lo + step, sl.stop)
+                lab = np.multiply(labels[lo:hi], d, out=lab_buf[: hi - lo])
+                flat = flat_buf[: (hi - lo) * d].reshape(hi - lo, d)
+                np.add(lab[:, None], dim_offsets, out=flat)
+                if not copy:
+                    vals = X[lo:hi]
+                else:
+                    vals = vals_buf[: (hi - lo) * d].reshape(hi - lo, d)
+                    if weights is None:
+                        vals[...] = X[lo:hi]
+                    else:
+                        # The product's dtype is the operands', as in
+                        # ``X * w``; only its store widens.
+                        np.multiply(X[lo:hi], weights[lo:hi, None], out=vals)
+                np.add.at(part, flat.reshape(-1), vals.reshape(-1))
+        return part
 
-    # Scratch per row: the flat int64 index row + a float64 value row
-    # (+ the weighted copy when weights are given). Each block also
-    # yields a (k*d,) partial; reduce_chunks keeps only ~workers of
-    # those alive at once.
+    # The per-row figure fixes the block boundaries, and with them the
+    # fold's rounding; it was the scratch of a block-sized index array
+    # and stays so that no boundary moves.  Each block yields a (k*d,)
+    # partial; reduce_chunks keeps only ~workers of those alive at once.
     total = get_engine().reduce_chunks(
         n, 24 * d, work,
         chunk_bytes=_SUMS_CHUNK_BYTES if chunk_bytes is None else chunk_bytes,

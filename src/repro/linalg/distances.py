@@ -26,10 +26,21 @@ every kernel here routes its row blocks through the current engine, so
 Inside a chunk the reduction kernels walk cache-sized tiles of rows
 through one reused ``(tile, k)`` buffer (see :data:`_TILE_BYTES`), so a
 tile is reduced while it is still in cache; the chunk's scratch is that
-one buffer.  All four reduce a tile the same way (:func:`_tile_argmin`):
-each row's ``argmin`` of the unclamped tile, then the minimum read at
-that index, so the argmin costs what a separate row ``min`` would.  The
-clamp is applied to the rows it can change and nowhere else: a row whose
+one buffer.  The buffer is taken from a module-level free list of byte
+buffers (:func:`_scratch`) and handed back when the chunk is done, so a
+call does not make, fault in and free it again; the cluster-sums fold
+(:mod:`repro.linalg.centroids`) takes its index buffer from the same
+list.  A taken buffer belongs to one chunk until it is handed back, so
+nested and concurrent kernels never share one.  The list holds as many
+buffers as were ever taken at once -- one per chunk in flight, on all
+threads together -- and never one per thread that has called; each is
+as large as the largest scratch taken from it (a tile, or a sums
+sub-block's indices and values).
+
+All four reduce a tile the same way (:func:`_tile_argmin`): each row's
+``argmin`` of the unclamped tile, then the minimum read at that index,
+so the argmin costs what a separate row ``min`` would.  The clamp is
+applied to the rows it can change and nowhere else: a row whose
 minimum is negative is clamped and reduced again, so round-off negatives
 become ties at zero that break to the lowest index.  A row whose minimum
 is ``>= 0`` is left as it is, which is exact because the expansion never
@@ -38,7 +49,8 @@ every entry is then already ``>= +0.0``, the clamp would change none,
 and the minimum at the first argmin is the row ``min`` bit for bit.
 An :func:`assign_labels` input that would be one chunk holding one tile
 (a served request, typically) skips the engine and the tile walk and
-runs the same tile body directly (:func:`_assign`).
+runs the same tile body directly (:func:`_assign`), in a small ``(n, k)``
+buffer of its own rather than one from the free list.
 
 Hot callers (Lloyd, the seeding loops) evaluate distances against the
 same ``X`` many times; each kernel therefore accepts a precomputed
@@ -57,6 +69,7 @@ narrower buffer.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
@@ -139,6 +152,35 @@ _TILE_BYTES = 1 << 20
 _TILE_MIN_ROWS = 256
 
 
+#: Byte buffers no kernel holds right now, most recently handed back last.
+#: ``list.pop`` and ``list.append`` are each atomic under the GIL, so the
+#: list needs no lock, and no lock state has to survive a fork.
+_scratch_free: list[np.ndarray] = []
+
+
+@contextmanager
+def _scratch(nbytes: int) -> Iterator[np.ndarray]:
+    """A kept byte buffer of at least ``nbytes`` bytes, held for the block.
+
+    Pops the buffer handed back last, or makes one when the list is empty
+    or that buffer is too small (the small one is dropped), and hands it
+    back on exit.  A taken buffer is never shared, so nested and
+    concurrent kernels each get their own, and the list holds only as
+    many buffers as were ever taken at once.  Yields the first
+    ``nbytes`` bytes as ``uint8``; callers carve typed views from them.
+    """
+    try:
+        buf = _scratch_free.pop()
+    except IndexError:
+        buf = None
+    if buf is None or buf.nbytes < nbytes:
+        buf = np.empty(nbytes, np.uint8)
+    try:
+        yield buf[:nbytes]
+    finally:
+        _scratch_free.append(buf)
+
+
 def _tile_step(k: int) -> int:
     """Rows between tile starts against ``k`` centers."""
     return max(_TILE_MIN_ROWS, _TILE_BYTES // _row_scratch(k))
@@ -201,16 +243,19 @@ def _tiles(
     ``rows`` indexes the tile within the chunk, ``block`` and ``xn`` are
     its points and their norms, and ``buf`` is its view of the one
     ``(tile, k)`` buffer every tile of the chunk reuses -- the caller
-    reduces a tile before asking for the next.
+    reduces a tile before asking for the next.  The buffer is taken from
+    :func:`_scratch` and handed back when the walk ends or is abandoned.
     """
     block = X[sl]
     xn = np.einsum("ij,ij->i", block, block) if x_norms_sq is None else x_norms_sq[sl]
-    cuts = _tile_cuts(block.shape[0], neg2C.shape[0])
-    buf = np.empty(
-        (cuts[-1] - cuts[-2], neg2C.shape[0]), np.result_type(neg2C, xn, c_norms_sq)
-    )
-    for lo, hi in zip(cuts, cuts[1:]):
-        yield slice(lo, hi), block[lo:hi], xn[lo:hi], buf[: hi - lo]
+    k = neg2C.shape[0]
+    cuts = _tile_cuts(block.shape[0], k)
+    dtype = np.result_type(neg2C, xn, c_norms_sq)
+    rows = cuts[-1] - cuts[-2]
+    with _scratch(rows * k * dtype.itemsize) as raw:
+        buf = raw.view(dtype).reshape(rows, k)
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield slice(lo, hi), block[lo:hi], xn[lo:hi], buf[: hi - lo]
 
 
 def _sq_dist_tiles(

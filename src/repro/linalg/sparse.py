@@ -30,8 +30,9 @@ Identity contract (pinned by ``tests/properties/test_sparse_identity``)
 ----------------------------------------------------------------------
 * :func:`sparse_cluster_sums` is **bit-identical** to the dense
   :func:`~repro.linalg.centroids.cluster_sums` on the same values and
-  labels: both scatter-add with one sequential ``np.bincount`` C-loop
-  over entries in row-major order, the sparse fold merely skips exact
+  labels: both keep the sums order rule -- within a fixed block, each
+  value is added to its bin in row-major order starting from ``+0.0``,
+  and blocks fold in chunk order.  The sparse fold merely skips exact
   ``+0.0`` terms (which cannot change an IEEE-754 partial sum), and it
   reuses the dense kernel's *fixed* chunk boundaries so the chunk-order
   fold groups additions identically.
@@ -400,8 +401,11 @@ def sparse_cluster_sums(
     cluster_sums`: it walks the *same* fixed row-block boundaries (the
     dense kernel's ``rows_per_chunk(24 * d, sums_chunk_bytes)`` — passed
     in as ``sums_chunk_bytes`` so this module does not import the dense
-    one), scatter-adds with the same sequential ``np.bincount`` loop in
-    row-major stored order, and merely skips the dense fold's exact
+    one) and keeps its order rule: within a block each value is added to
+    its bin in row-major (stored) order, starting from ``+0.0``.  One
+    ``np.bincount`` per block makes exactly those per-bin additions (the
+    dense kernel makes them with ``np.add.at`` over cache-sized
+    sub-blocks); the sparse fold merely skips the dense fold's exact
     ``+0.0`` terms, which cannot change an IEEE partial sum.  The
     chunk-order ``reduce_slices`` fold then groups additions exactly as
     the dense kernel does.

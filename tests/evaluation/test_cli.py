@@ -10,8 +10,8 @@ from repro.config import get_config, set_config
 
 @pytest.fixture(autouse=True)
 def _reset_cli_state():
-    """``main`` installs its config and rebuilds the process-wide
-    backend, budget and engine from it; undo all of that per test."""
+    """``main`` puts back what it replaced; reset anyway, so one broken
+    restore cannot leak into later tests."""
     from repro.exec import set_backend, set_worker_budget
     from repro.linalg.engine import set_engine
 
@@ -20,6 +20,46 @@ def _reset_cli_state():
     set_backend(None)
     set_worker_budget(None)
     set_engine(None)
+
+
+@pytest.fixture
+def during_run(monkeypatch):
+    """``during_run(*flags)`` runs ``main([*flags, "run", "table1"])`` with
+    the experiment replaced by a probe, and returns what the probe saw of
+    the process-wide state while the command ran."""
+    from repro.evaluation.experiments import registry
+
+    seen = {}
+
+    class _Result:
+        def render(self) -> str:
+            return "probed"
+
+    def probe(name, *, scale, seed):
+        import numpy as np
+
+        from repro.exec import get_backend, get_worker_budget
+        from repro.linalg.engine import get_engine
+        from repro.mapreduce.runtime import LocalMapReduceRuntime
+
+        with LocalMapReduceRuntime(np.zeros((4, 2)), n_splits=2) as rt:
+            mr_workers = rt.workers
+        seen.update(
+            config=get_config(), backend=get_backend().name,
+            budget=get_worker_budget().limit, engine=get_engine().workers,
+            mr=mr_workers,
+        )
+        return _Result()
+
+    monkeypatch.setattr(registry, "run_experiment", probe)
+
+    def run(*flags: str) -> dict:
+        seen.clear()
+        assert main([*flags, "run", "table1"]) == 0
+        assert seen, "the command never ran"
+        return dict(seen)
+
+    return run
 
 
 class TestParser:
@@ -156,27 +196,15 @@ class TestExecFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--backend", "gpu", "list"])
 
-    def test_backend_flag_installs_backend(self, capsys):
-        from repro.exec import get_backend
-
-        assert main(["--backend", "serial", "list"]) == 0
-        assert get_backend().name == "serial"
+    def test_backend_flag_installs_backend(self, during_run, capsys):
+        assert during_run("--backend", "serial")["backend"] == "serial"
         capsys.readouterr()
 
-    def test_exec_workers_sets_budget_and_worker_requests(self, capsys):
+    def test_exec_workers_sets_budget_and_worker_requests(self, during_run, capsys):
         # '--exec-workers 8' alone must buy real parallelism: budget 8
         # AND an 8-worker request for the engine and for MR.
-        import numpy as np
-
-        from repro.exec import get_worker_budget
-        from repro.linalg.engine import get_engine
-        from repro.mapreduce.runtime import LocalMapReduceRuntime
-
-        assert main(["--exec-workers", "8", "list"]) == 0
-        assert get_worker_budget().limit == 8
-        assert get_engine().workers == 8
-        with LocalMapReduceRuntime(np.zeros((4, 2)), n_splits=2) as rt:
-            assert rt.workers == 8
+        seen = during_run("--exec-workers", "8")
+        assert (seen["budget"], seen["engine"], seen["mr"]) == (8, 8, 8)
         capsys.readouterr()
 
     def test_bad_exec_env_is_clean_error(self, monkeypatch, capsys):
@@ -219,15 +247,16 @@ class TestShuffleBudgetFlag:
         )
         assert args.shuffle_budget_mib == 0.25
 
-    def test_flag_installs_process_default(self, capsys):
-        assert main(["--shuffle-budget-mib", "2", "list"]) == 0
-        assert get_config().shuffle_budget == 2 * 1024 * 1024
+    def test_flag_installs_process_default(self, during_run, capsys):
+        seen = during_run("--shuffle-budget-mib", "2")
+        assert seen["config"].shuffle_budget == 2 * 1024 * 1024
         capsys.readouterr()
 
-    def test_zero_forces_in_memory_over_environment(self, monkeypatch, capsys):
+    def test_zero_forces_in_memory_over_environment(
+        self, during_run, monkeypatch, capsys
+    ):
         monkeypatch.setenv("REPRO_SHUFFLE_BUDGET_MB", "4")
-        assert main(["--shuffle-budget-mib", "0", "list"]) == 0
-        assert get_config().shuffle_budget is None
+        assert during_run("--shuffle-budget-mib", "0")["config"].shuffle_budget is None
         capsys.readouterr()
 
     def test_bad_env_is_clean_error(self, monkeypatch):
@@ -263,3 +292,44 @@ class TestShuffleBudgetFlag:
             "--lloyd-max-iter", "2",
         ]) == 0
         assert "k-means||" in capsys.readouterr().out
+
+
+class TestProcessStateRestored:
+    """``main`` puts back the config, backend, budget and engine it replaced."""
+
+    @staticmethod
+    def _installed():
+        from repro.config import Config
+        from repro.exec import SerialBackend, WorkerBudget, set_backend, set_worker_budget
+        from repro.linalg.engine import Engine, set_engine
+
+        state = (Config(exec_workers=5), SerialBackend(), WorkerBudget(5), Engine(workers=5))
+        set_config(state[0])
+        set_backend(state[1])
+        set_worker_budget(state[2])
+        set_engine(state[3])
+        return state
+
+    @staticmethod
+    def _current():
+        from repro.exec import get_backend, get_worker_budget
+        from repro.linalg.engine import get_engine
+
+        return (get_config(), get_backend(), get_worker_budget(), get_engine())
+
+    def test_after_a_command(self, during_run, capsys):
+        state = self._installed()
+        seen = during_run("--backend", "thread", "--exec-workers", "2")
+        assert (seen["backend"], seen["budget"], seen["engine"]) == ("thread", 2, 2)
+        after = self._current()
+        assert all(a is b for a, b in zip(after, state))
+        capsys.readouterr()
+
+    def test_after_a_command_that_fails(self, tmp_path, capsys):
+        state = self._installed()
+        with pytest.raises(SystemExit):
+            main(["--exec-workers", "2", "mr", "--splits-from",
+                  str(tmp_path / "nope.npy"), "-k", "3"])
+        after = self._current()
+        assert all(a is b for a, b in zip(after, state))
+        capsys.readouterr()

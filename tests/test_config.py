@@ -186,9 +186,31 @@ class TestOneWorkerKnob:
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
         assert self._three() == (3, 3, 3)
 
-    def test_flag(self, capsys):
-        assert main(["--exec-workers", "3", "list"]) == 0
+    def test_flag(self, monkeypatch, capsys):
+        from repro.evaluation.experiments import registry
+
+        seen = []
+
+        class _Result:
+            def render(self) -> str:
+                return ""
+
+        def probe(name, **_):
+            seen.append(self._three())
+            return _Result()
+
+        monkeypatch.setattr(registry, "run_experiment", probe)
+        assert main(["--exec-workers", "3", "run", "table1"]) == 0
         capsys.readouterr()
+        assert seen == [(3, 3, 3)]
+
+    def test_environment_after_an_in_process_flag(self, monkeypatch, capsys):
+        # main() must hand the process back: its flag gone, the
+        # environment read again for every later caller.
+        assert main(["--exec-workers", "5", "list"]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
+        assert get_config().exec_workers == 3
         assert self._three() == (3, 3, 3)
 
 
