@@ -83,37 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiment ids")
 
-    worker_p = sub.add_parser(
-        "worker",
-        help="run a cluster worker daemon and connect it to a driver",
-        description=(
-            "Connect to a driver's WorkerPool (HELLO/WELCOME handshake), "
-            "then execute dispatched map/reduce tasks serially and in "
-            "order, heartbeating on the same socket. The daemon "
-            "initializes as a serial leaf with the driver's engine "
-            "chunking, so results are bit-identical to local backends. "
-            "Exits cleanly when the driver shuts down or the connection "
-            "closes."
-        ),
-    )
-    worker_p.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="driver worker-pool address to register with",
-    )
-    worker_p.add_argument(
-        "--data-root",
-        default=None,
-        metavar="DIR",
-        help=(
-            "local mount of the dataset root; split descriptors with "
-            "data-root-relative paths resolve against it (default: the "
-            "driver's REPRO_DATA_ROOT from the WELCOME frame, else "
-            "$REPRO_DATA_ROOT)"
-        ),
-    )
-
     run_p = sub.add_parser("run", help="run one experiment (or 'all')")
     run_p.add_argument("experiment", help="experiment id from 'list', or 'all'")
     run_p.add_argument(
@@ -523,17 +492,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "worker":
-        # Before the CLI config: the daemon configures itself from the
-        # driver's WELCOME frame (serial leaf, driver chunk_bytes), and
-        # resolving an inherited REPRO_EXEC_BACKEND=cluster here would
-        # recursively self-launch a fleet per worker.
-        from repro.cluster.worker import run_worker
-
-        try:
-            return run_worker(args.connect, data_root=args.data_root)
-        except (ValueError, OSError) as exc:
-            parser.error(str(exc))
     try:
         config = _cli_config(args)
     except ValidationError as exc:

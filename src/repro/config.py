@@ -10,7 +10,7 @@ A value resolves in this order:
 
 1. an explicit argument to the object that uses it
    (``Engine(workers=)``, ``LocalMapReduceRuntime(shuffle_budget=)``,
-   ``WorkerPool(launch=)``, ...);
+   ...);
 2. a config installed with :func:`set_config` / :func:`use_config` —
    the CLI installs one built from its flags on top of the environment;
 3. the environment;
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Values ``REPRO_EXEC_BACKEND`` and ``--backend`` accept.
-BACKEND_NAMES = ("serial", "thread", "process", "cluster")
+BACKEND_NAMES = ("serial", "thread", "process")
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
@@ -110,9 +110,8 @@ SETTINGS: tuple[Setting, ...] = (
     Setting(
         "REPRO_EXEC_BACKEND", "exec_backend", "--backend", _backend,
         "one of " + ", ".join(BACKEND_NAMES), "thread",
-        "Where parallel regions run: serial, thread, process (MapReduce "
-        "tasks in worker processes) or cluster (tasks on socket-connected "
-        "worker daemons).",
+        "Where parallel regions run: serial, thread or process (MapReduce "
+        "tasks in worker processes).",
     ),
     Setting(
         "REPRO_EXEC_WORKERS", "exec_workers", "--exec-workers",
@@ -146,29 +145,13 @@ SETTINGS: tuple[Setting, ...] = (
     Setting(
         "REPRO_FAULTS_TASK_TIMEOUT", "faults_task_timeout", "--task-timeout",
         _seconds_or_none, "a number of seconds > 0, or none", "none",
-        "Wall-clock limit per task attempt on the process and cluster "
-        "backends; a hung worker is killed and the task retried.",
+        "Wall-clock limit per task attempt on the process backend; a hung "
+        "worker is killed and the task retried.",
     ),
     Setting(
         "REPRO_FAULTS_CHAOS", "faults_chaos", None, _bool, _BOOLEAN, "off",
         "Deterministic fault injection for chaos testing: kills 2% of first "
         "task attempts (seed 0). Outputs stay bit-identical.",
-    ),
-    Setting(
-        "REPRO_CLUSTER_WORKERS", "cluster_workers", None, _int_at_least(0),
-        "an integer >= 0", "3",
-        "Localhost worker daemons the cluster backend launches; 0 waits for "
-        "daemons started with repro worker --connect HOST:PORT.",
-    ),
-    Setting(
-        "REPRO_DATA_ROOT", "data_root", None, str, "a path", "unset",
-        "Dataset root: split descriptors carry paths relative to it, so a "
-        "cluster worker with another mount resolves them against its own.",
-    ),
-    Setting(
-        "REPRO_HTTP_CACHE", "http_cache", None, str, "a path",
-        "$REPRO_DATA_ROOT/.http-cache, else a temp directory",
-        "Directory that caches the row ranges of remote .npy datasets.",
     ),
 )
 
@@ -182,8 +165,8 @@ class Config:
     ``None`` means unset where the effective value depends on the
     caller: ``exec_workers`` (see :data:`SETTINGS`), ``shuffle_budget``
     (bytes; in memory), ``shared_broadcast`` (off, but on for
-    ``repro mr`` / ``repro serve``), ``faults_task_timeout`` (no limit)
-    and the two paths.
+    ``repro mr`` / ``repro serve``) and ``faults_task_timeout`` (no
+    limit).
     """
 
     exec_backend: str = "thread"
@@ -193,9 +176,6 @@ class Config:
     faults_max_retries: int = 2
     faults_task_timeout: float | None = None
     faults_chaos: bool = False
-    cluster_workers: int = 3
-    data_root: str | None = None
-    http_cache: str | None = None
 
 
 def load_config(flags: Mapping[str, object] | None = None) -> Config:

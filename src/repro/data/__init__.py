@@ -21,7 +21,6 @@ from repro.data.io import dataset_cache_path, ensure_mmap_npy, load_dataset, sav
 from repro.data.kddcup import KDDCupConfig, make_kddcup
 from repro.data.sampling import reservoir_sample, uniform_sample
 from repro.data.spambase import SpambaseConfig, make_spambase
-from repro.data.remote import HttpSplitSource, RangeFileServer
 from repro.data.splits import (
     ArraySplitSource,
     CsrSplitDescriptor,
@@ -63,8 +62,6 @@ __all__ = [
     "MmapSplitSource",
     "CsrSplitSource",
     "CsrSplitDescriptor",
-    "HttpSplitSource",
-    "RangeFileServer",
     "as_split_source",
     "save_csr_dir",
     "load_csr_dir",

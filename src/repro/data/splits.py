@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import get_config
 from repro.exceptions import ValidationError
 from repro.linalg import sparse as _sparse
 
@@ -55,48 +54,7 @@ __all__ = [
     "save_csr_dir",
     "load_csr_dir",
     "is_csr_dir",
-    "portable_data_path",
-    "resolve_data_path",
 ]
-
-
-def _data_root() -> str | None:
-    """The ``data_root`` setting, absolute: descriptor paths are made
-    relative to it, so a cluster worker mounting the same data at a
-    different prefix resolves them against *its* root.  Unset =
-    absolute paths (one box)."""
-    root = get_config().data_root
-    return None if root is None else os.path.abspath(root)
-
-
-def portable_data_path(path: str | os.PathLike) -> str:
-    """The form of ``path`` a descriptor should carry across machines.
-
-    With ``REPRO_DATA_ROOT`` set and ``path`` inside it, the returned
-    path is *relative to the root*; a worker with a different mount of
-    the same data resolves it against its own root (the WELCOME frame
-    forwards the driver's root to self-launched localhost daemons, so
-    the round trip is the identity there).  Everything else — no root
-    configured, or a path outside it — stays absolute, the historical
-    driver-absolute behavior.
-    """
-    abs_path = os.path.abspath(os.fspath(path))
-    root = _data_root()
-    if root is None:
-        return abs_path
-    rel = os.path.relpath(abs_path, root)
-    if rel == os.pardir or rel.startswith(os.pardir + os.sep):
-        return abs_path  # outside the root: not portable, keep absolute
-    return rel
-
-
-def resolve_data_path(path: str | os.PathLike) -> str:
-    """Resolve a (possibly data-root-relative) descriptor path locally."""
-    path = os.fspath(path)
-    if os.path.isabs(path):
-        return path
-    root = _data_root()
-    return os.path.join(root, path) if root is not None else os.path.abspath(path)
 
 
 class SplitDescriptor(abc.ABC):
@@ -150,7 +108,7 @@ _MMAP_CACHE: dict[str, tuple[tuple, np.ndarray]] = {}
 
 
 def _cached_mmap(path: str) -> np.ndarray:
-    resolved = resolve_data_path(path)
+    resolved = os.path.abspath(path)
     key = (os.getpid(), _file_identity(resolved))
     entry = _MMAP_CACHE.get(resolved)
     if entry is None or entry[0] != key:
@@ -166,10 +124,9 @@ class MmapSplitDescriptor(SplitDescriptor):
     Pickles as just the path and the range; ``load()`` memory-maps the
     file (once per process, cached) and slices it, so a worker process
     faults in only its own split's pages — out-of-core datasets stay
-    out-of-core across the process boundary.  ``path`` may be relative
-    to the data root (see :func:`portable_data_path`): ``load()``
-    resolves it against the local ``REPRO_DATA_ROOT``, so descriptors
-    stay valid on cluster workers with a different mount.
+    out-of-core across the process boundary.  Sources give it an
+    absolute ``path``, so it loads the same file from any working
+    directory.
     """
 
     path: str
@@ -293,7 +250,7 @@ class MmapSplitSource(SplitSource):
 
     def descriptor(self, start: int, stop: int) -> SplitDescriptor:
         return MmapSplitDescriptor(
-            portable_data_path(self.npy_path), int(start), int(stop)
+            os.path.abspath(self.npy_path), int(start), int(stop)
         )
 
 
@@ -441,8 +398,7 @@ class ShardedRowReader:
 class ShardedSplitSource(SplitSource):
     """A directory of 2-d ``.npy`` shards, read as one row-stacked dataset.
 
-    The first slice of the "remote/sharded split sources" roadmap item:
-    a dataset written as many shard files (the natural output of a
+    A dataset written as many shard files (the natural output of a
     distributed job, or of chunked ingestion) is served to the runtime
     as a single logical array.  Shards are memory-mapped and ordered by
     filename (sort order is the row order, so writers should zero-pad:
@@ -546,7 +502,7 @@ class ShardedSplitSource(SplitSource):
 
     def descriptor(self, start: int, stop: int) -> SplitDescriptor:
         pieces = tuple(
-            MmapSplitDescriptor(portable_data_path(self.paths[i]), lo, hi)
+            MmapSplitDescriptor(os.path.abspath(self.paths[i]), lo, hi)
             for i, lo, hi in self._pieces(start, stop)
         )
         if len(pieces) == 1:
@@ -611,7 +567,7 @@ _CSR_CACHE: dict[str, tuple] = {}
 
 def _cached_csr_dir(directory: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
     """Memory-map (once per process and version) a CSR directory's members."""
-    resolved = resolve_data_path(directory)
+    resolved = os.path.abspath(directory)
     base = pathlib.Path(resolved)
     if not is_csr_dir(base):
         raise ValidationError(
@@ -691,12 +647,10 @@ def _csr_rows(directory: str, start: int, stop: int):
 class CsrSplitDescriptor(SplitDescriptor):
     """Descriptor for rows ``[start, stop)`` of an on-disk CSR directory.
 
-    Pickles as the (data-root-portable) directory path plus the row
-    range; ``load()`` memory-maps the member triple (once per process,
-    cached) and wraps the split's slice as a CSR block — out-of-core
-    sparse datasets stay out-of-core across the process boundary, and a
-    cluster worker mounting the data elsewhere resolves the path against
-    its own ``REPRO_DATA_ROOT`` (see :func:`portable_data_path`).
+    Pickles as the absolute directory path plus the row range;
+    ``load()`` memory-maps the member triple (once per process, cached)
+    and wraps the split's slice as a CSR block — out-of-core sparse
+    datasets stay out-of-core across the process boundary.
     """
 
     directory: str
@@ -792,7 +746,7 @@ class CsrSplitSource(SplitSource):
         if self._X is not None:
             return RowsSplitDescriptor(self._X[start:stop])
         return CsrSplitDescriptor(
-            portable_data_path(self.directory), int(start), int(stop)
+            os.path.abspath(self.directory), int(start), int(stop)
         )
 
     def block_nbytes(self, start: int, stop: int) -> int:
@@ -826,9 +780,7 @@ def as_split_source(data) -> SplitSource:
 
     Accepts an existing source (returned unchanged), a 2-d array, a
     scipy sparse matrix (canonicalized to CSR — see
-    :class:`CsrSplitSource`), an ``http(s)://`` URL of a remote ``.npy``
-    (range-fetched and cached locally — see
-    :class:`repro.data.remote.HttpSplitSource`), or a filesystem path
+    :class:`CsrSplitSource`), or a filesystem path
     (``str`` / ``PathLike``): a ``.npy``/``.npz`` file becomes a
     memory-mapped :class:`MmapSplitSource`, a *directory* becomes a
     :class:`CsrSplitSource` when it holds the on-disk CSR triple
@@ -840,10 +792,6 @@ def as_split_source(data) -> SplitSource:
         return data
     if _sparse.is_sparse(data):
         return CsrSplitSource(data)
-    if isinstance(data, str) and data.startswith(("http://", "https://")):
-        from repro.data.remote import HttpSplitSource
-
-        return HttpSplitSource(data)
     if isinstance(data, (str, os.PathLike)):
         if pathlib.Path(data).is_dir():
             if is_csr_dir(data):
@@ -853,8 +801,8 @@ def as_split_source(data) -> SplitSource:
     if isinstance(data, np.ndarray):
         return ArraySplitSource(data)
     raise ValidationError(
-        "expected an ndarray, a scipy sparse matrix, a SplitSource, an "
-        "http(s):// .npy URL, or a path to a .npy/.npz file or a directory "
-        "of .npy shards / a CSR triple, got "
+        "expected an ndarray, a scipy sparse matrix, a SplitSource, or a "
+        "path to a .npy/.npz file or a directory of .npy shards / a CSR "
+        "triple, got "
         f"{type(data).__name__}"
     )

@@ -269,13 +269,6 @@ class ExecBackend(abc.ABC):
     #: pickle boundary worth replacing with shared-memory descriptors).
     crosses_processes: ClassVar[bool] = False
 
-    #: Whether those processes may live on *other machines* (the cluster
-    #: backend).  Remote workers cannot attach the driver's shared-memory
-    #: segments, so the MapReduce runtime keeps split state on the legacy
-    #: pickle path and broadcasts go through the backend's
-    #: :meth:`broadcast_transport` instead of local segments.
-    remote: ClassVar[bool] = False
-
     def __init__(self, budget: WorkerBudget | None = None):
         self._budget = budget
         _live_backends.add(self)
@@ -330,15 +323,6 @@ class ExecBackend(abc.ABC):
             for i, args in enumerate(calls)
         ]
         return self.run_tasks(tasks, parallelism=parallelism)
-
-    def broadcast_transport(self) -> Any:
-        """Optional plane transport for this backend's broadcasts.
-
-        ``None`` (the default) means ``publish_broadcast`` uses its local
-        logic (shared-memory segment or inline).  The cluster backend
-        returns its send-once :class:`RemoteBroadcastTransport` here.
-        """
-        return None
 
     # -- lifecycle ------------------------------------------------------
     def shutdown(self) -> None:
@@ -862,11 +846,6 @@ def resolve_backend(spec: ExecBackend | str | None = None) -> ExecBackend:
         return spec
     if spec is None:
         spec = get_config().exec_backend
-    if spec == "cluster" and spec not in BACKENDS:
-        # Registered lazily: the cluster package imports this module, so
-        # eager registration would be a cycle — and most processes never
-        # pay for the socket machinery.
-        import repro.cluster.backend  # noqa: F401 — registers "cluster"
     if spec not in BACKENDS:
         raise ValidationError(
             f"unknown execution backend {spec!r}; expected one of "

@@ -45,7 +45,6 @@ __all__ = [
     "ChaosInjector",
     "SimulatedWorkerCrash",
     "TaskTimeoutError",
-    "WorkerLostError",
     "call_with_faults",
     "is_crash_failure",
     "default_retry_policy",
@@ -78,32 +77,6 @@ class TaskTimeoutError(Exception):
     """
 
 
-class WorkerLostError(Exception):
-    """A remote worker died with tasks outstanding on it.
-
-    Raised by the cluster backend's :class:`~repro.cluster.WorkerPool`
-    when a worker daemon's connection drops (EOF, socket error) or its
-    heartbeat goes stale past the configured timeout — the asynchronous
-    failure *detection* path, as opposed to the synchronous
-    ``BrokenExecutor`` the local process backend observes.  Crash-class:
-    the lost attempts are retried on surviving workers.
-
-    ``heartbeat`` distinguishes a stale-``last_ping`` detection (the
-    worker may still be alive but wedged) from a hard connection loss.
-    """
-
-    def __init__(self, message: str, *, heartbeat: bool = False):
-        super().__init__(message)
-        self.heartbeat = bool(heartbeat)
-
-    def __reduce__(self):
-        return (_rebuild_worker_lost, (str(self), self.heartbeat))
-
-
-def _rebuild_worker_lost(message: str, heartbeat: bool) -> "WorkerLostError":
-    return WorkerLostError(message, heartbeat=heartbeat)
-
-
 def is_crash_failure(exc: BaseException) -> bool:
     """Is ``exc`` a lost-worker failure (retryable) vs a task bug (not)?"""
     return isinstance(
@@ -113,7 +86,6 @@ def is_crash_failure(exc: BaseException) -> bool:
             CancelledError,
             SimulatedWorkerCrash,
             TaskTimeoutError,
-            WorkerLostError,
         ),
     )
 
@@ -201,9 +173,6 @@ class FaultStats:
         "timeouts",
         "pool_rebuilds",
         "state_recomputed_bytes",
-        # Cluster-backend failure detection: tasks failed because their
-        # worker's ``last_ping`` went stale past the heartbeat timeout.
-        "heartbeat_timeouts",
         # Reduce-side spill manifests found lost at ingest (their
         # worker's spill dir died with it) and recovered via lineage.
         "manifests_recovered",

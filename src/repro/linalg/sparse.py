@@ -17,7 +17,7 @@ serving path go sparse without touching their call sites.
 
 Chunk scheduling still belongs to :class:`repro.linalg.engine.Engine`
 — blocks run through :meth:`~repro.linalg.engine.Engine.run_slices`, so
-thread/process/cluster backends, the shared worker budget, and fault
+serial/thread/process backends, the shared worker budget, and fault
 retry apply unchanged.  The difference is how row ranges are *cut*:
 :func:`nnz_chunk_slices` charges the budget by stored entries (nnz)
 plus per-row scratch rather than ``rows * d``, so a skewed CSR (a few

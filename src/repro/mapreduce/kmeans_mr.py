@@ -76,6 +76,8 @@ class MRKMeansReport:
     final_cost: float
     lloyd_iters: int
     n_candidates: int
+    #: MapReduce jobs run; the driver's sequential sections, which the
+    #: runtime's ``job_log`` also records, are not jobs.
     n_jobs: int
     simulated_minutes: float
     breakdown: dict[str, float] = field(default_factory=dict)
@@ -91,8 +93,7 @@ class MRKMeansReport:
     #: Fault-tolerance telemetry summed over the run's jobs (all zeros
     #: on a fault-free run): ``retries`` / ``crashes`` / ``timeouts`` /
     #: ``pool_rebuilds`` / ``state_recomputed_bytes`` /
-    #: ``heartbeat_timeouts`` / ``manifests_recovered`` — see
-    #: :func:`_fault_telemetry`.
+    #: ``manifests_recovered`` — see :func:`_fault_telemetry`.
     faults: dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -162,6 +163,11 @@ def _fault_telemetry(runtime: LocalMapReduceRuntime) -> dict[str, int]:
         for key, value in stats.faults.items():
             totals[key] = totals.get(key, 0) + value
     return totals
+
+
+def _n_jobs(runtime: LocalMapReduceRuntime) -> int:
+    """Jobs in ``runtime.job_log``, less its ``[sequential]`` charges."""
+    return sum(not s.name.startswith("[sequential]") for s in runtime.job_log)
 
 
 def _check_driver_args(
@@ -337,7 +343,7 @@ def mr_scalable_kmeans(
             final_cost=final_cost,
             lloyd_iters=n_iter,
             n_candidates=int(m),
-            n_jobs=len(runtime.job_log),
+            n_jobs=_n_jobs(runtime),
             simulated_minutes=runtime.simulated_minutes,
             breakdown={
                 "init": init_minutes,
@@ -405,7 +411,7 @@ def mr_random_kmeans(
             final_cost=final_cost,
             lloyd_iters=n_iter,
             n_candidates=k,
-            n_jobs=len(runtime.job_log),
+            n_jobs=_n_jobs(runtime),
             simulated_minutes=runtime.simulated_minutes,
             breakdown={"init": init_minutes,
                        "lloyd": runtime.simulated_minutes - init_minutes},

@@ -536,13 +536,7 @@ class LocalMapReduceRuntime:
         # a task in another process.  The broadcast is published once
         # per job and freed in the ``finally`` below; split state goes
         # out as descriptors and comes back as resident markers.
-        crosses = backend.crosses_processes
-        transport_shared = self.shared_broadcast and crosses
-        # Remote workers (the cluster backend) cannot attach the driver's
-        # shared-memory segments: broadcasts go through the backend's
-        # send-once transport instead, and split state stays on the
-        # legacy pickle path (descriptors would dangle across machines).
-        state_resident = transport_shared and not backend.remote
+        transport_shared = self.shared_broadcast and backend.crosses_processes
 
         # One shuffle store per job: in-memory unless a budget is set.
         # Spill files (the driver's and the map tasks') all live in the
@@ -564,13 +558,7 @@ class LocalMapReduceRuntime:
             self._state.drain_counters()
             # Publish inside the guarded region: whatever fails between
             # here and the reduce, the ``finally`` frees the segment.
-            published = publish_broadcast(
-                job.broadcast,
-                shared=transport_shared,
-                transport=(
-                    backend.broadcast_transport() if transport_shared else None
-                ),
-            )
+            published = publish_broadcast(job.broadcast, shared=transport_shared)
             ship_job = job if published.inline else replace(
                 job, broadcast=published.ref
             )
@@ -584,7 +572,7 @@ class LocalMapReduceRuntime:
             # per-task payload left is O(1)-sized.
             state_args: list[Any] = (
                 [self._state.spec(i) for i in range(self.n_splits)]
-                if state_resident
+                if transport_shared
                 else self._state.states
             )
             calls = [
@@ -606,7 +594,7 @@ class LocalMapReduceRuntime:
                 # this split, then re-issue the task with a fresh RNG.
                 return self._recover_map_call(
                     index, ship_job, rng_blobs[index], spill_spec,
-                    state_resident, fault_stats,
+                    transport_shared, fault_stats,
                 )
 
             task_results: list[_MapTaskResult] = backend.run_calls(
@@ -643,11 +631,11 @@ class LocalMapReduceRuntime:
                     result.manifest.path
                 ):
                     # The worker that spilled this split died between
-                    # settling its result and ingest (its spill dir died
-                    # with it — a remote worker's local disk): recover
-                    # the map output via lineage, inline and unspilled.
+                    # settling its result and ingest, and its spill file
+                    # went with it: recover the map output via lineage,
+                    # inline and unspilled.
                     result = self._recover_lost_manifest(
-                        i, ship_job, rng_blobs[i], state_resident,
+                        i, ship_job, rng_blobs[i], transport_shared,
                         fault_stats,
                     )
                 if result.manifest is not None:
@@ -877,15 +865,14 @@ class LocalMapReduceRuntime:
         split_id: int,
         ship_job: MapReduceJob,
         rng_blob: bytes,
-        state_resident: bool,
+        transport_shared: bool,
         fault_stats: FaultStats,
     ) -> _MapTaskResult:
         """Re-run a map task whose spill manifest vanished before ingest.
 
         The map phase settled successfully, but by ingest time the
         split's spill file is gone — the worker that wrote it died
-        holding the directory (on a real remote worker the file was on
-        *its* disk).  The fix is the same lineage discipline as a task
+        holding the directory.  The fix is the same lineage discipline as a task
         crash, applied one phase later: rebuild the split's pre-job
         state, replay the owning map task inline on the driver with
         ``spill_spec=None`` (so the recovered emissions stay in memory),
@@ -895,7 +882,7 @@ class LocalMapReduceRuntime:
         """
         fault_stats.bump("manifests_recovered")
         args = self._recover_map_call(
-            split_id, ship_job, rng_blob, None, state_resident, fault_stats
+            split_id, ship_job, rng_blob, None, transport_shared, fault_stats
         )
         replay = _execute_map_task(*args)
         # ``_recover_map_call`` installed the *pre*-job state; the map

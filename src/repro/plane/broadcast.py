@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any
 
 import numpy as np
 
@@ -91,34 +91,25 @@ class PublishedBroadcast:
     taken) is released on job completion — the publish is job-scoped,
     like a Spark broadcast's ``destroy()`` at the end of the round.
     ``published_bytes`` is the one-time segment copy, 0 on the inline
-    path.  ``on_release`` is the transport teardown hook: the cluster
-    plane's send-once broadcasts have no local segment and release
-    through their :class:`~repro.cluster.worker_pool.WorkerPool`
-    instead.
+    path.
     """
 
     ref: BroadcastRef
     segment: SegmentHandle | None = None
     published_bytes: int = 0
-    on_release: Optional[Callable[[], None]] = None
 
     @property
     def inline(self) -> bool:
         """True when tasks should ship the raw job (no ref substitution)."""
-        return self.segment is None and self.on_release is None
+        return self.segment is None
 
     def release(self) -> None:
         if self.segment is not None:
             self.segment.release()
             self.segment = None
-        if self.on_release is not None:
-            hook, self.on_release = self.on_release, None
-            hook()
 
 
-def publish_broadcast(
-    value: Any, *, shared: bool, transport: Any = None
-) -> PublishedBroadcast:
+def publish_broadcast(value: Any, *, shared: bool) -> PublishedBroadcast:
     """Wrap one job's broadcast value for dispatch.
 
     ``shared`` is the *transport* decision (plane mode is on **and** the
@@ -127,16 +118,7 @@ def publish_broadcast(
     scalars, ``None``, any non-array payload, and object-dtype arrays
     (whose buffers are PyObject pointers, meaningless in another
     process) — stays inline; those pickle by value as before.
-
-    ``transport``, when given (the cluster backend's send-once remote
-    plane), gets first refusal: its ``publish(value)`` either returns a
-    complete :class:`PublishedBroadcast` or ``None`` to decline, in
-    which case the local segment/inline logic applies as usual.
     """
-    if shared and transport is not None and value is not None:
-        published = transport.publish(value)
-        if published is not None:
-            return published
     if (
         shared
         and isinstance(value, np.ndarray)

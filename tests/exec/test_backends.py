@@ -114,12 +114,7 @@ class TestRegistry:
         assert get_worker_budget() is before
 
     def test_registry_names(self):
-        # The cluster backend registers itself on first import (lazy, so
-        # plain in-process runs never pay for the socket machinery);
-        # import it here to make the full registry deterministic.
-        import repro.cluster.backend  # noqa: F401
-
-        assert set(BACKENDS) == {"serial", "thread", "process", "cluster"}
+        assert set(BACKENDS) == {"serial", "thread", "process"}
 
     def test_instance_passthrough(self):
         backend = ThreadBackend()

@@ -70,10 +70,22 @@ class TestMRScalableKMeans:
         X, _ = blobs
         report = mr_scalable_kmeans(X, 5, l=10.0, r=3, n_splits=4, seed=0,
                                     lloyd_max_iter=5)
-        # 1 sample + (3 cost + <=3 sample) + final fold + weights +
-        # sequential pseudo-job + <=5 lloyd
-        assert report.n_jobs <= 1 + 6 + 1 + 1 + 1 + 5
+        # 1 sample + (3 cost + <=3 sample) + final fold + weights + <=5 lloyd
+        assert report.n_jobs <= 1 + 6 + 1 + 1 + 5
         assert report.n_jobs >= 8
+
+    def test_job_count_leaves_out_the_sequential_charge(self):
+        # r = 5 rounds that each sample, then 10 Lloyd jobs: 1 sample +
+        # 6 cost + 5 sample + 1 weights + 10 Lloyd = 23 jobs.  The
+        # runtime also logs the driver's reclustering, which is no job.
+        X = np.random.default_rng(0).uniform(size=(2000, 3))
+        report = mr_scalable_kmeans(X, 16, l=32.0, r=5, n_splits=4, seed=0,
+                                    lloyd_max_iter=10)
+        assert report.lloyd_iters == 10
+        assert report.n_jobs == 23
+        assert "jobs=23 " in report.summary()
+        random = mr_random_kmeans(X, 16, n_splits=4, seed=0, lloyd_max_iter=10)
+        assert (random.lloyd_iters, random.n_jobs) == (10, 11)
 
     def test_summary_string(self, blobs):
         X, _ = blobs

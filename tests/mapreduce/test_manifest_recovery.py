@@ -1,12 +1,11 @@
 """Regression: reduce-side recovery of lost spill manifests via lineage.
 
-Closes the "still open for the cluster backend" note from the
-fault-tolerance PR: a map task can settle successfully and *then* lose
-its spilled output before ingest (the worker that wrote the spill died,
-and on a real remote worker the file lived on its local disk).  The
-runtime must notice the missing manifest at ingest, replay the owning
-map task inline via lineage, and finish bit-identical to a fault-free
-run — counting the event in ``faults["manifests_recovered"]``.
+A map task can settle successfully and *then* lose its spilled output
+before ingest (the worker that wrote the spill died, and its spill file
+went with it).  The runtime must notice the missing manifest at ingest,
+replay the owning map task inline via lineage, and finish bit-identical
+to a fault-free run — counting the event in
+``faults["manifests_recovered"]``.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ pytestmark = pytest.mark.skipif(
 class ManifestEatingBackend(SerialBackend):
     """Deletes map-task spill files after the region settles.
 
-    Models the cluster failure mode where the worker holding the spill
-    dies between settling its result and the driver's ingest: the result
+    Models the failure where the worker holding the spill dies between
+    settling its result and the driver's ingest: the result
     object still references the manifest, but the bytes are gone.
     """
 

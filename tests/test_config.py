@@ -42,9 +42,6 @@ CASES = {
     "REPRO_FAULTS_MAX_RETRIES": ("0", 0, "-1"),
     "REPRO_FAULTS_TASK_TIMEOUT": ("2.5", 2.5, "0"),
     "REPRO_FAULTS_CHAOS": ("on", True, "sometimes"),
-    "REPRO_CLUSTER_WORKERS": ("0", 0, "-1"),
-    "REPRO_DATA_ROOT": ("/data/root", "/data/root", None),
-    "REPRO_HTTP_CACHE": ("/var/cache/repro", "/var/cache/repro", None),
 }
 FIELD = {s.env: s.field for s in SETTINGS}
 
@@ -74,8 +71,18 @@ def test_every_setting_has_a_case_and_a_field():
 def test_backend_names_are_the_registry():
     from repro.exec import BACKENDS
 
-    # "cluster" registers itself on first use.
-    assert set(BACKEND_NAMES) == set(BACKENDS) | {"cluster"}
+    assert BACKEND_NAMES == ("serial", "thread", "process")
+    assert set(BACKEND_NAMES) == set(BACKENDS)
+
+
+def test_the_removed_cluster_backend_is_refused(monkeypatch):
+    monkeypatch.setenv("REPRO_EXEC_BACKEND", "cluster")
+    with pytest.raises(
+        ValidationError,
+        match="^REPRO_EXEC_BACKEND must be one of serial, thread, process, "
+        "got 'cluster'$",
+    ):
+        get_config()
 
 
 class TestEachSetting:

@@ -1,7 +1,9 @@
-"""Public-API surface tests: imports, __all__ hygiene, version."""
+"""Public-API surface tests: imports, __all__ hygiene, version, and no
+network surface."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -95,3 +97,47 @@ class TestTopLevelSurface:
         import repro
 
         assert "VLDB 2012" in repro.__doc__
+
+
+#: Modules that open sockets or serve requests.  The package runs on one
+#: machine and listens on nothing, so no module under ``src/repro``
+#: imports them.
+NETWORK_MODULES = frozenset(
+    {"socket", "socketserver", "selectors", "http.server", "urllib.request"}
+)
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Every module an ``import`` statement in ``source`` names."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestNoNetworkSurface:
+    def test_no_module_imports_a_network_module(self):
+        src = REPO_ROOT / "src" / "repro"
+        paths = sorted(src.rglob("*.py"))
+        assert len(paths) > 50
+        offenders = {}
+        for path in paths:
+            hits = _imported_modules(path.read_text(encoding="utf-8")) & NETWORK_MODULES
+            if hits:
+                offenders[str(path.relative_to(src))] = sorted(hits)
+        assert offenders == {}
+
+    @pytest.mark.parametrize("line", [
+        "import socket",
+        "import http.server as server",
+        "from http import server",
+        "from urllib.request import urlopen",
+        "from socketserver import TCPServer",
+        "def f():\n    import selectors",
+    ])
+    def test_check_sees_each_spelling(self, line):
+        assert _imported_modules(line) & NETWORK_MODULES
