@@ -100,18 +100,44 @@ def _file_identity(path: str | os.PathLike) -> tuple[int, int, int, int]:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
+def _mmap_key(path: str) -> tuple:
+    """What a cached map of ``path`` must match: ``(pid, file identity)``."""
+    return os.getpid(), _file_identity(path)
+
+
+def _drop_stale(cache: dict, key_of) -> None:
+    """Drop the entries of ``cache`` whose key no longer matches its file.
+
+    A deleted or rewritten file, or a map inherited over a fork, no
+    longer matches; dropping the entry lets its map close once no split
+    view holds it, so a process that maps many files over its life keeps
+    only the live ones.
+    """
+    for path, entry in list(cache.items()):
+        try:
+            current = key_of(path)
+        except OSError:  # deleted (or unreadable) since it was mapped
+            current = None
+        if entry[0] != current:
+            cache.pop(path, None)  # another thread may have dropped it
+
+
 #: Per-process cache of open memory maps: path -> ((pid, file identity),
 #: mmap). The pid makes a forked child re-open its own map instead of
 #: sharing the parent's file handle state; the identity re-opens a file
-#: that was rewritten since it was mapped.
+#: that was rewritten since it was mapped.  Each miss first drops the
+#: entries that no longer match their file (:func:`_drop_stale`), and a
+#: runtime drops its source's entries when it shuts down
+#: (:meth:`SplitSource.drop_cached_maps`).
 _MMAP_CACHE: dict[str, tuple[tuple, np.ndarray]] = {}
 
 
 def _cached_mmap(path: str) -> np.ndarray:
     resolved = os.path.abspath(path)
-    key = (os.getpid(), _file_identity(resolved))
+    key = _mmap_key(resolved)
     entry = _MMAP_CACHE.get(resolved)
     if entry is None or entry[0] != key:
+        _drop_stale(_MMAP_CACHE, _mmap_key)
         entry = (key, np.load(resolved, mmap_mode="r"))
         _MMAP_CACHE[resolved] = entry
     return entry[1]
@@ -175,6 +201,13 @@ class SplitSource(abc.ABC):
     def block_nbytes(self, start: int, stop: int) -> int:
         """Bytes a map task scans for rows ``[start, stop)``."""
         return (stop - start) * self.shape[1] * self.dtype.itemsize
+
+    def drop_cached_maps(self) -> None:
+        """Forget this process's cached maps of the source's files.
+
+        The runtime calls this when it shuts down.  A later descriptor
+        load maps the file again; in-memory sources have nothing cached.
+        """
 
     def _validate(self) -> None:
         shape = self.shape
@@ -252,6 +285,9 @@ class MmapSplitSource(SplitSource):
         return MmapSplitDescriptor(
             os.path.abspath(self.npy_path), int(start), int(stop)
         )
+
+    def drop_cached_maps(self) -> None:
+        _MMAP_CACHE.pop(os.path.abspath(self.npy_path), None)
 
 
 @dataclass(frozen=True)
@@ -509,6 +545,10 @@ class ShardedSplitSource(SplitSource):
             return pieces[0]
         return ShardedSplitDescriptor(pieces)
 
+    def drop_cached_maps(self) -> None:
+        for path in self.paths:
+            _MMAP_CACHE.pop(os.path.abspath(path), None)
+
 
 # ----------------------------------------------------------------------
 # Sparse (CSR) split sources.
@@ -561,8 +601,18 @@ def save_csr_dir(matrix, directory: str | os.PathLike) -> pathlib.Path:
 
 #: Per-process cache of open CSR directories: resolved dir ->
 #: ((pid, member file identities), data, indices, indptr, shape), keyed
-#: like :data:`_MMAP_CACHE`.
+#: and pruned like :data:`_MMAP_CACHE`.
 _CSR_CACHE: dict[str, tuple] = {}
+
+
+def _csr_key(directory: str) -> tuple:
+    """What a cached CSR directory must match: pid and member identities."""
+    base = pathlib.Path(directory)
+    members = [base / m for m in (*CSR_MEMBERS, CSR_META)]
+    return (
+        os.getpid(),
+        tuple(_file_identity(m) if m.exists() else None for m in members),
+    )
 
 
 def _cached_csr_dir(directory: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
@@ -573,13 +623,10 @@ def _cached_csr_dir(directory: str) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         raise ValidationError(
             f"{base} is not a CSR split directory (need {CSR_MEMBERS})"
         )
-    members = [base / m for m in (*CSR_MEMBERS, CSR_META)]
-    key = (
-        os.getpid(),
-        tuple(_file_identity(m) if m.exists() else None for m in members),
-    )
+    key = _csr_key(resolved)
     entry = _CSR_CACHE.get(resolved)
     if entry is None or entry[0] != key:
+        _drop_stale(_CSR_CACHE, _csr_key)
         from repro.data.io import ensure_mmap_npy
 
         data = np.load(ensure_mmap_npy(base / "data.npy"), mmap_mode="r")
@@ -748,6 +795,10 @@ class CsrSplitSource(SplitSource):
         return CsrSplitDescriptor(
             os.path.abspath(self.directory), int(start), int(stop)
         )
+
+    def drop_cached_maps(self) -> None:
+        if self.directory is not None:
+            _CSR_CACHE.pop(os.path.abspath(self.directory), None)
 
     def block_nbytes(self, start: int, stop: int) -> int:
         """Bytes a sparse scan of rows ``[start, stop)`` actually reads:

@@ -118,6 +118,7 @@ def run(scale: str = "scaled", seed: int = 0) -> ExperimentResult:
         )
         stats = result.stats
         data[f"shuffle/{label}"] = stats.shuffle_bytes
+        data[f"shuffle_records/{label}"] = stats.shuffle_records
         shuffle_rows.append(
             [label, stats.map_emitted, stats.shuffle_records, stats.shuffle_bytes]
         )

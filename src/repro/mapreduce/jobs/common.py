@@ -1,4 +1,4 @@
-"""Shared reducers and constants for the k-means jobs.
+"""Shared reducers, split-state keys and constants for the k-means jobs.
 
 ``FLOPS_PER_DIST`` is the conventional 3 float-ops (subtract, multiply,
 accumulate) per coordinate of a squared-distance evaluation; every
@@ -12,9 +12,17 @@ from typing import Any, Hashable, Iterable
 
 import numpy as np
 
-from repro.mapreduce.job import KeyValue, Reducer
+from repro.linalg import sparse as _sparse
+from repro.linalg.distances import row_norms_sq
+from repro.mapreduce.job import KeyValue, Reducer, SplitContext
 
-__all__ = ["FLOPS_PER_DIST", "ScalarSumReducer", "ArraySumReducer", "ConcatReducer"]
+__all__ = [
+    "FLOPS_PER_DIST",
+    "ScalarSumReducer",
+    "ArraySumReducer",
+    "ConcatReducer",
+    "split_norms",
+]
 
 #: Float operations charged per (point, center) coordinate pair.
 FLOPS_PER_DIST = 3.0
@@ -23,6 +31,28 @@ FLOPS_PER_DIST = 3.0
 STATE_D2 = "d2"
 #: Key under which the cached nearest-candidate index lives.
 STATE_NEAREST = "nearest"
+#: Key under which the split's cached ``||x||^2`` rows live.
+STATE_NORMS = "lloyd-x-norms-sq"
+
+
+def split_norms(ctx: SplitContext | None, block) -> np.ndarray | None:
+    """The split's ``||x||^2`` rows, computed by its first job and kept.
+
+    The cost jobs and the Lloyd jobs both pass these to their kernels, so
+    a fit pays the O(nd) norm pass once per split.  Every MR job's centers
+    are float64, so the dense kernels work on float64 rows; the norms are
+    taken of those rows, which gives a kernel the bits it would compute
+    itself.  ``None`` without a context (a mapper run by hand).
+    """
+    if ctx is None:
+        return None
+    norms = ctx.state.get(STATE_NORMS)
+    if norms is None or norms.shape[0] != block.shape[0]:
+        if not _sparse.is_sparse(block) and block.dtype != np.float64:
+            block = np.asarray(block, dtype=np.float64)
+        norms = row_norms_sq(block)
+        ctx.state[STATE_NORMS] = norms
+    return norms
 
 
 class ScalarSumReducer(Reducer):

@@ -9,13 +9,17 @@ and emits its split's partial potential. The reducer sums partials into
 
 The mapper also maintains the *argmin* (index of the nearest candidate)
 alongside the minimum, which makes Step 7 (candidate weighting) a
-zero-distance-work bincount pass — see
-:class:`repro.mapreduce.jobs.weight_job.CachedWeightMapper`.  The fold's
+zero-distance-work bincount that rides on the last round's fold — see
+:class:`repro.mapreduce.jobs.weight_job.FoldWeightMapper`.  The fold's
 tile reduction reads each row's minimum at its argmin, so keeping the
 argmin costs about what the minimum alone does: at n = 100k, d = 16,
 64 centers, one BLAS thread, 21.5-28.6 ms a fold against 23-24 ms for
 :func:`~repro.linalg.distances.update_min_sq_dists` (a separate row
 ``min`` and ``argmin`` took 36-40 ms against 27-28 ms).
+
+The fold reads the split's ``||x||^2`` rows from its state
+(:func:`~repro.mapreduce.jobs.common.split_norms`): the first cost job
+computes them, and every later cost and Lloyd job reuses them.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.mapreduce.jobs.common import (
     STATE_D2,
     STATE_NEAREST,
     ScalarSumReducer,
+    split_norms,
 )
 
 __all__ = ["UpdateCostMapper", "make_cost_job", "PHI_KEY"]
@@ -96,7 +101,8 @@ class UpdateCostMapper(BlockMapper):
             nearest = np.full(block.shape[0], -1, dtype=np.int64)
         if self.new_centers.shape[0]:
             d2, nearest = update_min_sq_dists_argmin(
-                block, self.new_centers, d2, nearest, offset=self.offset
+                block, self.new_centers, d2, nearest, offset=self.offset,
+                x_norms_sq=split_norms(self.ctx, block),
             )
         self.ctx.state[STATE_D2] = d2
         self.ctx.state[STATE_NEAREST] = nearest

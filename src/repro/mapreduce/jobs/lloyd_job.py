@@ -2,19 +2,27 @@
 
 The classic parallel k-means pattern the paper's introduction mentions as
 "readily available": mappers assign points to the broadcast centers and
-emit per-cluster (coordinate-sum, count) partials; the reducer folds
-partials and produces new centroids. Mappers also emit the split's partial
-potential so the driver can track convergence for free.
+emit (coordinate-sum, count) partials; the reducer folds the partials and
+:func:`collect_new_centers` turns them into new centroids. Mappers also
+emit the split's partial potential (key :data:`PHI_KEY`, one float per
+split) so the driver can track convergence for free.
 
-Two granularities are supported:
+Two granularities are supported; they differ in the aggregate records:
 
-* ``"split"`` (default) — the mapper pre-aggregates one ``(k, d+1)``
-  block per split (how Spark/combiner-enabled Hadoop behaves); shuffle
-  volume is ``O(splits * k * d)``;
-* ``"point"`` — the mapper emits one record *per point* and correctness
-  relies on the combiner, as in textbook Hadoop; shuffle volume without a
-  combiner is ``O(n * d)``. The combiner-ablation bench uses this mode to
-  measure exactly how many bytes the combiner saves.
+* ``"split"`` (default) — the mapper pre-aggregates its split into one
+  ``(k, d+1)`` ``[sums | counts]`` block under the key :data:`AGG_KEY`
+  (how Spark/combiner-enabled Hadoop behaves): two records per split,
+  shuffle volume ``O(splits * k * d)``.  The reducer adds the blocks in
+  split order.  A cluster with no point in a split has an all-zero row,
+  and adding exact zeros changes no partial sum, so each cluster's total
+  is bit for bit the per-cluster fold over the splits that hold it;
+* ``"point"`` — the mapper emits one ``(d+1,)`` record *per point* under
+  the key ``(AGG_KEY, cluster)`` and correctness relies on the combiner,
+  as in textbook Hadoop; shuffle volume without a combiner is
+  ``O(n * d)``.  The reducer folds each cluster's records into its
+  ``(centroid, count)``.  The combiner ablation (ablation D,
+  ``benchmarks/bench_shuffle.py``) uses this mode to measure exactly how
+  many bytes the combiner saves.
 """
 
 from __future__ import annotations
@@ -27,9 +35,14 @@ import numpy as np
 from repro.exceptions import JobSpecError
 from repro.linalg import sparse as _sparse
 from repro.linalg.centroids import cluster_sizes, cluster_sums
-from repro.linalg.distances import assign_labels, row_norms_sq
+from repro.linalg.distances import assign_labels
 from repro.mapreduce.job import BlockMapper, KeyValue, MapReduceJob, Reducer
-from repro.mapreduce.jobs.common import FLOPS_PER_DIST, ScalarSumReducer
+from repro.mapreduce.jobs.common import (
+    FLOPS_PER_DIST,
+    ArraySumReducer,
+    ScalarSumReducer,
+    split_norms,
+)
 
 __all__ = [
     "LloydMapper",
@@ -37,13 +50,10 @@ __all__ = [
     "make_lloyd_job",
     "AGG_KEY",
     "PHI_KEY",
-    "STATE_NORMS",
 ]
 
-#: Split-state key caching the split's ``||x||^2`` rows across jobs.
-STATE_NORMS = "lloyd-x-norms-sq"
-
-#: Output key prefix of per-cluster aggregates.
+#: Output key of the split blocks; with ``"point"`` granularity, the
+#: prefix of the per-cluster keys ``(AGG_KEY, cluster)``.
 AGG_KEY = "agg"
 #: Output key of the partial potential.
 PHI_KEY = "lloyd-phi"
@@ -54,10 +64,11 @@ GRANULARITIES = ("split", "point")
 class LloydMapper(BlockMapper):
     """Assignment + partial aggregation for one split.
 
-    The split's ``||x||^2`` rows are cached in the per-split state (the
-    runtime's RDD-caching model, same mechanism the cost job uses for its
-    ``d^2`` profile), so the driver's one-job-per-Lloyd-round loop pays
-    the O(nd) norm pass once per split, not once per round.
+    The split's ``||x||^2`` rows come from the per-split state (the
+    runtime's RDD-caching model; see
+    :func:`~repro.mapreduce.jobs.common.split_norms`), where the seeding
+    jobs already left them, so a fit pays the O(nd) norm pass once per
+    split, not once per job.
     """
 
     def __init__(self, centers: np.ndarray | None = None, granularity: str = "split"):
@@ -87,24 +98,18 @@ class LloydMapper(BlockMapper):
             self.centers = np.atleast_2d(np.asarray(ctx.broadcast, dtype=np.float64))
 
     def map_block(self, block: np.ndarray) -> Iterable[KeyValue]:
-        k = self.centers.shape[0]
-        norms = None
-        if self.ctx is not None:
-            norms = self.ctx.state.get(STATE_NORMS)
-            if norms is None or norms.shape[0] != block.shape[0]:
-                norms = row_norms_sq(block)
-                self.ctx.state[STATE_NORMS] = norms
+        k, d = self.centers.shape
         labels, d2 = assign_labels(
-            block, self.centers, x_norms_sq=norms, return_sq_dists=True
+            block, self.centers, x_norms_sq=split_norms(self.ctx, block),
+            return_sq_dists=True,
         )
-        self.work += block.shape[0] * k * block.shape[1] * FLOPS_PER_DIST
+        self.work += block.shape[0] * k * d * FLOPS_PER_DIST
         yield PHI_KEY, float(d2.sum())
         if self.granularity == "split":
-            sums = cluster_sums(block, labels, k)
-            counts = cluster_sizes(labels, k)
-            # One (sum, count) record per non-empty cluster in this split.
-            for j in np.flatnonzero(counts):
-                yield (AGG_KEY, int(j)), np.concatenate([sums[j], counts[j : j + 1]])
+            agg = np.empty((k, d + 1))
+            agg[:, :-1] = cluster_sums(block, labels, k)
+            agg[:, -1] = cluster_sizes(labels, k)
+            yield AGG_KEY, agg
         else:
             # Point granularity ships one dense (d+1,) record per point by
             # construction (the combiner ablation measures exactly that),
@@ -135,7 +140,8 @@ class SumCountReducer(Reducer):
 
 
 class SumCountCombiner(Reducer):
-    """Pre-fold (sum, count) partials without dividing (stay mergeable).
+    """Pre-fold (sum, count) partials — split blocks or per-cluster
+    records — without dividing (stay mergeable).
 
     ``fold_safe``: one same-key record per fold, work per addition — so
     the spilling shuffle store may keep a running accumulator per key
@@ -157,15 +163,22 @@ class SumCountCombiner(Reducer):
 
 
 class _LloydReducer(Reducer):
-    """Dispatch: phi key -> scalar sum; agg keys -> centroid computation."""
+    """Dispatch: phi -> scalar sum; split blocks -> their fold in split
+    order; per-point cluster keys -> the cluster's centroid."""
 
     def __init__(self) -> None:
         super().__init__()
         self._scalar = ScalarSumReducer()
+        self._blocks = ArraySumReducer()
         self._sumcount = SumCountReducer()
 
     def reduce(self, key: Hashable, values: list[Any]) -> Iterable[KeyValue]:
-        inner = self._scalar if key == PHI_KEY else self._sumcount
+        if key == PHI_KEY:
+            inner = self._scalar
+        elif key == AGG_KEY:
+            inner = self._blocks
+        else:
+            inner = self._sumcount
         yield from inner.reduce(key, values)
         self.work += inner.work
         inner.work = 0.0
@@ -198,18 +211,24 @@ def collect_new_centers(
 ) -> tuple[np.ndarray, float]:
     """Assemble the reducer output into a center array plus the potential.
 
-    Clusters that received no points keep their previous center (the
-    ``"keep"`` empty policy — the only choice expressible without another
-    pass, and what production MapReduce implementations do).
+    Reads either granularity's output: the folded ``(k, d+1)`` block
+    (each row's sums divided by its count) or the per-cluster
+    ``(centroid, count)`` records.  Clusters that received no points keep
+    their previous center (the ``"keep"`` empty policy — the only choice
+    expressible without another pass, and what production MapReduce
+    implementations do).
     """
-    k = previous.shape[0]
     centers = previous.copy()
     for key, values in output.items():
-        if key == PHI_KEY:
-            continue
-        _, j = key
-        centroid, count = values[0]
-        if count > 0:
-            centers[j] = centroid
+        if key == AGG_KEY:
+            total = values[0]
+            counts = total[:, -1]
+            filled = counts > 0
+            centers[filled] = total[filled, :-1] / counts[filled, None]
+        elif key != PHI_KEY:
+            _, j = key
+            centroid, count = values[0]
+            if count > 0:
+                centers[j] = centroid
     phi = float(output[PHI_KEY][0])
     return centers, phi

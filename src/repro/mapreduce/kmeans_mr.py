@@ -1,17 +1,30 @@
 """Drivers chaining MapReduce jobs into complete algorithms.
 
-``mr_scalable_kmeans`` is the Section 3.5 realization of Algorithm 2:
+``mr_scalable_kmeans`` is the Section 3.5 realization of Algorithm 2, in
+at most ``1 + 2r + 1 + L`` jobs for ``r`` rounds and ``L`` Lloyd
+iterations:
 
 * one *uniform-sample* job picks the first center;
-* each round is a *cost* job (fold the previous round's new centers into
-  the per-split ``d^2`` caches; sum partial potentials) followed by a
-  *sample* job (independent per-point coins, given the broadcast phi);
-* a *weight* job computes the candidate weights (Step 7);
+* each round is an *update-cost* job (fold the previous round's new
+  centers into the per-split ``d^2`` caches; sum partial potentials)
+  followed by a *sample* job (independent per-point coins, given the
+  broadcast phi);
+* one *fold-and-weigh* job folds the last round's candidates into the
+  caches and counts each split's nearest-candidate column: the
+  candidate weights (Step 7);
 * the driver reclusters the weighted candidates sequentially (Step 8 —
   "since the number of centers is small they can all be assigned to a
   single machine"), charged to the simulated clock as a sequential
-  section;
-* ``mr_lloyd`` then refines with one MapReduce job per Lloyd round.
+  section; it is no job;
+* ``mr_lloyd`` then refines with one MapReduce job per Lloyd round. The
+  first Lloyd job's potential, the mappers' partial phis added
+  (Section 3.5), is the seed's cost: the driver makes no pass over the
+  data of its own, except to draw top-up rows when the candidates are
+  fewer than ``k``.
+
+At ``r = 5`` with 10 Lloyd iterations that is 1 + 10 + 1 + 10 = 22 jobs.
+``mr_random_kmeans`` runs one uniform-sample job and the Lloyd jobs, and
+takes its ``seed_cost`` from the first Lloyd job the same way.
 
 Every driver returns an :class:`MRKMeansReport` with both the clustering
 outcome and the simulated-time breakdown that Table 4 aggregates.
@@ -40,18 +53,13 @@ from repro.core.reclustering import TopUpPolicy, apply_top_up
 from repro.data.splits import SplitSource, as_split_source
 from repro.exceptions import MapReduceError, ValidationError
 from repro.exec import ExecBackend
-from repro.linalg.distances import min_sq_dists
 from repro.mapreduce.cluster import ClusterModel
 from repro.mapreduce.jobs.common import FLOPS_PER_DIST
 from repro.mapreduce.jobs.cost_job import PHI_KEY, make_cost_job
-from repro.mapreduce.jobs.lloyd_job import (
-    PHI_KEY as LLOYD_PHI_KEY,
-    collect_new_centers,
-    make_lloyd_job,
-)
+from repro.mapreduce.jobs.lloyd_job import collect_new_centers, make_lloyd_job
 from repro.mapreduce.jobs.random_init_job import SAMPLE_KEY, make_uniform_sample_job
 from repro.mapreduce.jobs.sample_job import CANDIDATES_KEY, make_sample_job
-from repro.mapreduce.jobs.weight_job import WEIGHTS_KEY, make_cached_weight_job
+from repro.mapreduce.jobs.weight_job import WEIGHTS_KEY, make_fold_weight_job
 from repro.mapreduce.runtime import LocalMapReduceRuntime
 from repro.types import FloatArray, SeedLike
 from repro.utils.validation import check_in_range, check_positive_int, check_real_dtype
@@ -202,23 +210,32 @@ def mr_lloyd(
     ``tol`` means what it means for :func:`repro.core.lloyd.lloyd`; the
     README's "Two front doors" states the conventions both doors share.
     """
+    centers, phi, n_iter, _ = _lloyd_jobs(runtime, centers, max_iter=max_iter, tol=tol)
+    return centers, phi, n_iter
+
+
+def _lloyd_jobs(
+    runtime: LocalMapReduceRuntime, centers: FloatArray, *, max_iter: int, tol: float
+) -> tuple[FloatArray, float, int, float]:
+    """:func:`mr_lloyd`'s loop; also returns the first job's phi, the
+    potential of the starting centers, which the drivers report as
+    ``seed_cost``."""
     centers = np.array(centers, dtype=np.float64, copy=True)
     # The checks lloyd makes, before the first job.
     check_positive_int(max_iter, name="max_iter")
     check_in_range(tol, name="tol", low=0.0)
-    phi = float("inf")
-    n_iter = 0
+    phis: list[float] = []
     for _ in range(max_iter):
         result = runtime.run_job(make_lloyd_job(centers))
         new_centers, phi = collect_new_centers(result.output, centers)
-        n_iter += 1
+        phis.append(phi)
         shift_sq = float(
             np.max(np.einsum("ij,ij->i", new_centers - centers, new_centers - centers))
         )
         centers = new_centers
         if shift_sq <= tol:
             break
-    return centers, phi, n_iter
+    return centers, phis[-1], len(phis), phis[0]
 
 
 def mr_scalable_kmeans(
@@ -254,10 +271,6 @@ def mr_scalable_kmeans(
     n, d = source.shape
     check_real_dtype(source.dtype, name="X")
     _check_driver_args(n, k, lloyd_max_iter, l=l, r=r)
-    # Driver-side sections (top-up sampling, seed-cost scan) run over this
-    # handle; for a file source it is a memmap and the chunked kernels
-    # stream it rather than materializing.
-    X_arr = source.as_array()
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,
         backend=backend, shuffle_budget=shuffle_budget,
@@ -295,16 +308,15 @@ def mr_scalable_kmeans(
             new_centers = block
             n_candidates += block.shape[0]
 
-        # Final fold so the caches cover the last round's candidates too.
-        if new_centers.shape[0]:
-            fold_job = make_cost_job(new_centers, offset=offset)
-            runtime.run_job(fold_job).single(PHI_KEY)
-
         candidate_arr = np.vstack(candidates)
         init_minutes = runtime.simulated_minutes
 
-        # Step 7: candidate weights — a bincount over the cached argmin column.
-        weight_job = make_cached_weight_job(candidate_arr.shape[0])
+        # Step 7 on the final fold: fold the last round's candidates (none
+        # after an early exit) into the caches, then count each split's
+        # cached argmin column.
+        weight_job = make_fold_weight_job(
+            new_centers, offset=offset, n_candidates=candidate_arr.shape[0]
+        )
         weights = runtime.run_job(weight_job).single(WEIGHTS_KEY)
         weight_minutes = runtime.simulated_minutes - init_minutes
 
@@ -319,7 +331,9 @@ def mr_scalable_kmeans(
             )
             seed_centers = refined.centers
             recluster_iters = refined.n_iter
-        seed_centers = apply_top_up(seed_centers, X_arr, k, top_up, rng)
+        if seed_centers.shape[0] < k:
+            # The driver's only read of the data: top-up rows.
+            seed_centers = apply_top_up(seed_centers, source.as_array(), k, top_up, rng)
         m = candidate_arr.shape[0]
         recluster_flops = naive_kmeanspp_flops(m, k, d) + (
             recluster_iters * FLOPS_PER_DIST * m * k * d
@@ -327,12 +341,11 @@ def mr_scalable_kmeans(
         runtime.charge_sequential(recluster_flops, label="recluster candidates")
         recluster_minutes = runtime.simulated_minutes - init_minutes - weight_minutes
 
-        seed_cost = float(min_sq_dists(X_arr, seed_centers).sum())
-
-        # Lloyd refinement, one MR job per round, to convergence.
+        # Lloyd refinement, one MR job per round, to convergence; the first
+        # job scores the seed.
         before = runtime.simulated_minutes
-        centers, final_cost, n_iter = mr_lloyd(
-            runtime, seed_centers, max_iter=lloyd_max_iter
+        centers, final_cost, n_iter, seed_cost = _lloyd_jobs(
+            runtime, seed_centers, max_iter=lloyd_max_iter, tol=0.0
         )
         lloyd_minutes = runtime.simulated_minutes - before
 
@@ -388,7 +401,6 @@ def mr_random_kmeans(
     """
     source = as_split_source(X)
     _check_driver_args(source.shape[0], k, lloyd_max_iter)
-    X_arr = source.as_array()
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,
         backend=backend, shuffle_budget=shuffle_budget,
@@ -400,9 +412,8 @@ def mr_random_kmeans(
                 f"uniform sampling returned {seed_centers.shape[0]} < k={k} rows"
             )
         init_minutes = runtime.simulated_minutes
-        seed_cost = float(min_sq_dists(X_arr, seed_centers).sum())
-        centers, final_cost, n_iter = mr_lloyd(
-            runtime, seed_centers, max_iter=lloyd_max_iter
+        centers, final_cost, n_iter, seed_cost = _lloyd_jobs(
+            runtime, seed_centers, max_iter=lloyd_max_iter, tol=0.0
         )
         return MRKMeansReport(
             method="random",

@@ -497,7 +497,9 @@ class LocalMapReduceRuntime:
         ``backend="process"``) is owned by this runtime and shut down
         here; the process-wide default or a caller-provided instance is
         left running.  Any in-flight shuffle store (an interrupted job's)
-        is closed too, deleting its spill files.
+        is closed too, deleting its spill files, and this process's cached
+        maps of the source's files are dropped, so a driver that fits many
+        files does not keep them all mapped.
         """
         if self._active_store is not None:
             self._active_store.close()
@@ -505,6 +507,7 @@ class LocalMapReduceRuntime:
         # Free the data plane's shared-memory segments (state residency
         # ends with the runtime; ``split_states`` keeps plain copies).
         self._state.release()
+        self.source.drop_cached_maps()
         if self._owns_backend and self._backend is not None:
             self._backend.shutdown()
 

@@ -23,7 +23,12 @@ implementation) and a cheap cache-based weighting pass — the granularity
 implied by Table 4's own anchors (``l=0.1k, r=15`` lands at ~17 uniform
 jobs; ``Random`` at 21). The local executable driver
 (:func:`repro.mapreduce.kmeans_mr.mr_scalable_kmeans`) keeps the
-cost/sample phases as separate jobs for exactness.
+cost/sample phases as separate jobs for exactness: one uniform-sample
+job, ``r`` update-cost jobs and ``r`` sample-round jobs, one
+fold-and-weigh job (the last round's fold, which also counts the
+candidate weights — the model's weighting pass), then one job per Lloyd
+iteration, the first of which also scores the seed.  That is 22 jobs at
+``r = 5`` with 10 Lloyd iterations.
 
 Each function returns a per-phase breakdown in *minutes* with a
 ``"total"`` key.

@@ -4,10 +4,15 @@ Split descriptors memory-map their file once per process and cache the
 map by path.  A ``.npy`` deleted and saved again, overwritten in place,
 or a CSR directory rewritten must be re-opened: a stale map serves the
 old rows (or the old header over the new bytes) without any error, and a
-MapReduce run over the path then mixes data sets.
+MapReduce run over the path then mixes data sets.  Nor may the cache keep
+a map of a file that is gone: a long-lived driver that fits many files
+would keep them all mapped, and their disk space unreclaimed.
 """
 
 from __future__ import annotations
+
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -68,3 +73,42 @@ def test_mr_pipeline_reads_the_new_file(tmp_path):
     assert from_path.centers.tobytes() == in_memory.centers.tobytes()
     assert from_path.seed_cost == in_memory.seed_cost
     assert from_path.final_cost == in_memory.final_cost
+
+
+def _mapped(paths):
+    """Lines of this process's memory maps that name any of ``paths``."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        return [line for line in maps if any(str(p) in line for p in paths)]
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+)
+def test_fits_over_deleted_files_leave_no_maps(tmp_path):
+    from repro.data import splits
+
+    rng = np.random.default_rng(8)
+    kwargs = dict(l=8.0, r=2, n_splits=4, seed=3, lloyd_max_iter=2, backend="serial")
+    paths = []
+    for i in range(3):
+        path = tmp_path / f"fit-{i}.npy"
+        np.save(path, rng.normal(size=(300, 4)))
+        mr_scalable_kmeans(path, 4, **kwargs)
+        path.unlink()
+        paths.append(path.resolve())
+    assert not [p for p in splits._MMAP_CACHE if pathlib.Path(p) in paths]
+    assert _mapped(paths) == []
+
+
+def test_a_miss_drops_entries_of_deleted_files(tmp_path):
+    from repro.data import splits
+
+    old, new = tmp_path / "old.npy", tmp_path / "new.npy"
+    np.save(old, np.zeros((10, 2)))
+    np.save(new, np.ones((10, 2)))
+    _load(old, 10)
+    assert str(old.resolve()) in splits._MMAP_CACHE
+    old.unlink()
+    _load(new, 10)
+    assert str(old.resolve()) not in splits._MMAP_CACHE
+    assert str(new.resolve()) in splits._MMAP_CACHE

@@ -198,5 +198,15 @@ class TestAblationsShape:
             > 5 * data["shuffle/per-point + combiner (Hadoop-style)"]
         )
 
+    def test_split_blocks_shuffle_least(self):
+        # One (k, d+1) block and one phi per split: fewer records and
+        # bytes than either per-point row.
+        data = _run("ablations").data
+        split = "split-aggregated (Spark-style)"
+        for point in ("per-point + combiner (Hadoop-style)", "per-point, no combiner"):
+            assert data[f"shuffle/{point}"] > data[f"shuffle/{split}"]
+            assert data[f"shuffle_records/{point}"] > data[f"shuffle_records/{split}"]
+        assert data[f"shuffle_records/{split}"] == 2 * 8
+
     def test_renders(self):
         assert "Ablation" in _run("ablations").render()

@@ -19,7 +19,7 @@ from repro.mapreduce.jobs.random_init_job import SAMPLE_KEY, make_uniform_sample
 from repro.mapreduce.jobs.sample_job import CANDIDATES_KEY, make_sample_job
 from repro.mapreduce.jobs.weight_job import (
     WEIGHTS_KEY,
-    make_cached_weight_job,
+    make_fold_weight_job,
     make_weight_job,
 )
 from repro.mapreduce.runtime import LocalMapReduceRuntime
@@ -111,26 +111,34 @@ class TestWeightJob:
         weights = runtime.run_job(make_weight_job(X[:4])).single(WEIGHTS_KEY)
         assert weights.sum() == pytest.approx(X.shape[0])
 
+    # The "cached variant" is Step 7 from the cost jobs' cached argmin
+    # column, counted by the job that folds the last round's candidates.
     def test_cached_variant_matches(self, blobs):
         X, _ = blobs
         rt = LocalMapReduceRuntime(X, n_splits=5, seed=0)
-        rt.run_job(make_cost_job(X[:4], offset=0))
-        cached = rt.run_job(make_cached_weight_job(4)).single(WEIGHTS_KEY)
+        rt.run_job(make_cost_job(X[:2], offset=0))
+        result = rt.run_job(make_fold_weight_job(X[2:4], offset=2, n_candidates=4))
+        cached = result.single(WEIGHTS_KEY)
         direct = rt.run_job(make_weight_job(X[:4])).single(WEIGHTS_KEY)
-        np.testing.assert_allclose(cached, direct)
+        np.testing.assert_array_equal(cached, direct)
+        # The fold is a cost job's fold: the same profile and phi.
+        assert result.single(PHI_KEY) == pytest.approx(potential(X, X[:4]))
+        cached_nearest = np.concatenate([s["nearest"] for s in rt.split_states])
+        np.testing.assert_array_equal(cached_nearest, assign_labels(X, X[:4]))
 
     def test_cached_variant_requires_fold(self, blobs):
         X, _ = blobs
         rt = LocalMapReduceRuntime(X, n_splits=5, seed=0)
+        empty = np.empty((0, X.shape[1]))
         with pytest.raises(MapReduceError, match="cost jobs"):
-            rt.run_job(make_cached_weight_job(3))
+            rt.run_job(make_fold_weight_job(empty, offset=0, n_candidates=3))
 
     def test_cached_variant_rejects_stale_count(self, blobs):
         X, _ = blobs
         rt = LocalMapReduceRuntime(X, n_splits=5, seed=0)
-        rt.run_job(make_cost_job(X[:4], offset=0))
+        rt.run_job(make_cost_job(X[:2], offset=0))
         with pytest.raises(MapReduceError, match="outside"):
-            rt.run_job(make_cached_weight_job(2))
+            rt.run_job(make_fold_weight_job(X[2:4], offset=2, n_candidates=2))
 
 
 class TestLloydJob:
