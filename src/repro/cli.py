@@ -18,7 +18,6 @@ Every global flag overrides one ``REPRO_*`` setting of
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import textwrap
@@ -36,7 +35,6 @@ _FLAG_ARGS: dict[str, dict] = {
     "--backend": {"choices": BACKEND_NAMES},
     "--exec-workers": {"type": int, "metavar": "N"},
     "--shuffle-budget-mib": {"type": float, "metavar": "MIB"},
-    "--no-shared-broadcast": {"action": "store_const", "const": "0"},
     "--max-task-retries": {"type": int, "metavar": "N"},
     "--task-timeout": {"type": float, "metavar": "SECONDS"},
 }
@@ -250,16 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cli_config(args: argparse.Namespace) -> Config:
-    """The environment's config with the global flags on top.
-
-    ``mr`` and ``serve`` turn the zero-copy data plane on unless
-    ``REPRO_SHARED_BROADCAST`` or ``--no-shared-broadcast`` set it.
-    """
+    """The environment's config with the global flags on top."""
     flags = {s.flag: getattr(args, _dest(s.flag)) for s in SETTINGS if s.flag}
-    config = load_config(flags=flags)
-    if config.shared_broadcast is None and args.command in ("mr", "serve"):
-        config = dataclasses.replace(config, shared_broadcast=True)
-    return config
+    return load_config(flags=flags)
 
 
 def _run_mr(args: argparse.Namespace) -> int:
@@ -290,12 +281,9 @@ def _run_mr(args: argparse.Namespace) -> int:
           f"workers={report.params['workers']} splits={args.n_splits} "
           f"candidates={report.n_candidates}")
     plane = report.plane
-    if plane:
-        print(f"    plane mode={plane['mode']} "
-              f"bc_published={plane['broadcast_bytes_published']}B "
-              f"bc_per_task={plane['broadcast_bytes_per_task']}B "
-              f"state_shipped={plane['state_bytes_shipped']}B "
-              f"state_resident={plane['state_bytes_resident']}B")
+    print(f"    plane bc_published={plane['broadcast_bytes_published']}B "
+          f"state_shipped={plane['state_bytes_shipped']}B "
+          f"state_resident={plane['state_bytes_resident']}B")
     faults = report.faults
     if faults and any(faults.values()):
         print(f"    faults retries={faults['retries']} "

@@ -129,13 +129,6 @@ SETTINGS: tuple[Setting, ...] = (
         "memory. Results are bit-identical either way.",
     ),
     Setting(
-        "REPRO_SHARED_BROADCAST", "shared_broadcast", "--no-shared-broadcast",
-        _bool, _BOOLEAN, "off; on for repro mr and repro serve",
-        "Zero-copy data plane: job broadcasts published once to shared "
-        "memory and split state kept resident behind descriptors. Results "
-        "are bit-identical either way.",
-    ),
-    Setting(
         "REPRO_FAULTS_MAX_RETRIES", "faults_max_retries", "--max-task-retries",
         _int_at_least(0), "an integer >= 0", "2",
         "Crash-class retries per task (worker death, broken pool, timeout); "
@@ -164,15 +157,12 @@ class Config:
 
     ``None`` means unset where the effective value depends on the
     caller: ``exec_workers`` (see :data:`SETTINGS`), ``shuffle_budget``
-    (bytes; in memory), ``shared_broadcast`` (off, but on for
-    ``repro mr`` / ``repro serve``) and ``faults_task_timeout`` (no
-    limit).
+    (bytes; in memory) and ``faults_task_timeout`` (no limit).
     """
 
     exec_backend: str = "thread"
     exec_workers: int | None = None
     shuffle_budget: int | None = None
-    shared_broadcast: bool | None = None
     faults_max_retries: int = 2
     faults_task_timeout: float | None = None
     faults_chaos: bool = False

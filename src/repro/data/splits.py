@@ -128,11 +128,16 @@ def _drop_stale(cache: dict, key_of) -> None:
 #: that was rewritten since it was mapped.  Each miss first drops the
 #: entries that no longer match their file (:func:`_drop_stale`), and a
 #: runtime drops its source's entries when it shuts down
-#: (:meth:`SplitSource.drop_cached_maps`).
+#: (:meth:`SplitSource.drop_cached_maps`).  File-backed sources hold no
+#: map of their own and read every row through this cache: a worker
+#: process forked during a fit never unwinds the driver frames it
+#: inherits, so a map held by a source in those frames would stay
+#: mapped in the worker for its whole life, while an inherited cache
+#: entry is dropped at the worker's first miss.
 _MMAP_CACHE: dict[str, tuple[tuple, np.ndarray]] = {}
 
 
-def _cached_mmap(path: str) -> np.ndarray:
+def _cached_mmap(path: str | os.PathLike) -> np.ndarray:
     resolved = os.path.abspath(path)
     key = _mmap_key(resolved)
     entry = _MMAP_CACHE.get(resolved)
@@ -141,6 +146,19 @@ def _cached_mmap(path: str) -> np.ndarray:
         entry = (key, np.load(resolved, mmap_mode="r"))
         _MMAP_CACHE[resolved] = entry
     return entry[1]
+
+
+def _npy_header(path: str | os.PathLike) -> tuple[tuple[int, ...], np.dtype]:
+    """``(shape, dtype)`` of a ``.npy`` file, read from its header alone."""
+    from numpy.lib import format as npy_format
+
+    with open(path, "rb") as fh:
+        version = npy_format.read_magic(fh)
+        if version == (1, 0):
+            shape, _, dtype = npy_format.read_array_header_1_0(fh)
+        else:
+            shape, _, dtype = npy_format.read_array_header_2_0(fh)
+    return tuple(int(n) for n in shape), dtype
 
 
 @dataclass(frozen=True)
@@ -249,7 +267,9 @@ class MmapSplitSource(SplitSource):
     ``.npz`` bundles (as written by :func:`repro.data.io.save_dataset`)
     are resolved through :func:`repro.data.io.ensure_mmap_npy`, which
     extracts the ``X`` member to a sibling ``.X.npy`` cache once; every
-    subsequent open memory-maps that file without reading it.
+    subsequent open memory-maps that file without reading it.  Shape and
+    dtype come from the file's header; rows are read through the
+    process's map cache (see :data:`_MMAP_CACHE`).
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -259,27 +279,28 @@ class MmapSplitSource(SplitSource):
 
         self.path = pathlib.Path(path)
         self.npy_path = ensure_mmap_npy(self.path)
-        self._mmap = np.load(self.npy_path, mmap_mode="r")
-        if self._mmap.ndim != 2:
+        shape, self._dtype = _npy_header(self.npy_path)
+        if len(shape) != 2:
             raise ValidationError(
-                f"{self.npy_path} holds a {self._mmap.ndim}-d array; "
+                f"{self.npy_path} holds a {len(shape)}-d array; "
                 "split sources need 2-d row data"
             )
+        self._shape = shape
         self._validate()
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._mmap.shape  # type: ignore[return-value]
+        return self._shape  # type: ignore[return-value]
 
     @property
     def dtype(self) -> np.dtype:
-        return self._mmap.dtype
+        return self._dtype
 
     def block(self, start: int, stop: int) -> np.ndarray:
-        return self._mmap[start:stop]
+        return self.as_array()[start:stop]
 
     def as_array(self) -> np.ndarray:
-        return self._mmap
+        return _cached_mmap(self.npy_path)
 
     def descriptor(self, start: int, stop: int) -> SplitDescriptor:
         return MmapSplitDescriptor(
@@ -415,7 +436,7 @@ class ShardedRowReader:
         shard_of = np.searchsorted(offsets, idx, side="right") - 1
         for s in np.unique(shard_of):
             mask = shard_of == s
-            out[mask] = self._source._shards[s][idx[mask] - int(offsets[s])]
+            out[mask] = self._source._shard(s)[idx[mask] - int(offsets[s])]
         return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -441,10 +462,12 @@ class ShardedSplitSource(SplitSource):
     ``shard-000.npy``, ``shard-001.npy``, ...); they must agree on
     column count and dtype but may have any row counts.
 
-    Splits that fall inside one shard are zero-copy memmap views;
-    splits that straddle a boundary concatenate (copy) just their own
-    rows.  Descriptors ship only paths and ranges, so the process
-    backend stays out-of-core shard by shard.  ``as_array`` returns a
+    Shapes and dtypes come from the shards' headers, and rows are read
+    through the process's map cache (see :data:`_MMAP_CACHE`).  Splits
+    that fall inside one shard are zero-copy memmap views; splits that
+    straddle a boundary concatenate (copy) just their own rows.
+    Descriptors ship only paths and ranges, so the process backend
+    stays out-of-core shard by shard.  ``as_array`` returns a
     lazy :class:`ShardedRowReader` (NumPy has no multi-file view, so a
     real ndarray would mean materializing the concatenation): driver
     -side sections slice it chunk by chunk and only the requested rows
@@ -460,44 +483,47 @@ class ShardedSplitSource(SplitSource):
             raise ValidationError(
                 f"no shards matching {pattern!r} in {self.directory}"
             )
-        self._shards = []
-        for path in self.paths:
-            shard = np.load(path, mmap_mode="r")
-            if shard.ndim != 2 or shard.shape[0] == 0:
+        headers = [_npy_header(path) for path in self.paths]
+        for path, (shape, _) in zip(self.paths, headers):
+            if len(shape) != 2 or shape[0] == 0:
                 raise ValidationError(
-                    f"shard {path} has shape {shard.shape}; every shard "
+                    f"shard {path} has shape {shape}; every shard "
                     "must be a non-empty 2-d row array"
                 )
-            self._shards.append(shard)
-        first = self._shards[0]
-        for path, shard in zip(self.paths, self._shards):
-            if shard.shape[1] != first.shape[1]:
+        first_shape, self._dtype = headers[0]
+        self._n_cols = first_shape[1]
+        for path, (shape, dtype) in zip(self.paths, headers):
+            if shape[1] != self._n_cols:
                 raise ValidationError(
-                    f"shard {path} has {shard.shape[1]} columns, expected "
-                    f"{first.shape[1]} (from {self.paths[0]})"
+                    f"shard {path} has {shape[1]} columns, expected "
+                    f"{self._n_cols} (from {self.paths[0]})"
                 )
-            if shard.dtype != first.dtype:
+            if dtype != self._dtype:
                 raise ValidationError(
-                    f"shard {path} has dtype {shard.dtype}, expected "
-                    f"{first.dtype} (from {self.paths[0]})"
+                    f"shard {path} has dtype {dtype}, expected "
+                    f"{self._dtype} (from {self.paths[0]})"
                 )
         self._offsets = np.concatenate(
-            [[0], np.cumsum([s.shape[0] for s in self._shards])]
+            [[0], np.cumsum([shape[0] for shape, _ in headers])]
         )
         self._reader: ShardedRowReader | None = None
         self._validate()
 
     @property
     def n_shards(self) -> int:
-        return len(self._shards)
+        return len(self.paths)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (int(self._offsets[-1]), int(self._shards[0].shape[1]))
+        return (int(self._offsets[-1]), self._n_cols)
 
     @property
     def dtype(self) -> np.dtype:
-        return self._shards[0].dtype
+        return self._dtype
+
+    def _shard(self, i: int) -> np.ndarray:
+        """Shard ``i``'s rows, memory-mapped through the process's cache."""
+        return _cached_mmap(self.paths[i])
 
     def _pieces(self, start: int, stop: int) -> list[tuple[int, int, int]]:
         """``(shard index, local start, local stop)`` covering [start, stop).
@@ -523,9 +549,9 @@ class ShardedSplitSource(SplitSource):
         pieces = self._pieces(start, stop)
         if len(pieces) == 1:
             i, lo, hi = pieces[0]
-            return self._shards[i][lo:hi]
+            return self._shard(i)[lo:hi]
         return np.concatenate(
-            [self._shards[i][lo:hi] for i, lo, hi in pieces], axis=0
+            [self._shard(i)[lo:hi] for i, lo, hi in pieces], axis=0
         )
 
     def as_array(self) -> "ShardedRowReader":

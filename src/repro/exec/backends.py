@@ -608,24 +608,20 @@ class ProcessBackend(ThreadBackend):
     mappers), the whole region silently degrades to the thread scheduler,
     which is always semantically equivalent.
 
+    Workers start with ``fork`` where the platform has it (cheapest,
+    inherits loaded NumPy), else with the platform's default method.
+
     Parameters
     ----------
     budget:
         See :class:`ExecBackend`.
-    start_method:
-        ``multiprocessing`` start method; default ``"fork"`` where
-        available (cheapest, inherits loaded NumPy) else the platform
-        default.
     """
 
     name: ClassVar[str] = "process"
     crosses_processes: ClassVar[bool] = True
 
-    def __init__(
-        self, budget: WorkerBudget | None = None, *, start_method: str | None = None
-    ):
+    def __init__(self, budget: WorkerBudget | None = None):
         super().__init__(budget)
-        self._start_method = start_method
         self._proc_pool: ProcessPoolExecutor | None = None
         self._proc_pid = 0
         self._proc_lock = threading.Lock()
@@ -635,13 +631,11 @@ class ProcessBackend(ThreadBackend):
         self._proc_lock = threading.Lock()
         self._proc_pool = None  # parent's workers are not this child's
 
-    def _mp_context(self):
+    @staticmethod
+    def _mp_context():
         import multiprocessing as mp
 
-        method = self._start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        return mp.get_context(method)
+        return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
 
     def _get_process_pool(self) -> ProcessPoolExecutor:
         with self._proc_lock:

@@ -162,13 +162,12 @@ class ClusterModel:
         ``spill_bytes`` is the volume an out-of-core shuffle wrote to
         local spill files; it is charged twice (write + merge read-back).
 
-        ``broadcast_bytes`` is a *publish-once* broadcast (the zero-copy
-        data plane): the payload crosses the cluster network exactly one
-        time per job, so it is charged once at the shuffle bandwidth.
-        Under the legacy pickle path the caller instead folds the
-        payload into every ``map_bytes_per_split`` entry (each task
-        re-reads it) and leaves this at 0 — charging both would count
-        the same bytes twice.
+        ``broadcast_bytes`` is the job's broadcast, published once: the
+        payload crosses the cluster network one time per job, so it is
+        charged once at the shuffle bandwidth.  The MapReduce runtime
+        passes it on every backend and keeps it out of
+        ``map_bytes_per_split``, which holds each split's own scan bytes;
+        charging both would count the same bytes twice.
         """
         tasks = [
             self.map_task_seconds(f, b)

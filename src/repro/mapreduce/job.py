@@ -53,9 +53,9 @@ class SplitContext:
         Job-wide counters (merged across splits after the map phase).
     broadcast:
         The job's resolved broadcast value (read-only by contract).
-        Under the zero-copy data plane this is a view into a
-        shared-memory segment the driver published once; under the
-        legacy path it is the payload the job carried.  Mappers whose
+        In a worker process this is a view into a shared-memory
+        segment the driver published once; in the driver's process it
+        is the payload the job carried.  Mappers whose
         constructor did not receive the payload read it from here in
         ``setup`` — which is what keeps the payload out of every task
         pickle.

@@ -94,9 +94,9 @@ class MRKMeansReport:
     #: ``spilled_jobs`` / ``spill_files`` / ``spill_bytes`` /
     #: ``peak_bytes`` (largest driver-held shuffle residency of any job).
     shuffle: dict[str, int] = field(default_factory=dict)
-    #: Data-plane telemetry: broadcast ``mode`` (``shared``/``task``),
-    #: publish-once vs per-task broadcast byte totals, and split-state
-    #: bytes shipped vs resident — see :func:`_plane_telemetry`.
+    #: Data-plane telemetry: broadcast bytes published, split-state
+    #: bytes shipped and the most held resident — see
+    #: :func:`_plane_telemetry`.
     plane: dict = field(default_factory=dict)
     #: Fault-tolerance telemetry summed over the run's jobs (all zeros
     #: on a fault-free run): ``retries`` / ``crashes`` / ``timeouts`` /
@@ -139,22 +139,21 @@ def _shuffle_telemetry(runtime: LocalMapReduceRuntime) -> dict[str, int]:
     }
 
 
-def _plane_telemetry(runtime: LocalMapReduceRuntime) -> dict[str, int | str]:
+def _plane_telemetry(runtime: LocalMapReduceRuntime) -> dict[str, int]:
     """Aggregate a runtime's data-plane telemetry for reports.
 
-    ``broadcast_bytes_published`` vs ``broadcast_bytes_per_task``
-    separates the one-crossing shared path from the legacy
-    once-per-map-task charge; the ``state_*`` pair shows how many split
-    -state bytes actually moved versus stayed resident behind
-    shared-memory descriptors.
+    ``broadcast_bytes_published`` sums the jobs' broadcasts, each
+    published once per job.  ``state_bytes_shipped`` sums the
+    split-state bytes that crossed a process boundary by value;
+    ``state_bytes_resident`` is the most split state held in shared
+    segments at the end of any job: memory, not traffic, so it does not
+    grow with the number of jobs.  Both are 0 on in-process backends.
     """
     log = runtime.job_log
     return {
-        "mode": "shared" if runtime.shared_broadcast else "task",
-        "broadcast_bytes_published": sum(s.broadcast_bytes_published for s in log),
-        "broadcast_bytes_per_task": sum(s.broadcast_bytes_per_task for s in log),
+        "broadcast_bytes_published": sum(s.broadcast_bytes for s in log),
         "state_bytes_shipped": sum(s.state_bytes_shipped for s in log),
-        "state_bytes_resident": sum(s.state_bytes_resident for s in log),
+        "state_bytes_resident": max((s.state_bytes_resident for s in log), default=0),
     }
 
 
@@ -252,7 +251,7 @@ def mr_scalable_kmeans(
     workers: int | None = None,
     backend: "ExecBackend | str | None" = None,
     shuffle_budget: int | None = None,
-    shared_broadcast: bool | None = None,
+    shared_broadcast: bool = True,
     retry_policy: "RetryPolicy | None" = None,
 ) -> MRKMeansReport:
     """Full ``k-means||`` pipeline on the simulated cluster.
@@ -266,15 +265,21 @@ def mr_scalable_kmeans(
     ``k``, ``l``, ``r`` and ``lloyd_max_iter`` are checked as the
     in-memory door checks them; the README's "Two front doors" states
     how ``l`` relates to ``ScalableKMeans(oversampling_factor=)``.
+    ``shared_broadcast`` accepts only ``True``: the backend picks the
+    transport (shared memory exactly when it crosses processes).
     """
+    if shared_broadcast is not True:
+        raise ValidationError(
+            "shared_broadcast must be True (the backend picks the transport), "
+            f"got {shared_broadcast!r}"
+        )
     source = as_split_source(X)
     n, d = source.shape
     check_real_dtype(source.dtype, name="X")
     _check_driver_args(n, k, lloyd_max_iter, l=l, r=r)
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,
-        backend=backend, shuffle_budget=shuffle_budget,
-        shared_broadcast=shared_broadcast, retry_policy=retry_policy,
+        backend=backend, shuffle_budget=shuffle_budget, retry_policy=retry_policy,
     ) as runtime:
         rng = np.random.default_rng(
             runtime._seed_root.integers(0, 2**63)  # driver-side randomness
@@ -372,7 +377,6 @@ def mr_scalable_kmeans(
                 "workers": runtime.workers,
                 "backend": runtime.backend.name,
                 "shuffle_budget": runtime.shuffle_budget,
-                "shared_broadcast": runtime.shared_broadcast,
             },
             shuffle=_shuffle_telemetry(runtime),
             plane=_plane_telemetry(runtime),
@@ -391,7 +395,6 @@ def mr_random_kmeans(
     workers: int | None = None,
     backend: "ExecBackend | str | None" = None,
     shuffle_budget: int | None = None,
-    shared_broadcast: bool | None = None,
     retry_policy: "RetryPolicy | None" = None,
 ) -> MRKMeansReport:
     """The parallel ``Random`` baseline: uniform seed + bounded MR Lloyd.
@@ -403,8 +406,7 @@ def mr_random_kmeans(
     _check_driver_args(source.shape[0], k, lloyd_max_iter)
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,
-        backend=backend, shuffle_budget=shuffle_budget,
-        shared_broadcast=shared_broadcast, retry_policy=retry_policy,
+        backend=backend, shuffle_budget=shuffle_budget, retry_policy=retry_policy,
     ) as runtime:
         seed_centers = runtime.run_job(make_uniform_sample_job(k)).single(SAMPLE_KEY)
         if seed_centers.shape[0] < k:
@@ -428,8 +430,7 @@ def mr_random_kmeans(
                        "lloyd": runtime.simulated_minutes - init_minutes},
             params={"k": k, "n_splits": n_splits, "workers": runtime.workers,
                     "backend": runtime.backend.name,
-                    "shuffle_budget": runtime.shuffle_budget,
-                    "shared_broadcast": runtime.shared_broadcast},
+                    "shuffle_budget": runtime.shuffle_budget},
             shuffle=_shuffle_telemetry(runtime),
             plane=_plane_telemetry(runtime),
             faults=_fault_telemetry(runtime),

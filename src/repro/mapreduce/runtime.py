@@ -33,13 +33,14 @@ Out-of-core input: the dataset is accessed through a
 :class:`~repro.data.splits.ShardedSplitSource` for a directory of
 shards) to stream splits from memory-mapped files instead of RAM.
 
-Zero-copy data plane: with ``shared_broadcast`` on (CLI default for
-``mr`` runs; ``REPRO_SHARED_BROADCAST=1``), the driver publishes each
-job's broadcast ndarray *once* into ``multiprocessing.shared_memory``
-and per-split state arrays stay resident in driver-owned segments —
-map tasks then carry only O(1)-sized descriptors across the process
-boundary instead of re-pickling O(k·d) centers and O(rows) caches
-every job (:mod:`repro.plane`).
+Data plane: on a backend whose tasks run in other processes, the driver
+publishes each job's broadcast ndarray *once* into
+``multiprocessing.shared_memory`` and per-split state arrays stay
+resident in driver-owned segments, so map tasks carry only O(1)-sized
+descriptors across the process boundary (:mod:`repro.plane`).  Serial
+and thread backends pass the broadcast and the state dicts by
+reference.  Either way the simulated clock charges the broadcast once
+per job.
 
 Out-of-core shuffle: emissions flow through a
 :class:`~repro.shuffle.store.ShuffleStore`.  By default that is the
@@ -130,22 +131,14 @@ class JobStats:
     reduce_emitted: int
     map_flops_per_split: list[float] = field(default_factory=list)
     reduce_flops: float = 0.0
-    broadcast_bytes: int = 0  #: size of the job's broadcast payload
+    broadcast_bytes: int = 0  #: the job's broadcast payload, charged once
     spill_bytes: int = 0  #: real bytes written to shuffle spill files
     spill_files: int = 0
     shuffle_peak_bytes: int = 0  #: peak driver-held shuffle residency
-    #: Data-plane telemetry.  ``broadcast_mode`` is ``"shared"`` (payload
-    #: published once; ``broadcast_bytes_published`` counts it, the
-    #: per-task cost is an O(1) descriptor) or ``"task"`` (the legacy
-    #: path: every map task re-reads the payload —
-    #: ``broadcast_bytes_per_task`` totals those n_splits copies).
-    broadcast_mode: str = "task"
-    broadcast_bytes_published: int = 0
-    broadcast_bytes_per_task: int = 0
-    #: Split-state IPC: bytes that crossed driver<->worker by value
-    #: (first-time publishes + non-array fallbacks) vs bytes referenced
-    #: in place through shared-memory descriptors.  Both zero when the
-    #: backend never crosses a process boundary.
+    #: Split-state telemetry: bytes that crossed driver<->worker by
+    #: value in this job (first-time publishes + inline fallbacks), and
+    #: the split-state bytes held in shared segments when it ended.
+    #: Both zero when the backend never crosses a process boundary.
     state_bytes_shipped: int = 0
     state_bytes_resident: int = 0
     #: Fault-tolerance telemetry (:class:`repro.exec.FaultStats` counters:
@@ -185,14 +178,13 @@ class _MapTaskResult:
     """What one map(+combine) task hands back to the driver.
 
     Exactly one of ``state`` / ``state_update`` reports the split's
-    persistent state after the task ran.  On the legacy path ``state``
-    is the dict itself — the same object for in-process backends, a
-    pickled round-trip for the process backend.  On the zero-copy plane
-    the task received a :class:`~repro.plane.state.SplitStateSpec`
-    instead of a dict and hands back a
-    :class:`~repro.plane.state.SplitStateUpdate` of markers: resident
-    entries stay in their shared segments (no bytes move) and only new
-    or re-shaped values ride the result pickle.
+    persistent state after the task ran.  On an in-process backend
+    ``state`` is the dict itself, the same object the driver holds.  A
+    backend that crosses processes sends a
+    :class:`~repro.plane.state.SplitStateSpec` instead of a dict and
+    gets back a :class:`~repro.plane.state.SplitStateUpdate` of markers:
+    resident entries stay in their shared segments (no bytes move) and
+    only new or re-shaped values ride the result pickle.
 
     Exactly one of ``emissions`` / ``manifest`` carries the task's
     output: under a spilling shuffle, a task whose post-combine output
@@ -226,9 +218,9 @@ def _execute_map_task(
     execution backend may run it on the calling thread, a pool thread, or
     a worker process; everything it touches is split-private (descriptor,
     state spec/dict, RNG, fresh counters), so tasks never share mutable
-    state.  The job's broadcast arrives as a
-    :class:`~repro.plane.broadcast.BroadcastRef` (an O(1) descriptor on
-    the shared path) and is resolved here, in the executing process.
+    state.  The job's broadcast arrives as the value itself or, across
+    processes, as a :class:`~repro.plane.broadcast.BroadcastRef` (an
+    O(1) descriptor), and is resolved here, in the executing process.
     """
     block = descriptor.load()
     counters = Counters()
@@ -345,18 +337,6 @@ class LocalMapReduceRuntime:
         in-memory store regardless of the configuration. Results are
         bit-identical either way; only where the bytes live (and the
         spill telemetry) changes.
-    shared_broadcast:
-        The zero-copy data plane mode. ``None`` takes
-        ``shared_broadcast`` from :func:`repro.config.get_config`
-        (default off). When on: job broadcasts are published once per
-        job (a shared-memory segment when the backend crosses
-        processes) and tasks ship only ``(name, shape, dtype)``
-        descriptors; split-state ndarrays live resident in driver-owned
-        segments and round-trip as markers; and the simulated cluster
-        charges the broadcast once per job instead of once per map
-        task. Centers/costs/counters/key order are bit-identical in
-        both modes across all backends; only IPC volume (and the
-        broadcast term of simulated time) changes.
     retry_policy:
         Fault-tolerance policy for this runtime's parallel regions
         (:class:`repro.exec.RetryPolicy`). ``None`` means
@@ -389,7 +369,6 @@ class LocalMapReduceRuntime:
         workers: int | None = None,
         backend: ExecBackend | str | None = None,
         shuffle_budget: int | None = None,
-        shared_broadcast: bool | None = None,
         retry_policy: RetryPolicy | None = None,
     ):
         try:
@@ -419,9 +398,6 @@ class LocalMapReduceRuntime:
         self.shuffle_budget = (
             int(shuffle_budget) if shuffle_budget and shuffle_budget > 0 else None
         )
-        self.shared_broadcast = bool(
-            config.shared_broadcast if shared_broadcast is None else shared_broadcast
-        )
         self.retry_policy = (
             retry_policy if retry_policy is not None else default_retry_policy()
         )
@@ -435,8 +411,8 @@ class LocalMapReduceRuntime:
             backend, ExecBackend
         )
         #: Driver-side owner of the per-split state dicts persisting
-        #: across jobs (models RDD caching) and, under the zero-copy
-        #: plane, of their shared-memory segments.
+        #: across jobs (models RDD caching) and, on a backend that
+        #: crosses processes, of their shared-memory segments.
         self._state = SplitStateManager(n_splits)
         #: Lineage: every successfully completed job (with its pre-dispatch
         #: per-split RNG pickles), in order.  When a worker dies holding a
@@ -533,13 +509,12 @@ class LocalMapReduceRuntime:
         broadcast_bytes = estimate_nbytes(job.broadcast) if job.broadcast is not None else 0
 
         # ---- data plane: how values reach the tasks ----
-        # ``shared_broadcast`` is the *mode* (fixes the accounting, so
-        # simulated time is backend-independent at a fixed mode); actual
-        # shared-memory transport only engages when the backend can put
-        # a task in another process.  The broadcast is published once
-        # per job and freed in the ``finally`` below; split state goes
-        # out as descriptors and comes back as resident markers.
-        transport_shared = self.shared_broadcast and backend.crosses_processes
+        # A backend that can put a task in another process gets the
+        # shared-memory transport: the broadcast is published once per
+        # job and freed in the ``finally`` below, and split state goes
+        # out as specs and comes back as resident markers.  In-process
+        # backends pass the broadcast and the state dicts by reference.
+        transport_shared = backend.crosses_processes
 
         # One shuffle store per job: in-memory unless a budget is set.
         # Spill files (the driver's and the map tasks') all live in the
@@ -558,7 +533,7 @@ class LocalMapReduceRuntime:
         try:
             # Telemetry hygiene: a failed previous job may have left
             # half-accounted state counters behind; this job starts clean.
-            self._state.drain_counters()
+            self._state.drain_shipped()
             # Publish inside the guarded region: whatever fails between
             # here and the reduce, the ``finally`` frees the segment.
             published = publish_broadcast(job.broadcast, shared=transport_shared)
@@ -570,8 +545,8 @@ class LocalMapReduceRuntime:
             # range for file-backed sources), so a process backend
             # re-opens the memory map in the child instead of serializing
             # the rows.  Under a spilling shuffle, tasks with fat output
-            # spill locally and ship back only a manifest.  On the
-            # zero-copy plane, state ships as descriptors too — the only
+            # spill locally and ship back only a manifest.  Across
+            # processes, state ships as descriptors too — the only
             # per-task payload left is O(1)-sized.
             state_args: list[Any] = (
                 [self._state.spec(i) for i in range(self.n_splits)]
@@ -608,10 +583,9 @@ class LocalMapReduceRuntime:
                 faults=fault_stats,
                 retry_args=_retry_map_args,
             )
-            # Re-install per-split state by index.  Plane tasks hand back
-            # marker updates (resident entries never moved); legacy
-            # in-process backends hand back the same dicts (no-op) and
-            # the legacy process path hands back pickled copies.
+            # Re-install per-split state by index.  Tasks in other
+            # processes hand back marker updates (resident entries never
+            # moved); in-process backends hand back the same dicts.
             for i, result in enumerate(task_results):
                 if result.state_update is not None:
                     self._state.apply(result.state_update)
@@ -707,22 +681,13 @@ class LocalMapReduceRuntime:
                     reduce_emitted += 1
 
             # ---- simulated clock ----
-            # Broadcast accounting follows the *mode*, not the backend:
-            # the shared plane publishes the payload once per job (one
-            # network crossing, charged via ``job_time``'s
-            # ``broadcast_bytes``); the legacy path re-reads it in every
-            # map task, so it rides in each split's scan bytes — the
-            # historical per-task charge.  Charging both would count the
-            # same bytes twice (the double-count this fixes).
-            per_task_broadcast = 0 if self.shared_broadcast else broadcast_bytes
+            # The broadcast crosses the simulated network once per job
+            # on every backend (``job_time``'s ``broadcast_bytes``); a
+            # map task's scan bytes are its split's alone.
             bytes_per_split = [
-                float(
-                    self.source.block_nbytes(self._bounds[i], self._bounds[i + 1])
-                    + per_task_broadcast
-                )
+                float(self.source.block_nbytes(self._bounds[i], self._bounds[i + 1]))
                 for i in range(self.n_splits)
             ]
-            state_shipped, state_resident = self._state.drain_counters()
             stats = JobStats(
                 name=job.name,
                 n_splits=self.n_splits,
@@ -735,15 +700,8 @@ class LocalMapReduceRuntime:
                 map_flops_per_split=map_flops,
                 reduce_flops=reduce_flops,
                 broadcast_bytes=broadcast_bytes,
-                broadcast_mode="shared" if self.shared_broadcast else "task",
-                broadcast_bytes_published=(
-                    broadcast_bytes if self.shared_broadcast else 0
-                ),
-                broadcast_bytes_per_task=(
-                    0 if self.shared_broadcast else broadcast_bytes * self.n_splits
-                ),
-                state_bytes_shipped=state_shipped,
-                state_bytes_resident=state_resident,
+                state_bytes_shipped=self._state.drain_shipped(),
+                state_bytes_resident=self._state.held_bytes,
                 faults=fault_stats.as_dict(),
                 spill_bytes=store.stats.spill_bytes,
                 spill_files=store.stats.spill_files,
@@ -755,9 +713,7 @@ class LocalMapReduceRuntime:
                 shuffle_bytes=shuffle_bytes,
                 reduce_flops=reduce_flops,
                 spill_bytes=float(stats.spill_bytes),
-                broadcast_bytes=(
-                    float(broadcast_bytes) if self.shared_broadcast else 0.0
-                ),
+                broadcast_bytes=float(broadcast_bytes),
             )
             if stats.spill_files:
                 self.shuffle_counters.increment("shuffle", "spilled_jobs", 1)
@@ -818,16 +774,15 @@ class LocalMapReduceRuntime:
         Replay runs inline on the driver; the engine's results are
         worker-count-invariant, so inline replay is bit-identical to
         worker execution.  The recomputed bytes are charged to
-        ``state_recomputed_bytes`` — and the plane's shipped/resident
-        counters are restored afterwards, so ``state_bytes_*`` telemetry
-        stays bit-identical to a fault-free run.
+        ``state_recomputed_bytes`` — and the plane's shipped counter is
+        restored afterwards, so ``state_bytes_*`` telemetry stays
+        bit-identical to a fault-free run.
         """
         descriptor = self.source.descriptor(
             self._bounds[split_id], self._bounds[split_id + 1]
         )
         with self._recover_lock:
             shipped0 = self._state.shipped_bytes
-            resident0 = self._state.resident_bytes
             state: dict[str, Any] = {}
             for past_job, past_blobs in self._lineage:
                 replay = _execute_map_task(
@@ -851,7 +806,6 @@ class LocalMapReduceRuntime:
                 else self._state.states[split_id]
             )
             self._state.shipped_bytes = shipped0
-            self._state.resident_bytes = resident0
         fault_stats.bump("state_recomputed_bytes", recomputed)
         return (
             ship_job,
@@ -890,17 +844,16 @@ class LocalMapReduceRuntime:
         replay = _execute_map_task(*args)
         # ``_recover_map_call`` installed the *pre*-job state; the map
         # phase's settle loop already installed the post-job state this
-        # replay reproduces — put it back (counters snapshot/restored so
-        # ``state_bytes_*`` telemetry stays bit-identical).
+        # replay reproduces — put it back (the shipped counter
+        # snapshot/restored so ``state_bytes_*`` telemetry stays
+        # bit-identical).
         with self._recover_lock:
             shipped0 = self._state.shipped_bytes
-            resident0 = self._state.resident_bytes
             if replay.state_update is not None:
                 self._state.apply(replay.state_update)
             else:
                 self._state.install(split_id, replay.state)
             self._state.shipped_bytes = shipped0
-            self._state.resident_bytes = resident0
         return replay
 
     def submit_job(self, job: MapReduceJob) -> "JobFuture":

@@ -1,22 +1,20 @@
-"""The zero-copy data plane: how values reach workers.
+"""The zero-copy data plane: how values reach worker processes.
 
-Three pieces, all consumed by the MapReduce runtime
-(:mod:`repro.mapreduce.runtime`) and the execution backends
-(:mod:`repro.exec`):
+The MapReduce runtime (:mod:`repro.mapreduce.runtime`) uses it exactly
+when its execution backend (:mod:`repro.exec`) runs tasks in other
+processes; serial and thread backends pass values by reference.  If
+shared memory has no room, each array falls back to shipping by value.
+Three pieces:
 
 * **Broadcast handles** (:mod:`repro.plane.broadcast`) — a job's
-  broadcast is published once (to a shared-memory segment when the
-  backend crosses processes) and tasks ship only a ``(name, shape,
-  dtype)`` descriptor;
+  broadcast is published once to a shared-memory segment and tasks
+  ship only a ``(name, shape, dtype)`` descriptor;
 * **resident split state** (:mod:`repro.plane.state`) — per-split
   caches live in driver-owned shared segments and round-trip as
   markers instead of pickled arrays;
 * **segment lifecycle** (:mod:`repro.plane.shm`) — PID-keyed ownership
   with finalizers, freed on job completion, shutdown, interrupt, GC,
   and interpreter exit; fork-safe.
-
-The broadcast mode is the ``shared_broadcast`` setting of
-:mod:`repro.config`.
 """
 
 from repro.plane.broadcast import (

@@ -6,17 +6,17 @@ value inside whatever process runs it:
 
 :class:`InlineBroadcast`
     The value itself.  In serial/thread backends this is a zero-copy
-    reference (the handle never crosses a process boundary); under the
-    process backend's legacy *pickle path* the value rides inside every
-    task pickle — the historical behavior, kept behind the
-    ``--no-shared-broadcast`` escape hatch.
+    reference (the handle never crosses a process boundary).  Across
+    processes it carries what has no segment: scalars, non-array
+    payloads, object arrays, and any array when shared memory has no
+    room for it.
 
 :class:`SharedArrayBroadcast`
-    The zero-copy plane: the driver published the ndarray once into a
-    shared-memory segment (:mod:`repro.plane.shm`) and the handle
-    pickles as just ``(name, shape, dtype)`` — a few dozen bytes per
-    task instead of ``O(k·d)``.  Workers attach the segment read-through
-    and cache the mapping across tasks.
+    The driver published the ndarray once into a shared-memory segment
+    (:mod:`repro.plane.shm`) and the handle pickles as just ``(name,
+    shape, dtype)`` — a few dozen bytes per task instead of ``O(k·d)``.
+    Workers attach the segment read-through and cache the mapping
+    across tasks.
 
 ``publish_broadcast`` decides between the two; ``resolve_broadcast``
 accepts either a handle or a raw value, so jobs hand-built in tests
@@ -112,12 +112,13 @@ class PublishedBroadcast:
 def publish_broadcast(value: Any, *, shared: bool) -> PublishedBroadcast:
     """Wrap one job's broadcast value for dispatch.
 
-    ``shared`` is the *transport* decision (plane mode is on **and** the
-    backend crosses a process boundary): ndarray payloads then go
+    ``shared`` is the *transport* decision (the MapReduce runtime sets
+    it when the backend crosses a process boundary; the model registry
+    when it was built with ``shared=True``): ndarray payloads then go
     through a shared-memory segment, published once.  Everything else —
     scalars, ``None``, any non-array payload, and object-dtype arrays
     (whose buffers are PyObject pointers, meaningless in another
-    process) — stays inline; those pickle by value as before.
+    process) — stays inline and pickles by value.
     """
     if (
         shared
@@ -128,8 +129,8 @@ def publish_broadcast(value: Any, *, shared: bool) -> PublishedBroadcast:
         try:
             segment = create_array_segment(value, tag="bc")
         except OSError:
-            # No usable shared memory on this system: fall back to the
-            # pickle path rather than failing the job.
+            # No usable shared memory, or no room left in it: ship the
+            # value inline rather than failing the job.
             return PublishedBroadcast(ref=InlineBroadcast(value))
         ref = SharedArrayBroadcast(
             name=segment.name,

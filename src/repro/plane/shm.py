@@ -156,16 +156,37 @@ class SegmentHandle:
         return f"SegmentHandle({self.name!r}, shape={self.array.shape})"
 
 
+def _reserve_pages(shm: shared_memory.SharedMemory, nbytes: int) -> None:
+    """Allocate a new segment's pages now, so a full tmpfs fails here.
+
+    ``ftruncate`` only sizes the segment; its pages are allocated on
+    first write, and on a full ``/dev/shm`` that write is a ``SIGBUS``
+    that kills the process.  ``posix_fallocate`` raises ``OSError``
+    (``ENOSPC``) instead.  Where it does not exist (not POSIX), the
+    segment keeps the lazy allocation.
+    """
+    if hasattr(os, "posix_fallocate"):
+        os.posix_fallocate(shm._fd, 0, nbytes)
+
+
 def create_array_segment(source: np.ndarray, tag: str = "seg") -> SegmentHandle:
     """Publish ``source`` into a fresh shared-memory segment.
 
     One copy, owner-side; returns a handle whose ``array`` is the
     segment-backed view (C-contiguous, ``source``'s dtype and shape).
+    Raises ``OSError``, leaving no segment behind, when the system has
+    no room for it.
     """
     source = np.ascontiguousarray(source)
     nbytes = max(1, int(source.nbytes))  # zero-size segments are illegal
     name = f"{SEGMENT_PREFIX}{tag}_{os.getpid()}_{secrets.token_hex(6)}"
     shm = shared_memory.SharedMemory(create=True, size=nbytes, name=name)
+    try:
+        _reserve_pages(shm, nbytes)
+    except OSError:
+        shm.close()
+        shm.unlink()
+        raise
     array = np.ndarray(source.shape, dtype=source.dtype, buffer=shm.buf)
     array[...] = source
     pid = os.getpid()

@@ -1,17 +1,15 @@
-"""Resident split state: per-split caches that stop riding the pickle bus.
+"""Resident split state: per-split caches that never ride the pickle bus.
 
 Every split owns a dict of state that persists across jobs (the
 ``d^2``/argmin profiles the ``k-means||`` rounds fold into, the Lloyd
-mapper's cached row norms — the runtime's RDD-caching model).  The
-legacy process backend round-trips those dicts through pickle on *every*
-job: ``O(jobs · splits · rows)`` bytes of IPC for data that never needed
-to leave the worker side.
-
-The plane keeps the ndarray entries of each split's state in
-shared-memory segments instead (:mod:`repro.plane.shm`):
+mapper's cached row norms — the runtime's RDD-caching model).  When the
+backend runs map tasks in other processes, the plane keeps the ndarray
+entries of each split's state in shared-memory segments
+(:mod:`repro.plane.shm`):
 
 * the driver ships a :class:`SplitStateSpec` — descriptors for the
-  shared entries, values only for the (rare, small) non-array ones;
+  shared entries, values only for the (rare, small) non-array ones,
+  and for any array a full ``/dev/shm`` had no room for;
 * the task materializes the dict by *attaching* the segments (cached
   per process) and runs the mapper against the live shared buffers —
   in-place kernels like ``update_min_sq_dists`` mutate the segment
@@ -78,7 +76,7 @@ class SplitStateSpec:
 
     ``entries`` maps state keys to either a :class:`SharedStateEntry`
     (attach; zero IPC) or the raw value (inline fallback for non-array
-    state — ships by value exactly like the legacy path).
+    state, or an array no segment could be made for — ships by value).
     """
 
     split_id: int
@@ -168,13 +166,24 @@ def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _segment_eligible(value: Any) -> bool:
-    """ndarrays the plane can host in shared memory (no object dtypes)."""
-    return (
+def _publish(value: Any, split_id: int) -> SegmentHandle | None:
+    """Host ``value`` in a fresh segment, or ``None`` to ship it inline.
+
+    Only non-empty ndarrays without object dtypes are eligible.  When
+    the system has no room (a full ``/dev/shm`` fails the reservation
+    with ``ENOSPC``) or no shared memory at all, the entry rides inline,
+    as non-array state does; the result is the same bits either way.
+    """
+    if not (
         isinstance(value, np.ndarray)
         and value.size > 0
         and not value.dtype.hasobject
-    )
+    ):
+        return None
+    try:
+        return create_array_segment(value, tag=f"st{split_id}")
+    except OSError:
+        return None
 
 
 class SplitStateManager:
@@ -187,16 +196,14 @@ class SplitStateManager:
 
     Telemetry: :attr:`shipped_bytes` counts state bytes that actually
     crossed by value (spec inline entries + update shipped values +
-    publishes) and :attr:`resident_bytes` counts bytes referenced by
-    descriptor instead of shipped; both accumulate until
-    :meth:`drain_counters`.
+    publishes) and accumulates until :meth:`drain_shipped`;
+    :attr:`held_bytes` is what the segments hold right now.
     """
 
     def __init__(self, n_splits: int):
         self.states: list[dict[str, Any]] = [{} for _ in range(n_splits)]
         self._segments: list[dict[str, SegmentHandle]] = [{} for _ in range(n_splits)]
         self.shipped_bytes = 0
-        self.resident_bytes = 0
 
     # -- outbound -------------------------------------------------------
     def spec(self, split_id: int) -> SplitStateSpec:
@@ -212,7 +219,6 @@ class SplitStateManager:
         spec = SplitStateSpec(split_id=split_id)
         for key, value in state.items():
             handle = segments.get(key)
-            published = False
             if handle is not None and not _matches_handle(handle, value):
                 # Layout changed driver-side (tests poke split_states
                 # directly): the old segment no longer describes it.
@@ -225,22 +231,18 @@ class SplitStateManager:
                 # or workers would compute on stale bytes.
                 handle.array[...] = value
                 state[key] = handle.array
-            if handle is None and _segment_eligible(value):
-                handle = create_array_segment(value, tag=f"st{split_id}")
-                segments[key] = handle
-                state[key] = handle.array  # the view IS the state now
-                self.shipped_bytes += handle.nbytes  # the one-time publish
-                published = True
+            if handle is None:
+                handle = _publish(value, split_id)
+                if handle is not None:
+                    segments[key] = handle
+                    state[key] = handle.array  # the view IS the state now
+                    self.shipped_bytes += handle.nbytes  # the one-time publish
             if handle is not None:
                 spec.entries[key] = SharedStateEntry(
                     name=handle.name,
                     shape=tuple(handle.array.shape),
                     dtype=handle.array.dtype.str,
                 )
-                if not published:
-                    # A promotion is a ship, not a reference: count an
-                    # entry under exactly one of the two buckets per job.
-                    self.resident_bytes += handle.nbytes
             else:
                 spec.entries[key] = value  # inline fallback
                 self.shipped_bytes += record_nbytes(key, value)
@@ -265,18 +267,18 @@ class SplitStateManager:
             old = segments.pop(key, None)
             if old is not None:
                 old.release()
-            if _segment_eligible(value):
-                handle = create_array_segment(value, tag=f"st{split_id}")
+            handle = _publish(value, split_id)
+            if handle is not None:
                 segments[key] = handle
                 state[key] = handle.array
             else:
                 state[key] = value
 
     def install(self, split_id: int, state: dict[str, Any]) -> None:
-        """Replace one split's dict wholesale (the legacy pickle path).
+        """Replace one split's dict wholesale (in-process tasks, recovery).
 
         Any segments for that split are stale afterwards and released;
-        :meth:`spec` re-promotes on the next shared-transport job.
+        :meth:`spec` re-promotes on the next job that crosses processes.
         """
         for handle in self._segments[split_id].values():
             handle.release()
@@ -284,12 +286,15 @@ class SplitStateManager:
         self.states[split_id] = state
 
     # -- telemetry / lifecycle ------------------------------------------
-    def drain_counters(self) -> tuple[int, int]:
-        """Return and reset ``(shipped_bytes, resident_bytes)``."""
-        out = (self.shipped_bytes, self.resident_bytes)
-        self.shipped_bytes = 0
-        self.resident_bytes = 0
+    def drain_shipped(self) -> int:
+        """Return and reset :attr:`shipped_bytes`."""
+        out, self.shipped_bytes = self.shipped_bytes, 0
         return out
+
+    @property
+    def held_bytes(self) -> int:
+        """Split-state bytes held in segments now (memory, not traffic)."""
+        return sum(h.nbytes for segments in self._segments for h in segments.values())
 
     @property
     def segment_count(self) -> int:

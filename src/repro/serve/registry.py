@@ -23,7 +23,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.config import get_config
 from repro.exceptions import ValidationError
 from repro.plane.broadcast import PublishedBroadcast, publish_broadcast
 from repro.serve.model import ServedModel, _check_centers
@@ -40,23 +39,19 @@ class ModelRegistry:
     shared:
         Broadcast transport for published centers: ``True`` publishes
         each version once to a shared-memory segment (worker processes
-        attach by descriptor), ``False`` keeps the frozen array inline.
-        ``None`` takes ``shared_broadcast`` from
-        :func:`repro.config.get_config` (default off), like the
-        MapReduce runtime.
+        attach by descriptor); ``False``, the default, keeps the frozen
+        array private to this process, where every request is served.
     keep_versions:
         Retired versions retained behind the current one before their
         segments are released.  The current version never expires.
     """
 
-    def __init__(self, *, shared: bool | None = None, keep_versions: int = 2):
+    def __init__(self, *, shared: bool = False, keep_versions: int = 2):
         if keep_versions < 0:
             raise ValidationError(
                 f"keep_versions must be >= 0, got {keep_versions}"
             )
-        self._shared = bool(
-            get_config().shared_broadcast if shared is None else shared
-        )
+        self._shared = bool(shared)
         self._keep = int(keep_versions)
         self._lock = threading.Lock()
         self._published: "OrderedDict[int, tuple[ServedModel, PublishedBroadcast]]" = (

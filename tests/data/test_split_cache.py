@@ -112,3 +112,34 @@ def test_a_miss_drops_entries_of_deleted_files(tmp_path):
     _load(new, 10)
     assert str(old.resolve()) not in splits._MMAP_CACHE
     assert str(new.resolve()) in splits._MMAP_CACHE
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps") or not hasattr(os, "fork"),
+    reason="needs /proc/<pid>/maps and fork",
+)
+def test_worker_processes_drop_maps_of_deleted_files(tmp_path):
+    """A worker forked during a fit inherits the driver's frames, which
+    it never unwinds; the sources in them must hold no map of their own,
+    or the worker keeps the first fit's file mapped for good."""
+    from repro.exec import ProcessBackend, WorkerBudget
+
+    rng = np.random.default_rng(9)
+    kwargs = dict(l=8.0, r=2, n_splits=6, seed=3, lloyd_max_iter=2, workers=4)
+    backend = ProcessBackend(budget=WorkerBudget(4))
+    paths = []
+    try:
+        for i in range(3):
+            path = tmp_path / f"f{i}.npy"
+            np.save(path, rng.normal(size=(600, 4)))
+            mr_scalable_kmeans(path, 4, backend=backend, **kwargs)
+            path.unlink()
+            paths.append(path.resolve())
+        workers = list(backend._proc_pool._processes)
+        assert len(workers) == 3
+        for pid in workers:
+            with open(f"/proc/{pid}/maps", encoding="utf-8") as maps:
+                held = [line for line in maps if any(str(p) in line for p in paths[:2])]
+            assert held == [], pid
+    finally:
+        backend.shutdown()

@@ -209,6 +209,17 @@ class TestExecFlags:
         assert exc.value.code == 2
         assert "invalid choice: 'worker'" in capsys.readouterr().err
 
+    def test_removed_shared_broadcast_flag_is_a_parser_error(self, tmp_path, capsys):
+        # The backend picks the transport to worker processes; no flag
+        # selects it.
+        with pytest.raises(SystemExit) as exc:
+            main(["--no-shared-broadcast", "mr",
+                  "--splits-from", str(tmp_path / "d.npy"), "-k", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-shared-broadcast" in (
+            capsys.readouterr().err
+        )
+
     def test_backend_flag_installs_backend(self, during_run, capsys):
         assert during_run("--backend", "serial")["backend"] == "serial"
         capsys.readouterr()

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.costs import potential
+from repro.exceptions import ValidationError
+from repro.exec import SerialBackend
 from repro.mapreduce.cluster import ClusterModel
 from repro.mapreduce.kmeans_mr import (
     mr_lloyd,
@@ -93,6 +95,27 @@ class TestMRScalableKMeans:
         report = mr_scalable_kmeans(X, 5, l=10.0, r=2, n_splits=4, seed=0)
         text = report.summary()
         assert "k-means||" in text and "simulated" in text
+
+    @pytest.mark.parametrize("value", [False, None, 1, "yes"])
+    def test_shared_broadcast_takes_only_true(self, blobs, value):
+        # The backend picks the transport; the keyword stays for callers
+        # that pass True, and anything else fails before the first job.
+        class CountingBackend(SerialBackend):
+            regions = 0
+
+            def run_calls(self, fn, calls, **kwargs):
+                CountingBackend.regions += 1
+                return super().run_calls(fn, calls, **kwargs)
+
+        X, _ = blobs
+        with pytest.raises(ValidationError, match="shared_broadcast must be True"):
+            mr_scalable_kmeans(X, 5, l=10.0, r=2, n_splits=4, seed=0,
+                               backend=CountingBackend(), shared_broadcast=value)
+        assert CountingBackend.regions == 0
+        report = mr_scalable_kmeans(X, 5, l=10.0, r=2, n_splits=4, seed=0,
+                                    lloyd_max_iter=2, backend=CountingBackend(),
+                                    shared_broadcast=True)
+        assert CountingBackend.regions > 0 and report.n_jobs > 0
 
 
 class TestMRRandomKMeans:

@@ -174,13 +174,13 @@ class TestStateProtocol:
         mgr = SplitStateManager(1)
         mgr.states[0]["d2"] = np.zeros(100)
         mgr.spec(0)
-        shipped, resident = mgr.drain_counters()
-        assert shipped == 800  # the one-time publish, counted once
-        assert resident == 0
+        assert mgr.drain_shipped() == 800  # the one-time publish
+        assert mgr.held_bytes == 800
         mgr.spec(0)
-        shipped, resident = mgr.drain_counters()
-        assert shipped == 0  # steady state: descriptors only
-        assert resident == 800
+        assert mgr.drain_shipped() == 0  # steady state: descriptors only
+        assert mgr.held_bytes == 800  # memory held, not traffic
+        mgr.release()
+        assert mgr.held_bytes == 0
 
     def test_driver_side_same_layout_replacement_syncs_segment(self, rng):
         """Poking split_states with an equal-layout array between jobs
@@ -194,16 +194,6 @@ class TestStateProtocol:
         seen = spec.materialize()["d2"]
         np.testing.assert_array_equal(seen, np.full(16, 7.0))
         assert mgr.segment_count == 1  # synced in place, not republished
-
-    def test_promotion_counts_as_shipped_not_resident(self):
-        mgr = SplitStateManager(1)
-        mgr.states[0]["a"] = np.zeros(100)
-        mgr.spec(0)
-        shipped, resident = mgr.drain_counters()
-        assert shipped == 800 and resident == 0  # one bucket per entry
-        mgr.spec(0)
-        shipped, resident = mgr.drain_counters()
-        assert shipped == 0 and resident == 800
 
     def test_object_dtype_broadcast_stays_inline(self):
         """PyObject-pointer buffers must never be published to a segment."""

@@ -8,6 +8,7 @@ Mirrors the spill-file finalizer tests in ``tests/shuffle`` /
 
 from __future__ import annotations
 
+import errno
 import gc
 import os
 import pathlib
@@ -99,7 +100,7 @@ class TestSegmentLifecycle:
     def test_normal_completion_frees_broadcast_keeps_state(self, rng, backend):
         X = rng.normal(size=(120, 4))
         rt = LocalMapReduceRuntime(
-            X, n_splits=3, seed=0, workers=3, backend=backend, shared_broadcast=True
+            X, n_splits=3, seed=0, workers=3, backend=backend
         )
         rt.run_job(make_cost_job(X[:4]))
         names = active_owned_segments()
@@ -114,7 +115,7 @@ class TestSegmentLifecycle:
     def test_keyboard_interrupt_frees_broadcast_segment(self, rng, backend):
         X = rng.normal(size=(120, 4))
         rt = LocalMapReduceRuntime(
-            X, n_splits=3, seed=0, workers=3, backend=backend, shared_broadcast=True
+            X, n_splits=3, seed=0, workers=3, backend=backend
         )
         with pytest.raises(KeyboardInterrupt):
             rt.run_job(interrupt_job())
@@ -130,7 +131,6 @@ class TestSegmentLifecycle:
         try:
             rt = LocalMapReduceRuntime(
                 X, n_splits=3, seed=0, workers=3, backend=backend,
-                shared_broadcast=True,
             )
             with pytest.raises(Exception):  # BrokenProcessPool (or wrapped)
                 rt.run_job(crash_job())
@@ -142,7 +142,7 @@ class TestSegmentLifecycle:
     def test_abandoned_runtime_gc_frees_segments(self, rng, backend):
         X = rng.normal(size=(120, 4))
         rt = LocalMapReduceRuntime(
-            X, n_splits=3, seed=0, workers=3, backend=backend, shared_broadcast=True
+            X, n_splits=3, seed=0, workers=3, backend=backend
         )
         rt.run_job(make_cost_job(X[:4]))
         assert active_owned_segments()
@@ -153,7 +153,7 @@ class TestSegmentLifecycle:
     def test_fork_child_exit_leaves_parent_segments(self, rng, backend):
         X = rng.normal(size=(120, 4))
         rt = LocalMapReduceRuntime(
-            X, n_splits=3, seed=0, workers=3, backend=backend, shared_broadcast=True
+            X, n_splits=3, seed=0, workers=3, backend=backend
         )
         rt.run_job(make_cost_job(X[:4]))
         names = active_owned_segments()
@@ -174,14 +174,43 @@ class TestSegmentLifecycle:
         rt.shutdown()
         assert active_owned_segments() == []
 
+    def test_full_dev_shm_falls_back_inline(self, rng, backend, monkeypatch):
+        """With no room in /dev/shm, broadcasts and split state ship by
+        value: the fit completes, bit-identical to the serial reference,
+        and no segment is left behind."""
+        from repro.exec import SerialBackend
+        from repro.mapreduce.kmeans_mr import mr_scalable_kmeans
+        from repro.plane import shm as plane_shm
+
+        X = rng.normal(size=(300, 4))
+        kwargs = dict(l=6.0, r=2, n_splits=3, seed=0, lloyd_max_iter=3, workers=3)
+        reference = mr_scalable_kmeans(X, 3, backend=SerialBackend(), **kwargs)
+        attempts = []
+
+        def no_room(shm, nbytes):
+            attempts.append(nbytes)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(plane_shm, "_reserve_pages", no_room)
+        report = mr_scalable_kmeans(X, 3, backend=backend, **kwargs)
+        assert attempts  # the plane tried, and fell back
+        assert report.centers.tobytes() == reference.centers.tobytes()
+        assert report.seed_cost == reference.seed_cost
+        assert report.final_cost == reference.final_cost
+        assert report.simulated_minutes == reference.simulated_minutes
+        assert report.plane["state_bytes_resident"] == 0  # nothing held
+        assert report.plane["state_bytes_shipped"] > 0  # all by value
+        assert active_owned_segments() == []
+        assert shm_leftovers() == []
+
     def test_pipeline_leaves_no_dev_shm_entries(self, rng, backend):
         from repro.mapreduce.kmeans_mr import mr_scalable_kmeans
 
         X = rng.normal(size=(150, 4))
         report = mr_scalable_kmeans(
             X, 3, l=6.0, r=2, n_splits=3, seed=0, lloyd_max_iter=2,
-            workers=3, backend=backend, shared_broadcast=True,
+            workers=3, backend=backend,
         )
-        assert report.plane["mode"] == "shared"
+        assert report.plane["state_bytes_resident"] > 0  # segments were used
         assert active_owned_segments() == []  # runtime context exit cleans up
         assert shm_leftovers() == []

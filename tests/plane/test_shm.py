@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import os
+import pathlib
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+from repro.plane import shm as plane_shm
 from repro.plane.shm import (
     SEGMENT_PREFIX,
     active_owned_segments,
@@ -52,6 +56,44 @@ class TestCreateAttach:
         view = attach_array(handle.name, (8,), np.float64)
         view[3] = 7.0
         assert handle.array[3] == 7.0
+
+
+_DEV_SHM = pathlib.Path("/dev/shm")
+
+
+def _no_room(shm, nbytes):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestFullSharedMemory:
+    """A full ``/dev/shm`` is an ``OSError`` at creation, not a SIGBUS
+    at the first write."""
+
+    @pytest.mark.skipif(
+        not hasattr(os, "posix_fallocate") or not _DEV_SHM.is_dir(),
+        reason="needs posix_fallocate and /dev/shm",
+    )
+    def test_creation_reserves_every_page(self):
+        size = 1 << 20
+        shm = shared_memory.SharedMemory(create=True, size=size)
+        try:
+            path = _DEV_SHM / shm.name.lstrip("/")
+            assert path.stat().st_blocks == 0  # ftruncate only sized it
+            plane_shm._reserve_pages(shm, size)
+            assert path.stat().st_blocks * 512 >= size
+        finally:
+            shm.close()
+            shm.unlink()
+
+    def test_no_room_raises_and_leaves_nothing(self, rng, monkeypatch):
+        before = sorted(p.name for p in _DEV_SHM.glob(f"{SEGMENT_PREFIX}*"))
+        monkeypatch.setattr(plane_shm, "_reserve_pages", _no_room)
+        with pytest.raises(OSError) as excinfo:
+            create_array_segment(rng.normal(size=64), tag="full")
+        assert excinfo.value.errno == errno.ENOSPC
+        assert active_owned_segments() == []
+        after = sorted(p.name for p in _DEV_SHM.glob(f"{SEGMENT_PREFIX}*"))
+        assert after == before
 
 
 class TestLifecycle:

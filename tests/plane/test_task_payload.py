@@ -3,7 +3,7 @@
 A metering backend that *actually* round-trips every call and result
 through pickle (a faithful in-process stand-in for the process
 boundary) measures the driver↔worker payloads of a real
-``mr_scalable_kmeans`` + MR-Lloyd run.  Under the zero-copy plane the
+``mr_scalable_kmeans`` + MR-Lloyd run.  With default arguments the
 per-task pickle must contain no ndarray bytes — not the broadcast
 centers, not the d²/norm caches, not the mmap-backed split rows — while
 results stay bit-identical to the serial reference.
@@ -30,8 +30,8 @@ def _clean_registry():
 class PickleMeteringBackend(SerialBackend):
     """Serial execution that forces every call through a pickle boundary.
 
-    ``crosses_processes`` is declared so the runtime engages the shared
-    transport exactly as it would for the real process backend; tasks
+    ``crosses_processes`` is declared so the runtime takes the shared
+    transport exactly as it does for the real process backend; tasks
     and results are round-tripped through ``pickle`` so anything that
     would not survive real IPC cannot sneak through, and their sizes
     are recorded per job phase.
@@ -67,10 +67,10 @@ def mmap_dataset(rng, tmp_path):
     return str(path), X
 
 
-def run_pipeline(path, *, backend, shared):
+def run_pipeline(path, *, backend):
     return mr_scalable_kmeans(
         path, 4, l=8.0, r=2, n_splits=4, seed=7, lloyd_max_iter=3,
-        workers=1, backend=backend, shared_broadcast=shared,
+        workers=1, backend=backend,
     )
 
 
@@ -78,10 +78,10 @@ class TestTaskPayloads:
     def test_shared_plane_ships_only_descriptors(self, mmap_dataset):
         path, X = mmap_dataset
         meter = PickleMeteringBackend()
-        report = run_pipeline(path, backend=meter, shared=True)
-        reference = run_pipeline(path, backend=SerialBackend(), shared=False)
+        report = run_pipeline(path, backend=meter)
+        reference = run_pipeline(path, backend=SerialBackend())
 
-        # Bit-identical to the serial/legacy reference.
+        # Bit-identical to the serial reference.
         np.testing.assert_array_equal(report.centers, reference.centers)
         assert report.final_cost == reference.final_cost
         assert report.seed_cost == reference.seed_cost
@@ -96,36 +96,23 @@ class TestTaskPayloads:
         # first cost job, row norms in the first Lloyd job) — and is a
         # resident marker forever after: at most one fat result per
         # (split, cache-creating job) = 4 × 2 here, versus one per task
-        # per job (~40) on the legacy path.
+        # per job (~40) if the caches rode every pickle.
         big = [b for b in meter.result_bytes if b > 3500]
         assert len(big) <= 8
 
-        # Telemetry agrees: state moved once (the publishes), then sat
-        # resident; the broadcast was published per job, never per task.
+        # Telemetry agrees: each split's d², argmin and norms (8 B a row
+        # each) crossed once and are held once; the broadcast was
+        # published per job, never per task.
         plane = report.plane
-        assert plane["mode"] == "shared"
-        assert plane["state_bytes_resident"] > plane["state_bytes_shipped"] > 0
+        assert plane["state_bytes_resident"] == 3 * 8 * X.shape[0]
+        assert plane["state_bytes_shipped"] >= plane["state_bytes_resident"]
         assert plane["broadcast_bytes_published"] > 0
-        assert plane["broadcast_bytes_per_task"] == 0
-
-    def test_legacy_path_ships_arrays(self, mmap_dataset):
-        path, _ = mmap_dataset
-        meter = PickleMeteringBackend()
-        report = run_pipeline(path, backend=meter, shared=False)
-        # The pickle path really does ship the caches: most task AND
-        # result pickles carry whole d²/argmin/norm profiles, every job.
-        big_tasks = [b for b in meter.task_bytes if b > 3500]
-        big_results = [b for b in meter.result_bytes if b > 3500]
-        assert len(big_tasks) > 8 and len(big_results) > 8
-        assert report.plane["mode"] == "task"
-        assert report.plane["broadcast_bytes_per_task"] > 0
-        assert report.plane["broadcast_bytes_published"] == 0
 
     def test_per_job_payload_is_flat_in_rounds(self, mmap_dataset):
         """More rounds must not grow per-task payloads (O(1), not O(T))."""
         path, _ = mmap_dataset
         meter = PickleMeteringBackend()
-        run_pipeline(path, backend=meter, shared=True)
+        run_pipeline(path, backend=meter)
         n = len(meter.task_bytes)
         early = max(meter.task_bytes[: n // 3])
         late = max(meter.task_bytes[-n // 3 :])

@@ -3,9 +3,9 @@
 The fault-tolerance acceptance gate.  Workers are killed at random and
 at targeted points (before/after map tasks, before/after reduce tasks,
 under any retry budget >= 1), on the thread backend (inline simulated
-crashes) and the process backend (real ``os._exit`` worker deaths, with
-and without resident plane state, in-memory and spilling shuffle
-stores) —
+crashes) and the process backend (real ``os._exit`` worker deaths with
+resident plane state, at two worker counts, in-memory and spilling
+shuffle stores) —
 and every run must produce centers, costs, counters, and key order
 bit-identical to a fault-free serial run.  Crash cleanup must leak
 nothing: no ``/dev/shm`` segment and no ``repro-shuffle-*`` spill
@@ -180,20 +180,14 @@ class TestThreadChaosIdentity:
 
 class TestProcessChaosIdentity:
     @pytest.mark.parametrize("seed", [11, 14])
-    @pytest.mark.parametrize(
-        "mode_kwargs",
-        [
-            pytest.param({}, id="shared-pool"),
-            pytest.param({"shared_broadcast": True}, id="shared-plane"),
-        ],
-    )
+    @pytest.mark.parametrize("workers", [2, 3])
     def test_random_worker_deaths_bit_identical(
-        self, dataset, reference, seed, mode_kwargs
+        self, dataset, reference, seed, workers
     ):
         set_fault_injector(ChaosInjector(rate=0.08, seed=seed))
         backend = ProcessBackend(budget=WorkerBudget(3))
         try:
-            report = _pipeline(dataset, backend=backend, **mode_kwargs)
+            report = _pipeline(dataset, backend=backend, workers=workers)
         finally:
             backend.shutdown()
             set_fault_injector(None)
@@ -208,7 +202,6 @@ class TestProcessChaosIdentity:
                 dataset,
                 backend=backend,
                 shuffle_budget=1,  # force every job's shuffle to spill
-                shared_broadcast=True,
             )
         finally:
             backend.shutdown()
@@ -232,7 +225,6 @@ class TestProcessChaosIdentity:
                 dataset,
                 backend=backend,
                 shuffle_budget=1,  # force every job's shuffle to spill
-                shared_broadcast=True,
                 retry_policy=RetryPolicy(max_task_retries=2, backoff_s=0.0),
             )
         finally:
@@ -253,7 +245,6 @@ class TestProcessChaosIdentity:
             seed=7,
             workers=3,
             backend=backend,
-            shared_broadcast=True,
             shuffle_budget=1,
             retry_policy=RetryPolicy(max_task_retries=1, backoff_s=0.0),
         )

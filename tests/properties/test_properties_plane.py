@@ -1,13 +1,11 @@
 """Property tests: the data plane must change *nothing* but the IPC.
 
-Extends the backend/worker invariance matrix with the plane axis: for
-any execution backend (serial / thread / process), any worker count, and
-shared or legacy broadcast transport, the MapReduce pipelines must
-produce bit-identical centers, costs, counters, and output key order.
-Simulated time must be bit-identical across *backends* at a fixed
-broadcast mode (the mode itself legitimately changes the broadcast
-charge: publish-once vs per-task — that is the telemetry fix, asserted
-separately).
+The process backend moves broadcasts and split state through shared
+memory; serial and thread backends pass them by reference.  For any
+backend and any worker count, the MapReduce pipelines must produce
+centers, costs, counters, output key order and simulated time
+bit-identical to the serial reference, and the simulated clock charges
+each job's broadcast once, on every backend.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from repro.exec import (
     ThreadBackend,
     WorkerBudget,
 )
+from repro.mapreduce.cluster import ClusterModel
 from repro.mapreduce.jobs.lloyd_job import make_lloyd_job
 from repro.mapreduce.kmeans_mr import mr_scalable_kmeans
 from repro.mapreduce.runtime import LocalMapReduceRuntime
@@ -59,11 +58,12 @@ def _fingerprint(report):
         "lloyd_iters": report.lloyd_iters,
         "n_candidates": report.n_candidates,
         "n_jobs": report.n_jobs,
+        "simulated_minutes": report.simulated_minutes,
     }
 
 
 class TestPlaneInvariance:
-    """backends x workers x broadcast mode, one pipeline."""
+    """backends x workers against the serial reference, one pipeline."""
 
     @given(
         data=points_and_k(min_rows=4, max_rows=24),
@@ -82,30 +82,22 @@ class TestPlaneInvariance:
             lloyd_max_iter=2, workers=workers,
         )
         reference = mr_scalable_kmeans(
-            X, k, backend=backends["serial"], shared_broadcast=False, **kwargs,
+            X, k, backend=backends["serial"], **kwargs,
         )
         ref_fp = _fingerprint(reference)
+        # workers=1 on the process backend runs every task inline on the
+        # driver, still through the shared-memory specs.
         variants = [
-            ("serial", True),
-            ("thread", True),
-            ("process", False),
-            ("process", True),
+            ("serial", 1),
+            ("thread", workers),
+            ("process", 1),
+            ("process", workers),
         ]
-        shared_minutes = None
-        for name, shared in variants:
+        for name, n_workers in variants:
             report = mr_scalable_kmeans(
-                X, k, backend=backends[name], shared_broadcast=shared,
-                **kwargs,
+                X, k, backend=backends[name], **dict(kwargs, workers=n_workers),
             )
-            assert _fingerprint(report) == ref_fp, (name, shared)
-            if shared:
-                # One fixed mode -> one simulated clock, regardless of
-                # backend.
-                if shared_minutes is None:
-                    shared_minutes = report.simulated_minutes
-                assert report.simulated_minutes == shared_minutes, name
-            else:
-                assert report.simulated_minutes == reference.simulated_minutes
+            assert _fingerprint(report) == ref_fp, (name, n_workers)
 
     @given(
         data=points_and_k(min_rows=4, max_rows=24),
@@ -122,12 +114,12 @@ class TestPlaneInvariance:
         C = X[:k].copy()
         with LocalMapReduceRuntime(
             X, n_splits=n_splits, seed=seed, workers=2,
-            backend=backends["serial"], shared_broadcast=False,
+            backend=backends["serial"],
         ) as ref_rt:
             ref = ref_rt.run_job(make_lloyd_job(C))
         with LocalMapReduceRuntime(
             X, n_splits=n_splits, seed=seed, workers=2,
-            backend=backends["process"], shared_broadcast=True,
+            backend=backends["process"],
         ) as rt:
             out = rt.run_job(make_lloyd_job(C))
         assert list(out.output.keys()) == list(ref.output.keys())
@@ -138,42 +130,87 @@ class TestPlaneInvariance:
                 assert _freeze(a) == _freeze(b)
 
 
+class RecordingCluster(ClusterModel):
+    """The default cluster model, recording what each job is charged."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.charges: list[dict] = []
+
+    def job_time(self, **charge):
+        self.charges.append(charge)
+        return super().job_time(**charge)
+
+
 class TestPlaneTelemetryInvariants:
     def test_broadcast_charged_once_not_per_task(self, backends):
-        """The double-count fix: same job, same data — the shared mode's
-        broadcast term is 1/n_splits of the legacy per-task charge."""
+        """Every backend charges a job's broadcast once, on the network,
+        and keeps it out of the map tasks' scan bytes."""
         rng = np.random.default_rng(0)
         X = rng.normal(size=(240, 6))
         C = X[:8].copy()
-
-        def run(shared):
+        times = {}
+        for name in ("serial", "thread", "process"):
             with LocalMapReduceRuntime(
-                X, n_splits=6, seed=0, workers=2,
-                backend=backends["serial"], shared_broadcast=shared,
+                X, n_splits=6, seed=0, workers=2, backend=backends[name],
             ) as rt:
                 rt.run_job(make_lloyd_job(C))
-                return rt.job_log[-1]
+                stats = rt.job_log[-1]
+                once = rt.cluster.job_time(
+                    map_flops_per_split=stats.map_flops_per_split,
+                    map_bytes_per_split=[X.nbytes / 6] * 6,
+                    shuffle_bytes=stats.shuffle_bytes,
+                    reduce_flops=stats.reduce_flops,
+                    broadcast_bytes=float(stats.broadcast_bytes),
+                )
+            assert stats.broadcast_bytes == C.nbytes
+            assert stats.time == once, name
+            times[name] = stats.time
+        assert times["serial"] == times["thread"] == times["process"]
 
-        legacy, shared = run(False), run(True)
-        assert legacy.broadcast_bytes == shared.broadcast_bytes > 0
-        assert legacy.broadcast_mode == "task"
-        assert shared.broadcast_mode == "shared"
-        assert legacy.broadcast_bytes_per_task == 6 * legacy.broadcast_bytes
-        assert legacy.broadcast_bytes_published == 0
-        assert shared.broadcast_bytes_published == shared.broadcast_bytes
-        assert shared.broadcast_bytes_per_task == 0
-        # The simulated network sees the payload once vs n_splits times;
-        # every other term is identical, so shared must be faster.
-        assert shared.time.total < legacy.time.total
+    def test_fit_simulated_minutes_backend_independent(self, backends):
+        """One MR fit reads the same simulated minutes on every backend,
+        and each job's broadcast is charged once, never in a task's scan."""
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(300, 5))
+        minutes = {}
+        for name in ("serial", "thread", "process"):
+            cluster = RecordingCluster()
+            report = mr_scalable_kmeans(
+                X, 4, l=8.0, r=3, n_splits=4, seed=5, lloyd_max_iter=3,
+                workers=3, backend=backends[name], cluster=cluster,
+            )
+            minutes[name] = report.simulated_minutes
+            assert len(cluster.charges) == report.n_jobs
+            for charge in cluster.charges:
+                assert sum(charge["map_bytes_per_split"]) == X.nbytes
+            broadcast = [c["broadcast_bytes"] for c in cluster.charges]
+            assert sum(broadcast) == report.plane["broadcast_bytes_published"]
+            assert sum(b > 0 for b in broadcast) >= report.lloyd_iters
+        assert minutes["serial"] == minutes["thread"] == minutes["process"]
 
-    def test_state_residency_grows_with_rounds(self, backends):
-        """Across a multi-round run, resident state bytes must dominate
-        shipped state bytes (the caches cross once, then never again)."""
+    def test_state_bytes_flat_in_rounds(self, backends):
+        """Split state crosses once and is held once: more rounds and
+        more jobs ship and hold the same bytes (the d2/argmin caches and
+        the row norms, 8 bytes a row each)."""
         rng = np.random.default_rng(1)
         X = rng.normal(size=(400, 5))
+        planes = []
+        for rounds, iters in ((2, 2), (4, 4)):
+            report = mr_scalable_kmeans(
+                X, 4, l=8.0, r=rounds, n_splits=4, seed=3,
+                lloyd_max_iter=iters, workers=3, backend=backends["process"],
+            )
+            planes.append(report.plane)
+        short, long = planes
+        assert short["state_bytes_resident"] == long["state_bytes_resident"]
+        assert short["state_bytes_resident"] == 3 * 8 * X.shape[0]
+        assert short["state_bytes_shipped"] == long["state_bytes_shipped"]
+        assert long["state_bytes_shipped"] >= long["state_bytes_resident"]
+        # On an in-process backend nothing crosses and nothing is held.
         report = mr_scalable_kmeans(
             X, 4, l=8.0, r=4, n_splits=4, seed=3, lloyd_max_iter=4,
-            workers=3, backend=backends["process"], shared_broadcast=True,
+            workers=3, backend=backends["thread"],
         )
-        plane = report.plane
-        assert plane["state_bytes_resident"] > 2 * plane["state_bytes_shipped"] > 0
+        assert report.plane["state_bytes_shipped"] == 0
+        assert report.plane["state_bytes_resident"] == 0

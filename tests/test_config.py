@@ -38,7 +38,6 @@ CASES = {
     "REPRO_EXEC_BACKEND": (" Serial ", "serial", "gpu"),
     "REPRO_EXEC_WORKERS": ("3", 3, "0"),
     "REPRO_SHUFFLE_BUDGET_MB": ("0.5", 512 * 1024, "lots"),
-    "REPRO_SHARED_BROADCAST": ("yes", True, "maybe"),
     "REPRO_FAULTS_MAX_RETRIES": ("0", 0, "-1"),
     "REPRO_FAULTS_TASK_TIMEOUT": ("2.5", 2.5, "0"),
     "REPRO_FAULTS_CHAOS": ("on", True, "sometimes"),
@@ -124,8 +123,8 @@ class TestParsing:
         monkeypatch.setenv("REPRO_FAULTS_TASK_TIMEOUT", "None")
         assert get_config().faults_task_timeout is None
         for raw in ("0", "false", "no", "off", "OFF"):
-            monkeypatch.setenv("REPRO_SHARED_BROADCAST", raw)
-            assert get_config().shared_broadcast is False
+            monkeypatch.setenv("REPRO_FAULTS_CHAOS", raw)
+            assert get_config().faults_chaos is False
 
     def test_reparsed_only_when_a_value_changes(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
@@ -148,24 +147,6 @@ class TestParsing:
         args = build_parser().parse_args(["--exec-workers", "0", "list"])
         with pytest.raises(ValidationError, match="^--exec-workers must be"):
             _cli_config(args)
-
-    @pytest.mark.parametrize("raw, command, expected", [
-        (None, "mr", True),
-        ("", "mr", True),  # empty is unset: the mr/serve default applies
-        ("", "serve", True),
-        ("0", "mr", False),
-        ("", "list", None),
-    ])
-    def test_cli_turns_the_plane_on_for_mr_and_serve(
-        self, raw, command, expected, monkeypatch
-    ):
-        if raw is not None:
-            monkeypatch.setenv("REPRO_SHARED_BROADCAST", raw)
-        argv = {"mr": ["mr", "--splits-from", "x.npy", "-k", "2"],
-                "serve": ["serve"], "list": ["list"]}[command]
-        assert _cli_config(build_parser().parse_args(argv)).shared_broadcast is expected
-        off = build_parser().parse_args(["--no-shared-broadcast", *argv])
-        assert _cli_config(off).shared_broadcast is False
 
 
 class TestOneWorkerKnob:
