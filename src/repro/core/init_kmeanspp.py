@@ -25,10 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.costs import normalized_d2, potential_from_d2
-from repro.core.init_base import Initializer, resolve_working_dtype
+from repro.core.init_base import FitPoints, Initializer
 from repro.core.results import InitResult, RoundRecord
 from repro.exceptions import ValidationError
-from repro.linalg.distances import row_norms_sq, sq_dists_to_point, update_min_sq_dists
+from repro.linalg.distances import sq_dists_to_point, update_min_sq_dists
 from repro.types import FloatArray, SeedLike
 from repro.utils.validation import check_positive_int
 
@@ -65,7 +65,8 @@ class KMeansPlusPlus(Initializer):
         self.record_rounds = bool(record_rounds)
         self.working_dtype = working_dtype
 
-    def _run(self, X, k, weights, rng) -> InitResult:
+    def _seed(self, points: FitPoints, k, rng) -> InitResult:
+        X, weights = points.X, points.weights
         n, d = X.shape
         if k > n:
             raise ValidationError(f"k={k} exceeds the number of points n={n}")
@@ -73,9 +74,8 @@ class KMeansPlusPlus(Initializer):
         rounds: list[RoundRecord] = []
 
         # Every D^2 refresh below hits the same X, so pay the O(nd)
-        # row-norm pass exactly once (in the working dtype).
-        Xw = resolve_working_dtype(X, self.working_dtype)
-        x_norms = row_norms_sq(Xw)
+        # row-norm pass once per fit (in the working dtype).
+        Xw, x_norms = points.working(self.working_dtype)
 
         # Line 1: first center uniformly at random (mass-proportional when
         # seeding a weighted set).

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.costs import potential
 from repro.core.init_base import Initializer
 from repro.core.results import InitResult
 from repro.exceptions import ValidationError
@@ -38,7 +37,9 @@ class RandomInit(Initializer):
         return InitResult(
             method=self.name,
             centers=centers,
-            seed_cost=potential(X, centers, weights=weights),
+            # run() scores it with one potential pass, or a door takes
+            # it from Lloyd's first assignment.
+            seed_cost=None,
             n_candidates=k,
             n_rounds=1,
             n_passes=1,

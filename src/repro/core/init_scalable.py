@@ -33,8 +33,8 @@ import math
 
 import numpy as np
 
-from repro.core.costs import normalized_d2, potential, potential_from_d2
-from repro.core.init_base import Initializer, resolve_working_dtype
+from repro.core.costs import normalized_d2, potential_from_d2
+from repro.core.init_base import FitPoints, Initializer
 from repro.core.lloyd_fast import expansion_slack
 from repro.core.reclustering import (
     KMeansPlusPlusReclusterer,
@@ -174,16 +174,16 @@ class ScalableKMeans(Initializer):
         return int(self.n_rounds)
 
     # ------------------------------------------------------------------
-    def _run(self, X, k, weights, rng) -> InitResult:
+    def _seed(self, points: FitPoints, k, rng) -> InitResult:
+        X, weights = points.X, points.weights
         n = X.shape[0]
         if k > n:
             raise ValidationError(f"k={k} exceeds the number of points n={n}")
         l = self.resolve_l(k)
 
-        # Rounds 1..r all fold distances against the same X; compute the
-        # row norms once (in the working dtype) and reuse them throughout.
-        Xw = resolve_working_dtype(X, self.working_dtype)
-        x_norms = row_norms_sq(Xw)
+        # Rounds 1..r all fold distances against the same X; the row norms
+        # (in the working dtype) are computed once per fit and reused.
+        Xw, x_norms = points.working(self.working_dtype)
 
         # Step 1: C <- one point sampled uniformly at random (mass-
         # proportional for weighted inputs).
@@ -262,7 +262,9 @@ class ScalableKMeans(Initializer):
         return InitResult(
             method=self.name,
             centers=centers,
-            seed_cost=potential(X, centers, weights=weights),
+            # One potential pass scores the seed: run() makes it, or a
+            # door takes it from Lloyd's first assignment.
+            seed_cost=None,
             n_candidates=int(candidate_arr.shape[0]),
             n_rounds=len(rounds),
             # One pass to seed psi and one per sampling round; Step 7 reads

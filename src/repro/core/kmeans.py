@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.init_base import Initializer
+from repro.core.costs import potential
+from repro.core.init_base import FitPoints, Initializer
 from repro.core.init_kmeanspp import KMeansPlusPlus
 from repro.core.init_random import RandomInit
 from repro.core.init_scalable import ScalableKMeans
@@ -47,6 +48,35 @@ def _make_initializer(init, oversampling_factor, n_rounds, working_dtype) -> Ini
         f"init must be one of {INIT_ALIASES}, an Initializer instance, or an "
         f"explicit (k, d) center array; got {init!r}"
     )
+
+
+def seed_and_refine(
+    initializer: Initializer,
+    points: FitPoints,
+    k: int,
+    rng: np.random.Generator,
+    **lloyd_kwargs,
+) -> tuple[InitResult, LloydResult]:
+    """Seed with ``initializer``, then run :func:`~repro.core.lloyd.lloyd`.
+
+    The paper's protocol (Section 4.2) on one fit's checked points: both
+    steps share the points' working copy and row norms.  A seed that
+    only a :func:`~repro.core.costs.potential` pass would score takes its
+    ``seed_cost`` from Lloyd's first assignment, which scores the same
+    centers with the same kernel: bit for bit that pass whenever the
+    kernels run on ``X`` itself.  A narrower ``working_dtype`` makes
+    Lloyd's pass round differently, so the seed then pays its own pass.
+    """
+    init = initializer.run(points, k, seed=rng)
+    run = lloyd(points, init.centers, seed=rng, **lloyd_kwargs)
+    if init.seed_cost is None:
+        Xw, _ = points.working(lloyd_kwargs.get("working_dtype"))
+        init.seed_cost = (
+            run.cost_history[0]
+            if Xw is points.X
+            else potential(points.X, init.centers, weights=points.weights)
+        )
+    return init, run
 
 
 class KMeans:
@@ -146,10 +176,21 @@ class KMeans:
 
     # ------------------------------------------------------------------
     def fit(self, X: ArrayLike, *, weights: ArrayLike | None = None) -> "KMeans":
-        """Cluster ``X``; returns ``self`` for chaining."""
-        X = check_array(X, name="X", min_rows=self.n_clusters)
-        w = check_weights(weights, X.shape[0])
+        """Cluster ``X``; returns ``self`` for chaining.
+
+        ``X`` and ``weights`` are checked once, and seeding and Lloyd
+        share one row-norm pass (:func:`seed_and_refine`).
+        """
+        points = FitPoints.check(X, weights, min_rows=self.n_clusters)
+        X = points.X
         rng = ensure_generator(self.seed)
+        lloyd_kwargs = dict(
+            max_iter=self.max_iter,
+            tol=self.tol,
+            empty_policy=self.empty_policy,
+            accelerate=self.accelerate,
+            working_dtype=self.working_dtype,
+        )
 
         explicit = not (isinstance(self.init, (str, Initializer)))
         best: tuple[float, LloydResult, InitResult | None] | None = None
@@ -162,24 +203,15 @@ class KMeans:
                         f"{(self.n_clusters, X.shape[1])}"
                     )
                 init_result = None
+                run = lloyd(points, centers, seed=rng, **lloyd_kwargs)
             else:
                 initializer = _make_initializer(
                     self.init, self.oversampling_factor, self.n_rounds,
                     self.working_dtype,
                 )
-                init_result = initializer.run(X, self.n_clusters, weights=w, seed=rng)
-                centers = init_result.centers
-            run = lloyd(
-                X,
-                centers,
-                weights=w,
-                max_iter=self.max_iter,
-                tol=self.tol,
-                empty_policy=self.empty_policy,
-                seed=rng,
-                accelerate=self.accelerate,
-                working_dtype=self.working_dtype,
-            )
+                init_result, run = seed_and_refine(
+                    initializer, points, self.n_clusters, rng, **lloyd_kwargs
+                )
             if best is None or run.cost < best[0]:
                 best = (run.cost, run, init_result)
 

@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.init_base import resolve_working_dtype
+from repro.core.init_base import FitPoints
 from repro.exceptions import ConvergenceWarning, EmptyClusterError, ValidationError
 from repro.linalg.centroids import weighted_centroids
-from repro.linalg.distances import assign_labels, row_norms_sq
+from repro.linalg.distances import assign_labels
 from repro.types import FloatArray, SeedLike
 from repro.utils.rng import ensure_generator
 from repro.utils.validation import (
@@ -46,7 +46,6 @@ from repro.utils.validation import (
     check_in_range,
     check_matching_dims,
     check_positive_int,
-    check_weights,
 )
 
 __all__ = ["LloydResult", "lloyd", "EMPTY_POLICIES", "ACCELERATE_MODES"]
@@ -76,8 +75,11 @@ class LloydResult:
     labels:
         Final assignment of every point to ``range(k')``.
     cost:
-        Final potential ``phi_X(centers)`` — the "final" columns of
-        Tables 1-2 and the y-axis of Figures 5.1-5.3.
+        Final potential ``phi_X(centers)`` of the returned centers — the
+        "final" columns of Tables 1-2 and the y-axis of Figures 5.1-5.3.
+        ``labels`` are those centers' own assignment too, however the
+        loop stopped: when ``max_iter`` or ``tol`` ends it after an
+        update, one more assignment scores the updated centers.
     n_iter:
         Number of *center-update* steps performed. A run that starts at a
         fixed point reports ``n_iter == 1``: one update that moved nothing.
@@ -86,12 +88,16 @@ class LloydResult:
         before ``max_iter``.
     cost_history:
         Potential before each update step (length ``n_iter``), then the
-        final cost appended. Monotone non-increasing up to floating-point
-        round-off: exactly so on the reference path (a property test
-        enforces this); the accelerated path evaluates intermediate
-        entries point-wise rather than via the assignment block, so
-        adjacent entries can differ from the reference's by expansion
-        round-off (the final cost is always the reference kernel's).
+        final cost appended.  The first entry scores the seed with the
+        reference assignment kernel on both paths, so with float64
+        kernels it is ``potential(X, seed, weights=w)`` bit for bit (the
+        doors report it as the seed's cost). Monotone non-increasing up
+        to floating-point round-off: exactly so on the reference path (a
+        property test enforces this); the accelerated path evaluates
+        intermediate entries point-wise rather than via the assignment
+        block, so adjacent entries can differ from the reference's by
+        expansion round-off (the final cost is always the reference
+        kernel's).
     n_dist_evals:
         Point-center distance evaluations actually performed. The
         reference path pays ``n * k`` per iteration; the accelerated path
@@ -134,7 +140,9 @@ def lloyd(
     Parameters
     ----------
     X:
-        Points, shape ``(n, d)``.
+        Points, shape ``(n, d)``, or a door's
+        :class:`~repro.core.init_base.FitPoints` (checked once per fit,
+        with the weights inside and the row norms shared).
     centers:
         Seed centers, shape ``(k, d)``; not mutated.
     weights:
@@ -184,10 +192,10 @@ def lloyd(
         GEMM time and memory traffic). Centroid updates and cost
         accumulation stay in float64. Default: the input dtype (float64).
     """
-    X = check_array(X, name="X")
+    points = FitPoints.of(X, weights)
+    X, w = points.X, points.weights
     centers = check_array(centers, name="centers", copy=True)
     check_matching_dims(X, centers)
-    w = check_weights(weights, X.shape[0])
     max_iter = check_positive_int(max_iter, name="max_iter")
     check_in_range(tol, name="tol", low=0.0)
     if rel_tol is not None:
@@ -201,7 +209,7 @@ def lloyd(
             f"accelerate must be one of {ACCELERATE_MODES}, got {accelerate!r}"
         )
     rng = ensure_generator(seed)
-    Xw = resolve_working_dtype(X, working_dtype)
+    Xw, x_norms = points.working(working_dtype)
 
     mode = accelerate
     if mode == "auto":
@@ -222,6 +230,7 @@ def lloyd(
         return lloyd_hamerly(
             X,
             Xw,
+            x_norms,
             centers,
             w,
             max_iter=max_iter,
@@ -234,6 +243,7 @@ def lloyd(
     return _lloyd_reference(
         X,
         Xw,
+        x_norms,
         centers,
         w,
         max_iter=max_iter,
@@ -248,6 +258,7 @@ def lloyd(
 def _lloyd_reference(
     X: FloatArray,
     Xw: FloatArray,
+    x_norms: FloatArray,
     centers: FloatArray,
     w: FloatArray,
     *,
@@ -260,7 +271,6 @@ def _lloyd_reference(
 ) -> LloydResult:
     """The exact full-assignment loop; the oracle the fast path must match."""
     n = X.shape[0]
-    x_norms = row_norms_sq(Xw)
     n_dist = 0
 
     def assign(C: FloatArray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,9 +289,12 @@ def _lloyd_reference(
     d2 = np.empty(0, dtype=np.float64)
     n_iter = 0
     converged = False
+    # Whether the centers moved since `labels` and `d2` were assigned.
+    stale = False
 
     for _ in range(max_iter):
         labels, d2 = assign(centers)
+        stale = False
         cost_history.append(float(np.dot(d2, w)))
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             converged = True
@@ -310,13 +323,15 @@ def _lloyd_reference(
             shift_sq = np.inf
         centers = new_centers
         prev_labels = labels
+        stale = True
         if shift_sq <= tol:
             converged = True
-            # Refresh the assignment so the reported labels/cost match the
-            # final centers.
-            labels, d2 = assign(centers)
             break
 
+    if stale:
+        # A tol stop or the max_iter cap ended the loop after an update:
+        # the returned centers get their own labels and cost.
+        labels, d2 = assign(centers)
     final_cost = float(np.dot(d2, w))
     cost_history.append(final_cost)
     if not converged and warn_on_max_iter:

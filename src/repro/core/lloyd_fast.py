@@ -22,12 +22,16 @@ Contract with the reference path (:func:`repro.core.lloyd._lloyd_reference`):
 * identical label trajectory, iteration count, convergence flag and
   final centers (the bound test uses strict inequality, so any tie falls
   through to an exact argmin with the reference tie-breaking);
-* byte-identical final cost — on exit the final ``d^2`` profile is
-  produced by the same :func:`~repro.linalg.distances.assign_labels`
-  kernel the reference uses;
+* byte-identical final cost — on exit the final ``d^2`` profile of the
+  returned centers is produced by the same
+  :func:`~repro.linalg.distances.assign_labels` kernel the reference
+  uses (one pass, which a stop right after a full bounds pass skips);
 * per-iteration ``cost_history`` entries agree to floating-point
   round-off (they are accumulated from exact distances to the *assigned*
-  center, evaluated point-wise rather than via the ``(n, k)`` block);
+  center, evaluated point-wise rather than via the ``(n, k)`` block),
+  except after a full bounds pass -- the first iteration's, and any
+  after a repair -- whose tile minima are the reference's ``d^2`` bit
+  for bit, so the first entry (the seed's cost) is the reference's;
   with ``rel_tol`` set — where the loop is *gated* on those entries —
   the path instead buys the reference profile every iteration, making
   the whole run bit-identical (and forfeiting the skip savings: a
@@ -79,7 +83,7 @@ def expansion_slack(x_norms, c_norms, d, dtype) -> float:
     return 4.0 * eps * (d + 4.0) * scale
 
 
-def _assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows=None):
+def _assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows=None, best_d2=None):
     """Exact assignment of all rows (``rows=None``) or an index subset,
     filling the Hamerly bounds.
 
@@ -87,7 +91,9 @@ def _assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows=None):
     :func:`~repro.linalg.distances.assign_labels` (ties to the lowest
     index); additionally records the distance to the winner
     (``ub``, padded up by ``slack``) and to the runner-up (``lb``, padded
-    down; ``+inf`` when ``k == 1``).
+    down; ``+inf`` when ``k == 1``).  A full pass walks the chunks and
+    tiles ``assign_labels`` walks, so its tile minima, written to
+    ``best_d2`` when given, are that kernel's ``d^2`` bit for bit.
     """
     n = Xw.shape[0] if rows is None else rows.shape[0]
     k = Cw.shape[0]
@@ -105,6 +111,8 @@ def _assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows=None):
             labels[at], best, second = _tile_top2(d2)
             ub[at] = np.sqrt(best + slack)
             lb[at] = np.sqrt(np.maximum(second - slack, 0.0))
+            if best_d2 is not None:
+                best_d2[at] = best
 
     get_engine().run_chunks(n, _row_scratch(k), work)
     return n * k
@@ -163,6 +171,7 @@ def half_min_center_dist(Cw, c_norms, slack) -> np.ndarray:
 def lloyd_hamerly(
     X: FloatArray,
     Xw: FloatArray,
+    x_norms: FloatArray,
     centers: FloatArray,
     w: FloatArray,
     *,
@@ -177,10 +186,10 @@ def lloyd_hamerly(
 
     ``X`` is the canonical float64 data (centroid updates, repairs);
     ``Xw`` is the working-dtype view the distance kernels run on (equal to
-    ``X`` unless ``working_dtype`` was requested).
+    ``X`` unless ``working_dtype`` was requested) and ``x_norms`` its row
+    norms.
     """
     n = X.shape[0]
-    x_norms = row_norms_sq(Xw)
     wdt = Xw.dtype
     n_dist = 0
 
@@ -213,19 +222,23 @@ def lloyd_hamerly(
     prev_labels: np.ndarray | None = None
     n_iter = 0
     converged = False
-    assign_centers = centers  # centers the current labels were computed against
-    final_d2: np.ndarray | None = None
-    repaired_d2: np.ndarray | None = None  # reference d2 after an in-loop repair
     d2a: np.ndarray | None = None
+    # Whether the centers moved since `labels` were assigned.
+    stale = False
 
     for _ in range(max_iter):
         Cw = np.ascontiguousarray(centers, dtype=wdt)
         c_norms = row_norms_sq(Cw)
         slack = expansion_slack(x_norms, c_norms, Xw.shape[1], wdt)
+        # Whether this iteration's d2a is the reference kernel's profile.
+        exact = exact_profile or not bounds_valid
         if exact_profile:
             labels, d2a = assign(centers)
         elif not bounds_valid:
-            n_dist += _assign_bounds(Xw, Cw, x_norms, c_norms, labels, ub, lb, slack)
+            d2a = np.empty(n, dtype=np.float64)
+            n_dist += _assign_bounds(
+                Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, best_d2=d2a
+            )
             bounds_valid = True
         else:
             # Drift the bounds instead of touching the data.
@@ -249,10 +262,9 @@ def lloyd_hamerly(
                     n_dist += _assign_bounds(
                         Xw, Cw, x_norms, c_norms, labels, ub, lb, slack, rows=still
                     )
-        assign_centers = centers
-        repaired_d2 = None
+        stale = False
 
-        if not exact_profile:
+        if not exact:
             d2a = _d2_to_assigned(Xw, Cw, labels, x_norms, c_norms)
             n_dist += n
         cost_history.append(float(np.dot(d2a, w)))
@@ -277,7 +289,7 @@ def lloyd_hamerly(
             # byte-identical profile with one reference assignment (unless
             # this iteration already holds it), replay the reference
             # repair, and rebuild the bounds next iteration.
-            if exact_profile:
+            if exact:
                 ref_labels, ref_d2 = labels, d2a
             else:
                 ref_labels, ref_d2 = assign(centers)
@@ -285,7 +297,6 @@ def lloyd_hamerly(
                 X, new_centers, ref_labels, ref_d2, w, empties, empty_policy, rng, assign
             )
             labels = ref_labels
-            repaired_d2 = ref_d2
             bounds_valid = False
         if new_centers.shape[0] == centers.shape[0]:
             move_sq = np.einsum(
@@ -315,28 +326,19 @@ def lloyd_hamerly(
         # The bounds path mutates `labels` in place next iteration, so the
         # repeat check needs a snapshot, not an alias.
         prev_labels = labels.copy()
+        stale = True
         if shift_sq <= tol:
             converged = True
-            # Refresh the assignment so the reported labels/cost match the
-            # final centers (same refresh the reference path performs).
-            labels, final_d2 = assign(centers)
-            assign_centers = centers
             break
 
-    if final_d2 is None:
-        if repaired_d2 is not None:
-            # max_iter exhausted right after a repair: the reference's
-            # final profile is the repaired one.
-            final_d2 = repaired_d2
-        elif exact_profile:
-            # This mode already holds the reference profile.
-            final_d2 = d2a
-        else:
-            # Recover the reference's final d2 profile (and labels) with
-            # one exact pass against the centers the labels refer to.
-            labels, final_d2 = assign(assign_centers)
+    if stale or not exact:
+        # The returned centers' own labels and the reference kernel's
+        # d2 profile, in one pass: after a tol stop or the max_iter cap
+        # the labels are the previous centers', and a bounds iteration's
+        # d2a is point-wise.
+        labels, d2a = assign(centers)
 
-    final_cost = float(np.dot(final_d2, w))
+    final_cost = float(np.dot(d2a, w))
     cost_history.append(final_cost)
     if not converged and warn_on_max_iter:
         warnings.warn(

@@ -51,7 +51,10 @@ class InitResult:
     centers:
         The final ``(k, d)`` seed handed to Lloyd's iteration.
     seed_cost:
-        ``phi_X(centers)`` — the "seed" column of Tables 1-2.
+        ``phi_X(centers)`` — the "seed" column of Tables 1-2.  ``None``
+        only on its way to whoever scores it: from an initializer body
+        to :meth:`~repro.core.init_base.Initializer.run`, or from ``run``
+        to a door that takes it from Lloyd's first assignment.
     n_candidates:
         Size of the intermediate set *before* reclustering (Table 5);
         equals ``k`` for methods without a reclustering step.
@@ -78,7 +81,7 @@ class InitResult:
 
     method: str
     centers: FloatArray
-    seed_cost: float
+    seed_cost: float | None
     n_candidates: int
     n_rounds: int
     n_passes: int

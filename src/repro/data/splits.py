@@ -267,9 +267,11 @@ class MmapSplitSource(SplitSource):
     ``.npz`` bundles (as written by :func:`repro.data.io.save_dataset`)
     are resolved through :func:`repro.data.io.ensure_mmap_npy`, which
     extracts the ``X`` member to a sibling ``.X.npy`` cache once; every
-    subsequent open memory-maps that file without reading it.  Shape and
-    dtype come from the file's header; rows are read through the
-    process's map cache (see :data:`_MMAP_CACHE`).
+    subsequent open memory-maps that file without reading it.  Rows,
+    shape and dtype are all read from the map the process's map cache
+    serves (see :data:`_MMAP_CACHE`), so a file rewritten since the
+    source was built is described as it is now, the way its rows and
+    descriptors read it.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -279,28 +281,27 @@ class MmapSplitSource(SplitSource):
 
         self.path = pathlib.Path(path)
         self.npy_path = ensure_mmap_npy(self.path)
-        shape, self._dtype = _npy_header(self.npy_path)
-        if len(shape) != 2:
-            raise ValidationError(
-                f"{self.npy_path} holds a {len(shape)}-d array; "
-                "split sources need 2-d row data"
-            )
-        self._shape = shape
         self._validate()
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._shape  # type: ignore[return-value]
+        return self.as_array().shape  # type: ignore[return-value]
 
     @property
     def dtype(self) -> np.dtype:
-        return self._dtype
+        return self.as_array().dtype
 
     def block(self, start: int, stop: int) -> np.ndarray:
         return self.as_array()[start:stop]
 
     def as_array(self) -> np.ndarray:
-        return _cached_mmap(self.npy_path)
+        X = _cached_mmap(self.npy_path)
+        if X.ndim != 2:
+            raise ValidationError(
+                f"{self.npy_path} holds a {X.ndim}-d array; "
+                "split sources need 2-d row data"
+            )
+        return X
 
     def descriptor(self, start: int, stop: int) -> SplitDescriptor:
         return MmapSplitDescriptor(

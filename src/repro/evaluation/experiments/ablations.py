@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.init_base import FitPoints
 from repro.core.init_scalable import ScalableKMeans
-from repro.core.lloyd import lloyd
+from repro.core.kmeans import seed_and_refine
 from repro.core.reclustering import KMeansPlusPlusReclusterer, RandomReclusterer
 from repro.data.gauss_mixture import make_gauss_mixture
 from repro.evaluation.experiments.common import ExperimentResult, check_scale
@@ -42,11 +43,10 @@ _PARAMS = {
 def _median_costs(X, k, init_factory, repeats, seed) -> tuple[float, float]:
     """Median (seed, final) cost of ``repeats`` runs of an initializer."""
     seeds = np.random.SeedSequence(seed).spawn(repeats)
+    points = FitPoints.check(X)
     seed_costs, final_costs = [], []
     for s in seeds:
-        rng = np.random.default_rng(s)
-        init = init_factory().run(X, k, seed=rng)
-        refined = lloyd(X, init.centers, seed=rng)
+        init, refined = seed_and_refine(init_factory(), points, k, np.random.default_rng(s))
         seed_costs.append(init.seed_cost)
         final_costs.append(refined.cost)
     return float(np.median(seed_costs)), float(np.median(final_costs))

@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.partition import PartitionInit, default_n_groups
+from repro.core.init_base import FitPoints
 from repro.core.init_random import RandomInit
 from repro.core.init_scalable import ScalableKMeans
-from repro.core.lloyd import lloyd
+from repro.core.kmeans import seed_and_refine
 from repro.core.reclustering import KMeansPlusPlusReclusterer
 from repro.data.kddcup import make_kddcup
 from repro.types import FloatArray
@@ -71,14 +72,16 @@ def run_suite(
     Lloyd runs use ``empty_policy="keep"`` — the only policy a MapReduce
     Lloyd round can realize without an extra pass (empty clusters keep
     their stale centers), and the reason the parallel ``Random`` baseline
-    is hurt so badly by seeding duplicates on this data.
+    is hurt so badly by seeding duplicates on this data.  ``X`` is checked
+    once and its row norms computed once for every run.
     """
     records: list[KDDRecord] = []
     rng = ensure_generator(seed)
+    points = FitPoints.check(X)
+    refine = dict(max_iter=lloyd_cap, empty_policy="keep")
 
     # Random: uniform seed, Lloyd bounded at 20 iterations (Section 4.2).
-    init = RandomInit().run(X, k, seed=rng)
-    refined = lloyd(X, init.centers, max_iter=lloyd_cap, empty_policy="keep", seed=rng)
+    init, refined = seed_and_refine(RandomInit(), points, k, rng, **refine)
     records.append(
         KDDRecord(
             method="Random",
@@ -93,9 +96,7 @@ def run_suite(
     )
 
     # Partition.
-    part = PartitionInit()
-    init = part.run(X, k, seed=rng)
-    refined = lloyd(X, init.centers, max_iter=lloyd_cap, empty_policy="keep", seed=rng)
+    init, refined = seed_and_refine(PartitionInit(), points, k, rng, **refine)
     records.append(
         KDDRecord(
             method="Partition",
@@ -116,8 +117,7 @@ def run_suite(
         scalable = ScalableKMeans(
             oversampling_factor=factor, n_rounds=r, reclusterer=reclusterer
         )
-        init = scalable.run(X, k, seed=rng)
-        refined = lloyd(X, init.centers, max_iter=lloyd_cap, empty_policy="keep", seed=rng)
+        init, refined = seed_and_refine(scalable, points, k, rng, **refine)
         records.append(
             KDDRecord(
                 method=method_label(factor),

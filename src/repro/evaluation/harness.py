@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.init_base import Initializer
-from repro.core.lloyd import lloyd
+from repro.core.init_base import FitPoints, Initializer
+from repro.core.kmeans import seed_and_refine
 from repro.types import FloatArray
 from repro.utils.rng import ensure_generator
 from repro.utils.timer import Timer
@@ -69,13 +69,17 @@ def run_method(
     *,
     seed: int | np.random.Generator | None = None,
 ) -> RunRecord:
-    """One seeded end-to-end run: initialize, refine, record."""
+    """One seeded end-to-end run: initialize, refine, record.
+
+    ``X`` is checked once per run, and the seed's cost comes from Lloyd's
+    first assignment where that is the seed's potential bit for bit
+    (:func:`~repro.core.kmeans.seed_and_refine`).
+    """
     rng = ensure_generator(seed)
     timer = Timer()
     with timer:
-        init = spec.make(k).run(X, k, seed=rng)
-        refined = lloyd(
-            X, init.centers, max_iter=spec.lloyd_max_iter, seed=rng
+        init, refined = seed_and_refine(
+            spec.make(k), FitPoints.check(X), k, rng, max_iter=spec.lloyd_max_iter
         )
     return RunRecord(
         method=spec.name,

@@ -28,6 +28,11 @@ _SUMS_CHUNK_BYTES = DEFAULT_CHUNK_BYTES
 #: float64 values beside it, when they are copied) stays in a core's L2
 #: cache, and is kept between calls (see ``repro.linalg.distances._scratch``).
 _SUMS_SUB_BYTES = 1 << 20
+#: Fewest columns for which :func:`cluster_sums` takes the one-hot
+#: product route: at d = 1 the product's fixed cost per row (its index
+#: arrays) outweighs the one-value fold (sweep in the README,
+#: "Performance" §11).
+_ONE_HOT_MIN_D = 2
 
 
 def cluster_sums(
@@ -44,16 +49,29 @@ def cluster_sums(
     (``labels * d + dim``); within a row block every value is added to
     its bin in row-major order, starting from ``+0.0``; and the blocks'
     partials fold in chunk order.  Those are the per-bin additions one
-    flattened-index ``np.bincount`` per block makes.  A block is folded
-    here in sub-blocks of about 1 MiB of indices (``_SUMS_SUB_BYTES``)
-    with ``np.add.at``, which continues from the block's accumulator,
-    so a block needs one kept, cache-sized index buffer instead of a
-    block-sized index array.  (``np.add.at`` runs a fast indexed loop
-    from NumPy 1.25; older NumPy gives the same bits, more slowly.)
-    Blocks run through the current :mod:`~repro.linalg.engine` over a
-    *fixed* block size (see ``_SUMS_CHUNK_BYTES``), so the result is
-    independent of both worker count and the engine's tunable budget;
-    only an explicit ``chunk_bytes`` argument changes the boundaries.
+    flattened-index ``np.bincount`` per block makes.  Blocks run through
+    the current :mod:`~repro.linalg.engine` over a *fixed* block size
+    (see ``_SUMS_CHUNK_BYTES``), so the result is independent of both
+    worker count and the engine's tunable budget; only an explicit
+    ``chunk_bytes`` argument changes the boundaries.
+
+    A block is added by one of two routes with the same bits:
+
+    * the one-hot product (when scipy imports and ``d`` is at least
+      ``_ONE_HOT_MIN_D``): the block's ``(k, rows)`` one-hot matrix, in
+      CSC form (column ``j`` holds a one at row ``labels[j]``), times the
+      block.  scipy's CSC product starts from ``+0.0`` and walks the
+      columns in order, adding ``1.0 * x`` of row ``j`` into output row
+      ``labels[j]``: the order rule, with no sort (``1.0 * x`` is ``x``,
+      also under a fused multiply-add).  Weighted values are multiplied
+      out first, as the fold does, so the product's bits never depend on
+      how scipy was compiled;
+    * the fold: the block in sub-blocks of about 1 MiB of indices
+      (``_SUMS_SUB_BYTES``) with ``np.add.at``, which continues from the
+      block's accumulator, so a block needs one kept, cache-sized index
+      buffer instead of a block-sized index array.  (``np.add.at`` runs a
+      fast indexed loop from NumPy 1.25; older NumPy gives the same bits,
+      more slowly.)
 
     A scipy CSR ``X`` keeps the same order rule over the *same* fixed
     block boundaries, folding only its stored entries -- bit-identical to
@@ -78,13 +96,61 @@ def cluster_sums(
     n, d = X.shape
     if n == 0:
         return np.zeros((k, d), dtype=np.float64)
+    # Float64 rows of a C-contiguous X are added as they are; anything
+    # else is first cast (or weighted) into a kept float64 buffer:
+    # np.add.at's fast loop runs only without a cast, and the product
+    # would cast into a fresh array of its own.
+    copy = weights is not None or X.dtype != np.float64 or not X.flags.c_contiguous
+    if _sparse.HAVE_SCIPY and d >= _ONE_HOT_MIN_D:
+        work = _one_hot_blocks(X, labels, k, weights, copy)
+    else:
+        work = _fold_blocks(X, labels, k, weights, copy)
+    # The per-row figure fixes the block boundaries, and with them the
+    # fold's rounding; it was the scratch of a block-sized index array
+    # and stays so that no boundary moves.  Each block yields a (k*d,)
+    # partial; reduce_chunks keeps only ~workers of those alive at once.
+    total = get_engine().reduce_chunks(
+        n, 24 * d, work,
+        chunk_bytes=_SUMS_CHUNK_BYTES if chunk_bytes is None else chunk_bytes,
+    )
+    return total.reshape(k, d)
+
+
+def _float64_rows(X, weights, lo, hi, out):
+    """Rows ``[lo, hi)`` of ``X`` (times their weights) as float64, in ``out``."""
+    if weights is None:
+        out[...] = X[lo:hi]
+    else:
+        # The product's dtype is the operands', as in ``X * w``; only
+        # its store widens.
+        np.multiply(X[lo:hi], weights[lo:hi, None], out=out)
+    return out
+
+
+def _one_hot_blocks(X, labels, k, weights, copy):
+    """The one-hot product route of :func:`cluster_sums`, one block per call."""
+    d = X.shape[1]
+
+    def work(sl: slice) -> np.ndarray:
+        one_hot = _sparse.one_hot(labels[sl], k)
+        if not copy:
+            return (one_hot @ X[sl]).reshape(-1)
+        rows = sl.stop - sl.start
+        with _scratch(8 * rows * d) as raw:
+            vals = _float64_rows(
+                X, weights, sl.start, sl.stop, raw.view(np.float64).reshape(rows, d)
+            )
+            return (one_hot @ vals).reshape(-1)
+
+    return work
+
+
+def _fold_blocks(X, labels, k, weights, copy):
+    """The ``np.add.at`` route of :func:`cluster_sums`, one block per call."""
+    d = X.shape[1]
     labels = labels.astype(np.int64, copy=False)
     dim_offsets = np.arange(d, dtype=np.int64)
     step = max(1, _SUMS_SUB_BYTES // (8 * max(1, d)))
-    # Float64 rows of a C-contiguous X are added in place; anything else
-    # is first cast (or weighted) into a float64 buffer beside the
-    # indices, as np.add.at's fast loop runs only without a cast.
-    copy = weights is not None or X.dtype != np.float64 or not X.flags.c_contiguous
 
     def work(sl: slice) -> np.ndarray:
         part = np.zeros(k * d)
@@ -102,25 +168,13 @@ def cluster_sums(
                 if not copy:
                     vals = X[lo:hi]
                 else:
-                    vals = vals_buf[: (hi - lo) * d].reshape(hi - lo, d)
-                    if weights is None:
-                        vals[...] = X[lo:hi]
-                    else:
-                        # The product's dtype is the operands', as in
-                        # ``X * w``; only its store widens.
-                        np.multiply(X[lo:hi], weights[lo:hi, None], out=vals)
+                    vals = _float64_rows(
+                        X, weights, lo, hi, vals_buf[: (hi - lo) * d].reshape(hi - lo, d)
+                    )
                 np.add.at(part, flat.reshape(-1), vals.reshape(-1))
         return part
 
-    # The per-row figure fixes the block boundaries, and with them the
-    # fold's rounding; it was the scratch of a block-sized index array
-    # and stays so that no boundary moves.  Each block yields a (k*d,)
-    # partial; reduce_chunks keeps only ~workers of those alive at once.
-    total = get_engine().reduce_chunks(
-        n, 24 * d, work,
-        chunk_bytes=_SUMS_CHUNK_BYTES if chunk_bytes is None else chunk_bytes,
-    )
-    return total.reshape(k, d)
+    return work
 
 
 def cluster_sizes(

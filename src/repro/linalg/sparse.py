@@ -86,6 +86,7 @@ __all__ = [
     "sparse_update_min_sq_dists_argmin",
     "sparse_assign_labels",
     "sparse_cluster_sums",
+    "one_hot",
 ]
 
 #: Bytes charged per stored entry when cutting nnz-aware chunks: the
@@ -122,6 +123,22 @@ def to_csr(x):
         csr.sort_indices()
     csr.sum_duplicates()
     return csr
+
+
+def one_hot(labels: np.ndarray, k: int):
+    """The ``(k, n)`` CSC array of ones with column ``j``'s at ``labels[j]``.
+
+    ``one_hot(labels, k) @ X`` adds each row of ``X`` into its label's
+    output row, walking the rows in order; dense
+    :func:`~repro.linalg.centroids.cluster_sums` folds a block with it
+    (see there).
+    """
+    n = labels.shape[0]
+    return _scipy_sparse.csc_array(
+        (np.ones(n), labels.astype(np.int32), np.arange(n + 1, dtype=np.int32)),
+        shape=(k, n),
+    )
+
 
 def densify_rows(x) -> np.ndarray:
     """Rows of ``x`` as a dense ndarray (a copy either way).

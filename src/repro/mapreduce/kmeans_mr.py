@@ -20,9 +20,12 @@ iterations:
   first Lloyd job's potential, the mappers' partial phis added
   (Section 3.5), is the seed's cost: the driver makes no pass over the
   data of its own, except to draw top-up rows when the candidates are
-  fewer than ``k``.
+  fewer than ``k``.  When the last update moved the centers (the
+  ``max_iter`` cap, or a stop by ``tol > 0``), one more Lloyd job
+  scores the returned centers, so ``final_cost`` is their potential.
 
-At ``r = 5`` with 10 Lloyd iterations that is 1 + 10 + 1 + 10 = 22 jobs.
+At ``r = 5`` with 10 capped Lloyd iterations that is
+1 + 10 + 1 + 10 + 1 = 23 jobs.
 ``mr_random_kmeans`` runs one uniform-sample job and the Lloyd jobs, and
 takes its ``seed_cost`` from the first Lloyd job the same way.
 
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -205,7 +208,10 @@ def mr_lloyd(
 
     Stops when the maximum squared center shift is ``<= tol`` or after
     ``max_iter`` jobs (the paper bounds the parallel ``Random`` baseline
-    at 20 iterations). Returns ``(centers, final_phi, n_iter)``.
+    at 20 iterations). Returns ``(centers, final_phi, n_iter)``, where
+    ``final_phi`` is the potential of the returned centers: when the last
+    update moved them, one more job, not counted in ``n_iter``, measures
+    it.
     ``tol`` means what it means for :func:`repro.core.lloyd.lloyd`; the
     README's "Two front doors" states the conventions both doors share.
     """
@@ -231,10 +237,18 @@ def _lloyd_jobs(
         shift_sq = float(
             np.max(np.einsum("ij,ij->i", new_centers - centers, new_centers - centers))
         )
+        moved = not np.array_equal(new_centers, centers)
         centers = new_centers
         if shift_sq <= tol:
             break
-    return centers, phis[-1], len(phis), phis[0]
+    final_phi = phis[-1]
+    if moved:
+        # The last job measured phi before its update moved the centers
+        # (the max_iter cap, or a stop by tol > 0; at tol = 0 a stop means
+        # they did not move): one more job scores the returned centers.
+        job = replace(make_lloyd_job(centers), name="lloyd/score")
+        final_phi = collect_new_centers(runtime.run_job(job).output, centers)[1]
+    return centers, final_phi, len(phis), phis[0]
 
 
 def mr_scalable_kmeans(

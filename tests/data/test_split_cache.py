@@ -19,6 +19,7 @@ import pytest
 
 from repro.data.splits import MmapSplitSource
 from repro.mapreduce.kmeans_mr import mr_scalable_kmeans
+from repro.mapreduce.runtime import LocalMapReduceRuntime
 
 
 def _load(path, n):
@@ -41,6 +42,27 @@ def test_overwritten_in_place_with_a_new_shape(tmp_path):
     new = np.arange(30 * 3, dtype=np.float64).reshape(30, 3)
     np.save(path, new)  # same inode: np.save truncates the open file
     np.testing.assert_array_equal(_load(path, 30), new)
+
+
+def test_a_source_built_before_a_rewrite_describes_the_new_file(tmp_path):
+    # The source's shape and dtype come from the map it serves, so they
+    # agree with its rows and its descriptors, and the runtime splits the
+    # rows the file holds now.
+    path = tmp_path / "x.npy"
+    np.save(path, np.zeros((50, 4)))
+    source = MmapSplitSource(path)
+    new = np.random.default_rng(4).normal(size=(30, 3))
+    np.save(path, new)
+    assert source.shape == source.as_array().shape == (30, 3)
+    assert source.dtype == new.dtype
+    np.testing.assert_array_equal(source.descriptor(0, 30).load(), new)
+    with LocalMapReduceRuntime(source, n_splits=4, seed=0) as runtime:
+        assert sum(split.shape[0] for split in runtime.splits) == 30
+    kwargs = dict(l=6.0, r=2, n_splits=4, seed=3, lloyd_max_iter=2, backend="serial")
+    from_source = mr_scalable_kmeans(source, 3, **kwargs)
+    in_memory = mr_scalable_kmeans(new, 3, **kwargs)
+    assert from_source.centers.tobytes() == in_memory.centers.tobytes()
+    assert from_source.final_cost == in_memory.final_cost
 
 
 def test_csr_directory_rewritten(tmp_path):

@@ -79,16 +79,17 @@ class TestMRScalableKMeans:
     def test_job_count_leaves_out_the_sequential_charge(self):
         # r = 5 rounds that each sample, then 10 Lloyd jobs: 1 uniform
         # sample + 5 update-cost + 5 sample-round + 1 fold-and-weigh (the
-        # last round's fold, counting the weights) + 10 Lloyd = 22 jobs.
+        # last round's fold, counting the weights) + 10 Lloyd + 1 job
+        # scoring the centers the capped tenth update returns = 23 jobs.
         # The runtime also logs the driver's reclustering, which is no job.
         X = np.random.default_rng(0).uniform(size=(2000, 3))
         report = mr_scalable_kmeans(X, 16, l=32.0, r=5, n_splits=4, seed=0,
                                     lloyd_max_iter=10)
         assert report.lloyd_iters == 10
-        assert report.n_jobs == 22
-        assert "jobs=22 " in report.summary()
+        assert report.n_jobs == 23
+        assert "jobs=23 " in report.summary()
         random = mr_random_kmeans(X, 16, n_splits=4, seed=0, lloyd_max_iter=10)
-        assert (random.lloyd_iters, random.n_jobs) == (10, 11)
+        assert (random.lloyd_iters, random.n_jobs) == (10, 12)
 
     def test_summary_string(self, blobs):
         X, _ = blobs

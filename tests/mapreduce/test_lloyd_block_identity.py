@@ -7,7 +7,9 @@ and ``cluster_sizes`` of the split's assignment; per cluster, the
 ``(d+1,)`` records of the splits that hold it, added in split order from
 the first such split.  ``mr_lloyd``'s centers and potential must equal
 the oracle's bit for bit on every backend and under a spilling shuffle,
-because an empty cluster's row of zeros changes no partial sum.
+because an empty cluster's row of zeros changes no partial sum.  The
+potential is the returned centers': after a capped last update, one more
+round of per-split phis scores them.
 """
 
 from __future__ import annotations
@@ -31,15 +33,19 @@ def _per_cluster_lloyd(X, centers, n_splits, max_iter):
     """The per-cluster record fold, one Lloyd round after another."""
     bounds = np.linspace(0, X.shape[0], n_splits + 1).astype(int)
     k = centers.shape[0]
-    phi = float("inf")
-    for _ in range(max_iter):
-        phis, records = [], {}
+
+    def split_d2(centers):
         for lo, hi in zip(bounds, bounds[1:]):
             block = X[lo:hi]
-            labels, d2 = assign_labels(
+            yield block, *assign_labels(
                 block, centers, x_norms_sq=row_norms_sq(block),
                 return_sq_dists=True,
             )
+
+    phi = float("inf")
+    for _ in range(max_iter):
+        phis, records = [], {}
+        for block, labels, d2 in split_d2(centers):
             phis.append(float(d2.sum()))
             sums, counts = cluster_sums(block, labels, k), cluster_sizes(labels, k)
             for j in np.flatnonzero(counts):
@@ -56,6 +62,8 @@ def _per_cluster_lloyd(X, centers, n_splits, max_iter):
         centers = new_centers
         if float(np.max(np.einsum("ij,ij->i", shift, shift))) <= 0.0:
             break
+    else:
+        phi = float(sum(float(d2.sum()) for _, _, d2 in split_d2(centers)))
     return centers, phi
 
 

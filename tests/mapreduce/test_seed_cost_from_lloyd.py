@@ -6,6 +6,8 @@ bit for bit; against a sequential ``potential(X, seed)`` it differs only
 by round-off (the order of the sum and the GEMM blocking of each
 ``d^2``).  The driver reads the data only to draw top-up rows, and Step 7
 rides on the last round's fold, whose counts are the candidates' weights.
+When the last Lloyd update moved the centers, one more Lloyd job scores
+the returned centers, so ``final_cost`` is their potential.
 """
 
 from __future__ import annotations
@@ -86,7 +88,10 @@ def test_seed_cost_is_the_first_lloyd_jobs_phi(tmp_path, X, lloyd_centers, drive
             source, 6, n_splits=N_SPLITS, seed=5, lloyd_max_iter=4,
         )
     seed_centers = lloyd_centers[0]
-    assert len(lloyd_centers) == report.lloyd_iters
+    # One job per iteration, and one scoring the returned centers when
+    # the last update moved them.
+    moved = not np.array_equal(lloyd_centers[report.lloyd_iters - 1], report.centers)
+    assert len(lloyd_centers) == report.lloyd_iters + moved
     assert report.seed_cost == _first_job_phi(X, seed_centers)
     exact = potential(X, seed_centers)
     assert abs(report.seed_cost - exact) <= _round_off_bound(X, seed_centers)
@@ -94,12 +99,16 @@ def test_seed_cost_is_the_first_lloyd_jobs_phi(tmp_path, X, lloyd_centers, drive
     assert source.as_array().peak_section_rows == 0
 
 
-def test_capped_at_one_iteration_seed_and_final_cost_agree(X):
+def test_capped_at_one_iteration_final_cost_scores_the_returned_centers(X, lloyd_centers):
     report = kmeans_mr.mr_scalable_kmeans(
         X, 6, l=12.0, r=3, n_splits=N_SPLITS, seed=5, lloyd_max_iter=1,
     )
     assert report.lloyd_iters == 1
-    assert report.seed_cost == report.final_cost
+    seed_centers, scored = lloyd_centers
+    assert report.seed_cost == _first_job_phi(X, seed_centers)
+    assert scored.tobytes() == report.centers.tobytes()
+    assert report.final_cost == _first_job_phi(X, report.centers)
+    assert report.final_cost < report.seed_cost
 
 
 def test_top_up_is_the_drivers_only_read(tmp_path, X, lloyd_centers):
@@ -134,5 +143,5 @@ def test_fold_and_weigh_counts_are_the_candidate_weights(X, monkeypatch):
     expected = cluster_sizes(assign_labels(X, candidates), candidates.shape[0])
     np.testing.assert_array_equal(weights, expected)
     # 1 uniform sample + 3 update-cost + 3 sample-round + 1 fold-and-weigh
-    # + 2 Lloyd; no separate weight job.
-    assert report.n_jobs == 10
+    # + 2 Lloyd + 1 scoring the capped fit's centers; no separate weight job.
+    assert report.n_jobs == 11
