@@ -1,8 +1,8 @@
 """Run k-means|| as an actual MapReduce pipeline on the simulated cluster.
 
 Section 3.5 of the paper sketches the MapReduce realization; this example
-executes it — real mappers, combiners and reducers over real input
-splits — and prints the per-job telemetry plus the simulated wall-clock a
+executes it — real mappers over real input splits, and reducers that
+fold their per-split partials — and prints the per-job telemetry plus the simulated wall-clock a
 2012-style Hadoop grid would have charged, next to the `Random` baseline
 bounded at 20 Lloyd iterations (the paper's parallel protocol).
 
@@ -51,15 +51,15 @@ def main() -> None:
 
     # Under the hood: a single cost job, shown raw. Mappers fold the
     # broadcast centers into their cached d^2 profiles and emit partial
-    # potentials; the combiner+reducer sum them (Section 3.5).
+    # potentials; the reducer sums them on the driver (Section 3.5).
     runtime = LocalMapReduceRuntime(X, n_splits=8, cluster=cluster, seed=0)
     job_result = runtime.run_job(make_cost_job(X[:1]))
     stats = job_result.stats
     print("anatomy of one cost job:")
     print(f"    phi(X, first-center) = {job_result.single(PHI_KEY):.4e}")
     print(f"    splits={stats.n_splits} map_records={stats.map_records:,} "
-          f"emitted={stats.map_emitted} -> combined={stats.combine_emitted} "
-          f"-> shuffled {stats.shuffle_bytes:,} bytes")
+          f"shuffled {stats.shuffle_records} records, "
+          f"{stats.shuffle_bytes:,} bytes")
     print(f"    simulated time: {stats.time.total:.1f}s "
           f"(overhead {stats.time.overhead:.0f}s + map {stats.time.map:.1f}s "
           f"+ shuffle {stats.time.shuffle:.2f}s + reduce {stats.time.reduce:.2f}s)")

@@ -34,7 +34,6 @@ __all__ = ["main", "build_parser", "settings_epilog"]
 _FLAG_ARGS: dict[str, dict] = {
     "--backend": {"choices": BACKEND_NAMES},
     "--exec-workers": {"type": int, "metavar": "N"},
-    "--shuffle-budget-mib": {"type": float, "metavar": "MIB"},
     "--max-task-retries": {"type": int, "metavar": "N"},
     "--task-timeout": {"type": float, "metavar": "SECONDS"},
 }
@@ -107,9 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
             "sections without materializing the concatenation; non-float64 "
             "shards fall back to one full driver-side copy when the "
             "kernels promote dtypes). A CSR directory routes every kernel "
-            "through the sparse (SpMM / stored-entry) siblings. Add "
-            "--shuffle-budget-mib to cap driver-held shuffle bytes too "
-            "(spill-to-disk shuffle)."
+            "through the sparse (SpMM / stored-entry) siblings."
         ),
     )
     mr_p.add_argument(
@@ -292,14 +289,6 @@ def _run_mr(args: argparse.Namespace) -> int:
               f"state_recomputed={faults['state_recomputed_bytes']}B")
     for phase, minutes in report.breakdown.items():
         print(f"    {phase:<10} {minutes:10.2f} simulated min")
-    budget = report.params.get("shuffle_budget")
-    if budget:
-        spill = report.shuffle
-        print(f"    shuffle budget={budget}B "
-              f"spilled_jobs={spill['spilled_jobs']} "
-              f"files={spill['spill_files']} "
-              f"spill_bytes={spill['spill_bytes']} "
-              f"peak_held={spill['peak_bytes']}B")
     return 0
 
 

@@ -9,8 +9,7 @@ built from, and tested against, these rows.
 A value resolves in this order:
 
 1. an explicit argument to the object that uses it
-   (``Engine(workers=)``, ``LocalMapReduceRuntime(shuffle_budget=)``,
-   ...);
+   (``Engine(workers=)``, ``LocalMapReduceRuntime(workers=)``, ...);
 2. a config installed with :func:`set_config` / :func:`use_config` —
    the CLI installs one built from its flags on top of the environment;
 3. the environment;
@@ -67,11 +66,6 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-def _mib(raw: str) -> int | None:
-    mib = float(raw)
-    return max(1, int(mib * 1024 * 1024)) if mib > 0 else None
-
-
 def _bool(raw: str) -> bool:
     value = raw.lower()
     if value in _TRUE:
@@ -122,13 +116,6 @@ SETTINGS: tuple[Setting, ...] = (
         "follows the kernel engine's worker count.",
     ),
     Setting(
-        "REPRO_SHUFFLE_BUDGET_MB", "shuffle_budget", "--shuffle-budget-mib",
-        _mib, "a number of MiB", "unset (in memory)",
-        "MapReduce shuffle residency budget in MiB, fractions allowed; past "
-        "it map output spills to disk. A value <= 0 keeps the shuffle in "
-        "memory. Results are bit-identical either way.",
-    ),
-    Setting(
         "REPRO_FAULTS_MAX_RETRIES", "faults_max_retries", "--max-task-retries",
         _int_at_least(0), "an integer >= 0", "2",
         "Crash-class retries per task (worker death, broken pool, timeout); "
@@ -156,13 +143,12 @@ class Config:
     """Every setting of :data:`SETTINGS`, parsed.
 
     ``None`` means unset where the effective value depends on the
-    caller: ``exec_workers`` (see :data:`SETTINGS`), ``shuffle_budget``
-    (bytes; in memory) and ``faults_task_timeout`` (no limit).
+    caller: ``exec_workers`` (see :data:`SETTINGS`) and
+    ``faults_task_timeout`` (no limit).
     """
 
     exec_backend: str = "thread"
     exec_workers: int | None = None
-    shuffle_budget: int | None = None
     faults_max_retries: int = 2
     faults_task_timeout: float | None = None
     faults_chaos: bool = False

@@ -11,9 +11,12 @@ controlled A/B runs:
    quality lives in Step 8?
 3. **Candidate weights** — weighted vs unweighted reclustering: the
    paper's Step 7 exists for a reason; measure it.
-4. **Combiner** — shuffle bytes of a Lloyd round with per-point emission
-   + combiner vs mapper-side pre-aggregation vs no combiner at all (the
-   MapReduce design note of Section 3.5).
+4. **Combiner** — shuffle bytes of a Lloyd round with mapper-side
+   pre-aggregation vs per-point emission + combiner vs no combiner at
+   all (the MapReduce design note of Section 3.5).  The runtime runs
+   only the first; the two per-point rows are what textbook Hadoop
+   would shuffle for the same round, counted in closed form on the same
+   byte scale from one assignment pass over the same splits.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ from repro.core.reclustering import KMeansPlusPlusReclusterer, RandomReclusterer
 from repro.data.gauss_mixture import make_gauss_mixture
 from repro.evaluation.experiments.common import ExperimentResult, check_scale
 from repro.evaluation.tables import render_table
-from repro.mapreduce.jobs.lloyd_job import make_lloyd_job
+from repro.linalg.distances import assign_labels
+from repro.mapreduce.jobs.lloyd_job import AGG_KEY, PHI_KEY, make_lloyd_job
 from repro.mapreduce.runtime import LocalMapReduceRuntime
+from repro.shuffle.accounting import record_nbytes
 from repro.utils.rng import ensure_generator
 
 __all__ = ["run"]
@@ -50,6 +55,35 @@ def _median_costs(X, k, init_factory, repeats, seed) -> tuple[float, float]:
         seed_costs.append(init.seed_cost)
         final_costs.append(refined.cost)
     return float(np.median(seed_costs)), float(np.median(final_costs))
+
+
+def _per_point_shuffle(splits, centers) -> dict[str, tuple[int, int, int]]:
+    """(map emitted, shuffled records, shuffled bytes) of one Lloyd round
+    with per-point emission, without and with a combiner.
+
+    Each split's mapper emits its partial phi plus one ``(d+1,)``
+    ``[x | 1]`` record per point under ``(AGG_KEY, cluster)``; a combiner
+    folds those into one record per cluster the split holds.  Records
+    are weighed by :func:`record_nbytes`, the runtime's byte scale.
+    """
+    d = centers.shape[1]
+    phi_bytes = record_nbytes(PHI_KEY, 0.0)
+    row_bytes = record_nbytes((AGG_KEY, 0), np.empty(d + 1))
+    emitted = occupied = 0
+    for block in splits:
+        emitted += 1 + block.shape[0]
+        occupied += 1 + np.unique(assign_labels(block, centers)).size
+    n_splits = len(splits)
+    return {
+        "per-point + combiner (Hadoop-style)": (
+            emitted, occupied,
+            n_splits * phi_bytes + (occupied - n_splits) * row_bytes,
+        ),
+        "per-point, no combiner": (
+            emitted, emitted,
+            n_splits * phi_bytes + (emitted - n_splits) * row_bytes,
+        ),
+    }
 
 
 class _UnweightedReclusterer(KMeansPlusPlusReclusterer):
@@ -103,25 +137,23 @@ def run(scale: str = "scaled", seed: int = 0) -> ExperimentResult:
         )
     )
 
-    # 4: combiner / granularity shuffle-volume ablation on one Lloyd round.
+    # 4: shuffle volume of one Lloyd round: the split-aggregated job as
+    # the runtime runs it, and per-point emission counted in closed form.
     rng = ensure_generator(seed)
     centers = X[rng.choice(X.shape[0], size=k, replace=False)]
+    runtime = LocalMapReduceRuntime(X, n_splits=8, seed=seed)
+    stats = runtime.run_job(make_lloyd_job(centers)).stats
+    volumes = {
+        "split-aggregated (Spark-style)": (
+            stats.map_emitted, stats.shuffle_records, stats.shuffle_bytes,
+        ),
+        **_per_point_shuffle(runtime.splits, centers),
+    }
     shuffle_rows = []
-    for label, granularity, combine in (
-        ("split-aggregated (Spark-style)", "split", True),
-        ("per-point + combiner (Hadoop-style)", "point", True),
-        ("per-point, no combiner", "point", False),
-    ):
-        runtime = LocalMapReduceRuntime(X, n_splits=8, seed=seed)
-        result = runtime.run_job(
-            make_lloyd_job(centers, granularity=granularity, use_combiner=combine)
-        )
-        stats = result.stats
-        data[f"shuffle/{label}"] = stats.shuffle_bytes
-        data[f"shuffle_records/{label}"] = stats.shuffle_records
-        shuffle_rows.append(
-            [label, stats.map_emitted, stats.shuffle_records, stats.shuffle_bytes]
-        )
+    for label, (emitted, records, nbytes) in volumes.items():
+        data[f"shuffle/{label}"] = nbytes
+        data[f"shuffle_records/{label}"] = records
+        shuffle_rows.append([label, emitted, records, nbytes])
     blocks.append(
         render_table(
             "Ablation D: shuffle volume of one Lloyd round (n="

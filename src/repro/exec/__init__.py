@@ -1,14 +1,14 @@
 """Execution layer: pluggable backends + the global worker budget.
 
 One scheduler for every parallel region in the repository.  The linalg
-engine fans kernel row blocks and the MapReduce runtime fans map/reduce
+engine fans kernel row blocks and the MapReduce runtime fans map
 tasks through the backend installed here; all of them draw workers from
 a single token pool so nested parallelism can neither oversubscribe the
 machine nor deadlock.  See :mod:`repro.exec.backends` for the model.
 
 >>> from repro.exec import use_backend
 >>> with use_backend("process"):
-...     ...  # MR map/reduce tasks now run in worker processes
+...     ...  # MR map tasks now run in worker processes
 """
 
 from repro.exec.backends import (

@@ -1,7 +1,7 @@
 """Pluggable execution backends behind one worker-budget scheduler.
 
 Every hot path in the repository — the chunked linalg kernels *and* the
-MapReduce runtime's map/reduce fan-out — schedules its parallel regions
+MapReduce runtime's map task fan-out — schedules its parallel regions
 through the process-wide :class:`ExecBackend` installed here, instead of
 through private per-layer thread pools.  Three implementations ship:
 
@@ -599,8 +599,8 @@ class ProcessBackend(ThreadBackend):
     :meth:`run_tasks` / :meth:`iter_tasks` (the engine's chunk closures,
     which write into the caller's arrays) inherit the thread scheduler —
     a child process could not see those writes, and the chunk bodies are
-    GIL-releasing BLAS anyway.  :meth:`run_calls` — the MapReduce map and
-    reduce tasks — is shipped to a ``ProcessPoolExecutor``, which also
+    GIL-releasing BLAS anyway.  :meth:`run_calls` — the MapReduce map
+    tasks — is shipped to a ``ProcessPoolExecutor``, which also
     parallelizes pure-Python mapper bodies.
 
     A region's calls are preflighted with :mod:`pickle` once; if the job

@@ -173,9 +173,6 @@ class FaultStats:
         "timeouts",
         "pool_rebuilds",
         "state_recomputed_bytes",
-        # Reduce-side spill manifests found lost at ingest (their
-        # worker's spill dir died with it) and recovered via lineage.
-        "manifests_recovered",
     )
 
     def __init__(self) -> None:

@@ -3,7 +3,8 @@
 The paper runs ``k-means||`` on a 1968-node Hadoop cluster (Section 4);
 this package substitutes a faithful *in-process* MapReduce:
 
-* real mappers / combiners / reducers executing over real input splits
+* real mappers over real input splits, and reducers folding their
+  per-split partials
   (:mod:`repro.mapreduce.job`, :mod:`repro.mapreduce.runtime`);
 * Hadoop-style counters (:mod:`repro.mapreduce.counters`);
 * an explicit cluster cost model that converts the measured work of each
@@ -15,7 +16,7 @@ this package substitutes a faithful *in-process* MapReduce:
   (:mod:`repro.mapreduce.kmeans_mr`).
 
 What is simulated and what is real: the *data path* is real (every byte
-of every record flows through the mapper/combiner/reducer code, so
+of every record flows through the mapper and reducer code, so
 correctness tests are meaningful); only *time* is modeled, because the
 algorithmic quantities that drive the paper's Table 4 — number of passes,
 size of sequential sections, convergence speed — are properties of the

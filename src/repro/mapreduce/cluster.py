@@ -30,23 +30,17 @@ __all__ = ["ClusterModel", "PhaseTime"]
 
 @dataclass(frozen=True)
 class PhaseTime:
-    """Simulated seconds of one job, broken down by phase.
-
-    ``spill`` is the extra local-disk traffic of an out-of-core shuffle
-    (each spilled byte is written once and read back once during the
-    merge); it is 0.0 for jobs whose shuffle stayed in memory.
-    """
+    """Simulated seconds of one job, broken down by phase."""
 
     overhead: float
     map: float
     shuffle: float
     reduce: float
-    spill: float = 0.0
 
     @property
     def total(self) -> float:
         """Total simulated seconds for the job."""
-        return self.overhead + self.map + self.shuffle + self.reduce + self.spill
+        return self.overhead + self.map + self.shuffle + self.reduce
 
 
 @dataclass
@@ -77,10 +71,6 @@ class ClusterModel:
         dominant constant for round-count comparisons.
     sequential_flops:
         Rate of the single driver machine for sequential sections.
-    spill_bytes_per_s:
-        Local-disk sequential rate for shuffle spill files (each spilled
-        byte is charged for one write plus one read-back at merge time).
-        Only jobs that actually spill pay this term.
     """
 
     n_workers: int = 64
@@ -89,7 +79,6 @@ class ClusterModel:
     shuffle_bytes_per_s: float = 1e9
     job_overhead_s: float = 30.0
     sequential_flops: float = 2.0e9
-    spill_bytes_per_s: float = 200e6
 
     @classmethod
     def paper_2012(cls) -> "ClusterModel":
@@ -112,14 +101,13 @@ class ClusterModel:
             shuffle_bytes_per_s=1e9,
             job_overhead_s=600.0,
             sequential_flops=5.0e8,
-            spill_bytes_per_s=50e6,  # 2012 commodity spinning disk
         )
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         for name in ("worker_flops", "scan_bytes_per_s", "shuffle_bytes_per_s",
-                     "sequential_flops", "spill_bytes_per_s"):
+                     "sequential_flops"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.job_overhead_s < 0:
@@ -154,13 +142,9 @@ class ClusterModel:
         map_bytes_per_split: list[float],
         shuffle_bytes: float,
         reduce_flops: float,
-        spill_bytes: float = 0.0,
         broadcast_bytes: float = 0.0,
     ) -> PhaseTime:
         """Simulated wall-clock of one MapReduce job.
-
-        ``spill_bytes`` is the volume an out-of-core shuffle wrote to
-        local spill files; it is charged twice (write + merge read-back).
 
         ``broadcast_bytes`` is the job's broadcast, published once: the
         payload crosses the cluster network one time per job, so it is
@@ -178,7 +162,6 @@ class ClusterModel:
             map=self.schedule(tasks),
             shuffle=(shuffle_bytes + broadcast_bytes) / self.shuffle_bytes_per_s,
             reduce=reduce_flops / self.worker_flops,
-            spill=2.0 * spill_bytes / self.spill_bytes_per_s,
         )
 
     def sequential_seconds(self, flops: float) -> float:

@@ -24,24 +24,12 @@ class Counters:
         """Add ``amount`` (may be negative) to ``group/name``."""
         self._data[group][name] += int(amount)
 
-    def record_max(self, group: str, name: str, value: int) -> None:
-        """Keep the running maximum of ``group/name``.
-
-        For high-water-mark telemetry (e.g. peak driver-held shuffle
-        bytes), where the interesting aggregate is a max, not a sum.
-        Note :meth:`merge` folds counters additively; high-water marks
-        are per-runtime telemetry and are not merged across tasks.
-        """
-        current = self._data[group][name]
-        if int(value) > current:
-            self._data[group][name] = int(value)
-
     def value(self, group: str, name: str) -> int:
         """Current value (0 if never incremented)."""
         return self._data.get(group, {}).get(name, 0)
 
     def merge(self, other: "Counters") -> None:
-        """Fold another counter map into this one (used at shuffle time)."""
+        """Fold another counter map into this one (a map task's, in split order)."""
         for group, names in other._data.items():
             for name, amount in names.items():
                 self._data[group][name] += amount

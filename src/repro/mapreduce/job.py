@@ -1,4 +1,4 @@
-"""Job-definition interfaces: mappers, reducers, combiners.
+"""Job-definition interfaces: mappers and reducers.
 
 Mappers here are *block* mappers: they receive an entire input split (a
 contiguous block of rows) instead of one record at a time. This mirrors
@@ -16,7 +16,7 @@ block with ``c`` centers costs ``rows * c * d`` multiply-adds).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable
 
 import numpy as np
@@ -96,25 +96,11 @@ class BlockMapper(abc.ABC):
 
 
 class Reducer(abc.ABC):
-    """Reduce task: all values of one key.
+    """Fold of one key: all of its values, in split order.
 
-    Also used as a *combiner* when attached to ``MapReduceJob.combiner_factory``
-    (the classic requirement: a combiner must be a semigroup reduction so
-    that combining partials commutes with the final reduce — the property
-    tests check this for every reducer we ship).
-
-    ``fold_safe`` opts a combiner into the spilling shuffle store's
-    pre-aggregation (:mod:`repro.shuffle.store`).  Declare it only when
-    ``reduce(key, [acc, v])`` (a) emits exactly one record with the same
-    key, (b) computes the same left fold the final reducer would (so a
-    running accumulator is bitwise a prefix of the reducer's own fold),
-    and (c) charges ``work`` per fold step (per addition, not per
-    operand), so pre-aggregating n values and reducing the single result
-    costs exactly what reducing the n values would have.
+    The runtime builds a fresh reducer per output key and runs it on the
+    driver, after every map task of the job has finished.
     """
-
-    #: See class docstring; the spilling store checks this on an instance.
-    fold_safe: bool = False
 
     def __init__(self) -> None:
         self.work: float = 0.0
@@ -136,10 +122,6 @@ class MapReduceJob:
         Zero-argument callable producing a fresh :class:`BlockMapper`.
     reducer_factory:
         Zero-argument callable producing a fresh :class:`Reducer`.
-    combiner_factory:
-        Optional; run on each split's map output before the shuffle. The
-        shuffle-volume ablation bench flips this off to quantify the
-        saving.
     broadcast:
         Read-only payload conceptually shipped to every mapper (the
         current center set in every k-means job). Counted against the
@@ -149,14 +131,10 @@ class MapReduceJob:
     name: str
     mapper_factory: Callable[[], BlockMapper]
     reducer_factory: Callable[[], Reducer]
-    combiner_factory: Callable[[], Reducer] | None = None
     broadcast: Any = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not callable(self.mapper_factory) or not callable(self.reducer_factory):
             raise JobSpecError("mapper_factory and reducer_factory must be callable")
-        if self.combiner_factory is not None and not callable(self.combiner_factory):
-            raise JobSpecError("combiner_factory must be callable when given")
         if not self.name:
             raise JobSpecError("job name must be non-empty")

@@ -59,13 +59,9 @@ class ScalarSumReducer(Reducer):
     """Sums numeric values — the potential aggregation of Section 3.5.
 
     ("each mapper ... can compute phi_X'(C) and the reducer can simply add
-    these values from all mappers to obtain phi_X(C)"). Associative and
-    commutative, hence safe as its own combiner — and as a shuffle
-    pre-aggregator (``fold_safe``): work is charged per addition, so any
-    regrouping of the same fold costs the same simulated time.
+    these values from all mappers to obtain phi_X(C)"). Work is charged
+    per addition.
     """
-
-    fold_safe = True
 
     def reduce(self, key: Hashable, values: list[Any]) -> Iterable[KeyValue]:
         self.work += max(0, len(values) - 1)
@@ -74,8 +70,6 @@ class ScalarSumReducer(Reducer):
 
 class ArraySumReducer(Reducer):
     """Element-wise sums numpy arrays (weight vectors, sum/count blocks)."""
-
-    fold_safe = True
 
     def reduce(self, key: Hashable, values: list[Any]) -> Iterable[KeyValue]:
         total = values[0].astype(np.float64, copy=True)

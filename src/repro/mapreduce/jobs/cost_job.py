@@ -127,6 +127,5 @@ def make_cost_job(
             UpdateCostMapper, offset=offset, reset=reset
         ),
         reducer_factory=ScalarSumReducer,
-        combiner_factory=ScalarSumReducer,
         broadcast=new_centers,
     )

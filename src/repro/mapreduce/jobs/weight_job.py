@@ -2,9 +2,9 @@
 
 "For x in C, set w_x to be the number of points in X closer to x than any
 other point in C." Each mapper emits its split's *partial count vector*;
-the combiner/reducer sums vectors. The emitted value is a dense ``(m,)``
-vector rather than ``m`` scalar records — the pre-aggregation a real
-implementation gets from its combiner, made explicit.
+the reducer sums vectors. The emitted value is a dense ``(m,)`` vector
+rather than ``m`` scalar records: the split pre-aggregates its own
+counts.
 
 Two forms: :class:`WeightMapper` assigns the split's points to the
 broadcast candidates (a full distance pass), and :class:`FoldWeightMapper`
@@ -118,9 +118,7 @@ class FoldWeightMapper(UpdateCostMapper):
 
 
 class _PhiWeightsReducer(Reducer):
-    """Dispatch: phi -> scalar sum; weights -> vector sum (both fold-safe)."""
-
-    fold_safe = True
+    """Dispatch: phi -> scalar sum; weights -> vector sum."""
 
     def reduce(self, key: Hashable, values: list[Any]) -> Iterable[KeyValue]:
         inner = ScalarSumReducer() if key == PHI_KEY else ArraySumReducer()
@@ -138,7 +136,6 @@ def make_weight_job(candidates: np.ndarray) -> MapReduceJob:
         name="kmeans||/weights",
         mapper_factory=WeightMapper,
         reducer_factory=ArraySumReducer,
-        combiner_factory=ArraySumReducer,
         broadcast=candidates,
     )
 
@@ -160,6 +157,5 @@ def make_fold_weight_job(
             FoldWeightMapper, offset=offset, n_candidates=n_candidates
         ),
         reducer_factory=_PhiWeightsReducer,
-        combiner_factory=_PhiWeightsReducer,
         broadcast=new_centers,
     )

@@ -21,8 +21,13 @@ iterations:
   (Section 3.5), is the seed's cost: the driver makes no pass over the
   data of its own, except to draw top-up rows when the candidates are
   fewer than ``k``.  When the last update moved the centers (the
-  ``max_iter`` cap, or a stop by ``tol > 0``), one more Lloyd job
+  ``max_iter`` cap, or a stop by ``tol > 0``), one more job, whose
+  mappers make Lloyd's assignment and ship only their partial phi,
   scores the returned centers, so ``final_cost`` is their potential.
+
+Each job is one parallel region of map tasks; each output key's
+per-split partials are then folded on the driver in split order (see
+:class:`~repro.mapreduce.runtime.LocalMapReduceRuntime`).
 
 At ``r = 5`` with 10 capped Lloyd iterations that is
 1 + 10 + 1 + 10 + 1 = 23 jobs.
@@ -35,7 +40,7 @@ outcome and the simulated-time breakdown that Table 4 aggregates.
 Drivers accept the dataset as an in-memory array, a
 :class:`~repro.data.splits.SplitSource`, or a path to a ``.npy``/``.npz``
 file (memory-mapped; datasets larger than RAM stream split by split), a
-``workers`` count that fans real map/reduce tasks out, and a ``backend``
+``workers`` count that fans real map tasks out, and a ``backend``
 selecting *where* those tasks run (serial / threads / worker processes)
 — see :class:`~repro.mapreduce.runtime.LocalMapReduceRuntime` and
 :mod:`repro.exec`. Results are bit-identical for any backend, any worker
@@ -57,9 +62,14 @@ from repro.data.splits import SplitSource, as_split_source
 from repro.exceptions import MapReduceError, ValidationError
 from repro.exec import ExecBackend
 from repro.mapreduce.cluster import ClusterModel
-from repro.mapreduce.jobs.common import FLOPS_PER_DIST
+from repro.mapreduce.jobs.common import FLOPS_PER_DIST, ScalarSumReducer
 from repro.mapreduce.jobs.cost_job import PHI_KEY, make_cost_job
-from repro.mapreduce.jobs.lloyd_job import collect_new_centers, make_lloyd_job
+from repro.mapreduce.jobs.lloyd_job import (
+    PHI_KEY as LLOYD_PHI_KEY,
+    LloydScoreMapper,
+    collect_new_centers,
+    make_lloyd_job,
+)
 from repro.mapreduce.jobs.random_init_job import SAMPLE_KEY, make_uniform_sample_job
 from repro.mapreduce.jobs.sample_job import CANDIDATES_KEY, make_sample_job
 from repro.mapreduce.jobs.weight_job import WEIGHTS_KEY, make_fold_weight_job
@@ -93,9 +103,8 @@ class MRKMeansReport:
     simulated_minutes: float
     breakdown: dict[str, float] = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-    #: Out-of-core shuffle telemetry (zeros when nothing spilled):
-    #: ``spilled_jobs`` / ``spill_files`` / ``spill_bytes`` /
-    #: ``peak_bytes`` (largest driver-held shuffle residency of any job).
+    #: Always empty: the shuffle never leaves memory.  Kept for readers
+    #: of ``shuffle.get("spill_bytes", 0)`` (the benchmark's MR workload).
     shuffle: dict[str, int] = field(default_factory=dict)
     #: Data-plane telemetry: broadcast bytes published, split-state
     #: bytes shipped and the most held resident — see
@@ -103,8 +112,8 @@ class MRKMeansReport:
     plane: dict = field(default_factory=dict)
     #: Fault-tolerance telemetry summed over the run's jobs (all zeros
     #: on a fault-free run): ``retries`` / ``crashes`` / ``timeouts`` /
-    #: ``pool_rebuilds`` / ``state_recomputed_bytes`` /
-    #: ``manifests_recovered`` — see :func:`_fault_telemetry`.
+    #: ``pool_rebuilds`` / ``state_recomputed_bytes`` — see
+    #: :func:`_fault_telemetry`.
     faults: dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -129,17 +138,6 @@ def naive_kmeanspp_flops(m: int, k: int, d: int) -> float:
     ``benchmarks/bench_ablations.py``.
     """
     return FLOPS_PER_DIST * d * m * (k * (k - 1) / 2.0 + k)
-
-
-def _shuffle_telemetry(runtime: LocalMapReduceRuntime) -> dict[str, int]:
-    """Aggregate a runtime's out-of-core shuffle telemetry for reports."""
-    counters = runtime.shuffle_counters
-    return {
-        "spilled_jobs": counters.value("shuffle", "spilled_jobs"),
-        "spill_files": counters.value("shuffle", "spill_files"),
-        "spill_bytes": counters.value("shuffle", "spill_bytes"),
-        "peak_bytes": runtime.peak_shuffle_bytes,
-    }
 
 
 def _plane_telemetry(runtime: LocalMapReduceRuntime) -> dict[str, int]:
@@ -246,8 +244,12 @@ def _lloyd_jobs(
         # The last job measured phi before its update moved the centers
         # (the max_iter cap, or a stop by tol > 0; at tol = 0 a stop means
         # they did not move): one more job scores the returned centers.
-        job = replace(make_lloyd_job(centers), name="lloyd/score")
-        final_phi = collect_new_centers(runtime.run_job(job).output, centers)[1]
+        # Its mappers make the same assignment and ship only their phi.
+        job = replace(
+            make_lloyd_job(centers), name="lloyd/score",
+            mapper_factory=LloydScoreMapper, reducer_factory=ScalarSumReducer,
+        )
+        final_phi = runtime.run_job(job).single(LLOYD_PHI_KEY)
     return centers, final_phi, len(phis), phis[0]
 
 
@@ -264,7 +266,6 @@ def mr_scalable_kmeans(
     top_up: TopUpPolicy = TopUpPolicy.PAD,
     workers: int | None = None,
     backend: "ExecBackend | str | None" = None,
-    shuffle_budget: int | None = None,
     shared_broadcast: bool = True,
     retry_policy: "RetryPolicy | None" = None,
 ) -> MRKMeansReport:
@@ -273,7 +274,7 @@ def mr_scalable_kmeans(
     Parameters mirror Algorithm 2 (``l`` is absolute, ``r`` the number of
     rounds); ``lloyd_max_iter`` bounds the post-init refinement jobs.
     ``X`` may be an array, a split source, or a ``.npy``/``.npz`` path
-    (memory-mapped); ``workers`` fans map/reduce tasks out and
+    (memory-mapped); ``workers`` fans map tasks out and
     ``backend`` selects the execution backend (``"serial"`` /
     ``"thread"`` / ``"process"``; default: the process-wide one).
     ``k``, ``l``, ``r`` and ``lloyd_max_iter`` are checked as the
@@ -293,7 +294,7 @@ def mr_scalable_kmeans(
     _check_driver_args(n, k, lloyd_max_iter, l=l, r=r)
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,
-        backend=backend, shuffle_budget=shuffle_budget, retry_policy=retry_policy,
+        backend=backend, retry_policy=retry_policy,
     ) as runtime:
         rng = np.random.default_rng(
             runtime._seed_root.integers(0, 2**63)  # driver-side randomness
@@ -390,9 +391,7 @@ def mr_scalable_kmeans(
                 "n_splits": n_splits,
                 "workers": runtime.workers,
                 "backend": runtime.backend.name,
-                "shuffle_budget": runtime.shuffle_budget,
             },
-            shuffle=_shuffle_telemetry(runtime),
             plane=_plane_telemetry(runtime),
             faults=_fault_telemetry(runtime),
         )
@@ -408,7 +407,6 @@ def mr_random_kmeans(
     lloyd_max_iter: int = 20,
     workers: int | None = None,
     backend: "ExecBackend | str | None" = None,
-    shuffle_budget: int | None = None,
     retry_policy: "RetryPolicy | None" = None,
 ) -> MRKMeansReport:
     """The parallel ``Random`` baseline: uniform seed + bounded MR Lloyd.
@@ -417,10 +415,11 @@ def mr_random_kmeans(
     (Section 4.2).
     """
     source = as_split_source(X)
+    check_real_dtype(source.dtype, name="X")
     _check_driver_args(source.shape[0], k, lloyd_max_iter)
     with LocalMapReduceRuntime(
         source, n_splits=n_splits, cluster=cluster, seed=seed, workers=workers,
-        backend=backend, shuffle_budget=shuffle_budget, retry_policy=retry_policy,
+        backend=backend, retry_policy=retry_policy,
     ) as runtime:
         seed_centers = runtime.run_job(make_uniform_sample_job(k)).single(SAMPLE_KEY)
         if seed_centers.shape[0] < k:
@@ -443,9 +442,7 @@ def mr_random_kmeans(
             breakdown={"init": init_minutes,
                        "lloyd": runtime.simulated_minutes - init_minutes},
             params={"k": k, "n_splits": n_splits, "workers": runtime.workers,
-                    "backend": runtime.backend.name,
-                    "shuffle_budget": runtime.shuffle_budget},
-            shuffle=_shuffle_telemetry(runtime),
+                    "backend": runtime.backend.name},
             plane=_plane_telemetry(runtime),
             faults=_fault_telemetry(runtime),
         )

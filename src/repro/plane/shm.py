@@ -12,8 +12,7 @@ attach read-through.  This module owns the two halves of that protocol:
   ``weakref.finalize``.  The pid key makes the registry fork-safe: a
   forked child inherits the finalizers but the unlink callback refuses
   to run outside the creating process, so a child's exit can never tear
-  down its parent's live segments (mirror of the spill-file registry in
-  :mod:`repro.shuffle.store`).
+  down its parent's live segments.
 * the **attach cache** — workers attach segments by name once per
   process and reuse the mapping across tasks (attaching is a
   ``shm_open`` + ``mmap``; cheap, but not free, and a fresh ndarray

@@ -1,11 +1,9 @@
-"""Byte accounting shared by every shuffle store.
+"""Byte accounting for the MapReduce shuffle.
 
 One function decides how many bytes an emitted record "weighs":
-:func:`estimate_nbytes`.  Both the in-memory and the spilling shuffle
-store charge records through it — the spill trigger, the spill-file
-telemetry, and the simulated cluster's shuffle term all read the same
-scale, so switching stores never changes what a job *reports* moving,
-only where the bytes are held.
+:func:`estimate_nbytes`.  The runtime charges every emitted record
+through :func:`record_nbytes`, and the job's ``shuffle_bytes`` and the
+simulated cluster's shuffle term both read that one scale.
 
 Exact wire format is irrelevant — only *relative* shuffle volume matters
 to the cost model — so the rules are simple and cheap: an ndarray is its
@@ -13,13 +11,9 @@ buffer, a NumPy scalar its itemsize, strings/bytes their length,
 containers charge an 8-byte header plus 8 bytes of framing per slot plus
 their elements.  Dict entries charge their *keys* through the same rules
 (a record's key is payload too: string/tuple/array keys ship real bytes
-through the shuffle).
-
-Historical note: containers used to be undercounted — an empty tuple or
-a nested dict weighed 0 bytes, sets weighed 8 regardless of contents,
-and wide NumPy scalars (``complex128``, ``longdouble``) were charged 8.
-A spilling store turns those estimates into real buffer-management
-decisions, so they are now counted honestly (regression tests pin this).
+through the shuffle).  Empty containers, sets and wide NumPy scalars
+(``complex128``, ``longdouble``) are counted by these rules too, not as
+a flat word (regression tests pin this).
 """
 
 from __future__ import annotations
@@ -77,8 +71,7 @@ def estimate_nbytes(value: Any) -> int:
         return _sparse.csr_nbytes(_sparse.to_csr(value))
     if isinstance(value, np.generic):
         # NumPy scalars (np.float64, np.complex128, ...) know their true
-        # width; the old code fell through to the 8-byte default and
-        # undercounted every dtype wider than a machine word.
+        # width, which may be wider than a machine word.
         return int(value.nbytes)
     if isinstance(value, (bytes, bytearray)):
         return len(value)

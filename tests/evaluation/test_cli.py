@@ -181,6 +181,22 @@ class TestMRCommand:
             ])
         assert exc.value.code == 2
 
+    def test_mr_over_shard_directory(self, tmp_path, capsys):
+        import numpy as np
+
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(200, 3))
+        shard_dir = tmp_path / "shards"
+        shard_dir.mkdir()
+        for i, chunk in enumerate(np.array_split(X, 4)):
+            np.save(shard_dir / f"part-{i:02d}.npy", chunk)
+        assert main([
+            "mr", "--splits-from", str(shard_dir),
+            "-k", "3", "--rounds", "2", "--n-splits", "4",
+            "--lloyd-max-iter", "2",
+        ]) == 0
+        assert "k-means||" in capsys.readouterr().out
+
 
 class TestExecFlags:
     """Global --backend / --exec-workers wiring."""
@@ -220,6 +236,16 @@ class TestExecFlags:
             capsys.readouterr().err
         )
 
+    def test_removed_shuffle_budget_flag_is_a_parser_error(self, tmp_path, capsys):
+        # The shuffle is one fold per key on the driver; nothing spills.
+        with pytest.raises(SystemExit) as exc:
+            main(["--shuffle-budget-mib", "1", "mr",
+                  "--splits-from", str(tmp_path / "d.npy"), "-k", "2"])
+        assert exc.value.code == 2
+        # argparse reads the unknown flag's value as the command.
+        assert "invalid choice: '1'" in capsys.readouterr().err
+        assert "--shuffle-budget-mib" not in build_parser().format_help()
+
     def test_backend_flag_installs_backend(self, during_run, capsys):
         assert during_run("--backend", "serial")["backend"] == "serial"
         capsys.readouterr()
@@ -251,71 +277,6 @@ class TestExecFlags:
         out = capsys.readouterr().out
         assert "backend=process" in out
         assert "workers=3" in out
-
-
-class TestShuffleBudgetFlag:
-    """Global --shuffle-budget-mib wiring (out-of-core shuffle)."""
-
-    @pytest.fixture
-    def dataset_npy(self, tmp_path):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        path = tmp_path / "blobs.npy"
-        np.save(path, rng.normal(size=(240, 3)))
-        return path
-
-    def test_flag_parsed_fractional(self):
-        args = build_parser().parse_args(
-            ["--shuffle-budget-mib", "0.25", "list"]
-        )
-        assert args.shuffle_budget_mib == 0.25
-
-    def test_flag_installs_process_default(self, during_run, capsys):
-        seen = during_run("--shuffle-budget-mib", "2")
-        assert seen["config"].shuffle_budget == 2 * 1024 * 1024
-        capsys.readouterr()
-
-    def test_zero_forces_in_memory_over_environment(
-        self, during_run, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_SHUFFLE_BUDGET_MB", "4")
-        assert during_run("--shuffle-budget-mib", "0")["config"].shuffle_budget is None
-        capsys.readouterr()
-
-    def test_bad_env_is_clean_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHUFFLE_BUDGET_MB", "lots")
-        with pytest.raises(SystemExit) as exc:
-            main(["list"])
-        assert exc.value.code == 2
-
-    def test_mr_prints_spill_telemetry(self, dataset_npy, capsys):
-        assert main([
-            "--shuffle-budget-mib", "0.002", "mr",
-            "--splits-from", str(dataset_npy),
-            "-k", "3", "--rounds", "2", "--n-splits", "3",
-            "--lloyd-max-iter", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "shuffle budget=" in out
-        assert "spilled_jobs=" in out
-        assert "peak_held=" in out
-
-    def test_mr_over_shard_directory(self, tmp_path, capsys):
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(200, 3))
-        shard_dir = tmp_path / "shards"
-        shard_dir.mkdir()
-        for i, chunk in enumerate(np.array_split(X, 4)):
-            np.save(shard_dir / f"part-{i:02d}.npy", chunk)
-        assert main([
-            "mr", "--splits-from", str(shard_dir),
-            "-k", "3", "--rounds", "2", "--n-splits", "4",
-            "--lloyd-max-iter", "2",
-        ]) == 0
-        assert "k-means||" in capsys.readouterr().out
 
 
 class TestProcessStateRestored:

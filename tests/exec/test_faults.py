@@ -216,8 +216,13 @@ class TestInlineBackendRetries:
         set_fault_injector(None)
         backend = make_backend(budget=WorkerBudget(2))
         stats = FaultStats()
-        with pytest.raises(ValueError, match="buggy"):
-            backend.run_calls(_boom, [(i,) for i in range(3)], retry=FAST, faults=stats)
+        # No injector at all: ambient chaos (REPRO_FAULTS_CHAOS) would
+        # otherwise kill tasks of this region, depending on its serial.
+        with use_config(faults_chaos=False):
+            with pytest.raises(ValueError, match="buggy"):
+                backend.run_calls(
+                    _boom, [(i,) for i in range(3)], retry=FAST, faults=stats
+                )
         backend.shutdown()
         assert stats.retries == 0
 

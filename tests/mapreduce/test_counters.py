@@ -66,29 +66,3 @@ class TestCounters:
         other.increment("new", "group", 3)
         clone.merge(other)
         assert clone.value("new", "group") == 3
-
-
-class TestRecordMax:
-    def test_keeps_running_maximum(self):
-        from repro.mapreduce.counters import Counters
-
-        c = Counters()
-        c.record_max("shuffle", "peak_bytes", 100)
-        c.record_max("shuffle", "peak_bytes", 40)
-        assert c.value("shuffle", "peak_bytes") == 100
-        c.record_max("shuffle", "peak_bytes", 250)
-        assert c.value("shuffle", "peak_bytes") == 250
-
-    def test_runtime_tracks_peak_across_jobs(self, rng):
-        import numpy as np
-
-        from repro.mapreduce.jobs.lloyd_job import make_lloyd_job
-        from repro.mapreduce.runtime import LocalMapReduceRuntime
-
-        X = rng.normal(size=(300, 3))
-        rt = LocalMapReduceRuntime(X, n_splits=3, seed=0, shuffle_budget=2048)
-        C = np.asarray(X[:4]).copy()
-        rt.run_job(make_lloyd_job(C))  # combiner job: tiny shuffle
-        rt.run_job(make_lloyd_job(C, granularity="point", use_combiner=False))
-        assert (rt.shuffle_counters.value("shuffle", "peak_bytes")
-                == rt.peak_shuffle_bytes > 0)

@@ -24,17 +24,12 @@ class TestMapReduceJobSpec:
     def test_valid(self):
         job = MapReduceJob(name="j", mapper_factory=NoopMapper,
                            reducer_factory=NoopReducer)
-        assert job.combiner_factory is None
+        assert job.broadcast is None
 
     def test_non_callable_mapper(self):
         with pytest.raises(JobSpecError, match="callable"):
             MapReduceJob(name="j", mapper_factory="nope",
                          reducer_factory=NoopReducer)
-
-    def test_non_callable_combiner(self):
-        with pytest.raises(JobSpecError, match="combiner"):
-            MapReduceJob(name="j", mapper_factory=NoopMapper,
-                         reducer_factory=NoopReducer, combiner_factory=3)
 
     def test_empty_name(self):
         with pytest.raises(JobSpecError, match="name"):

@@ -163,39 +163,6 @@ class TestLloydJob:
         new_centers, _ = collect_new_centers(result.output, far)
         np.testing.assert_array_equal(new_centers[2], far[2])
 
-    def test_point_granularity_equivalent(self, blobs):
-        X, _ = blobs
-        centers = X[:4].copy()
-        a = LocalMapReduceRuntime(X, n_splits=5, seed=0).run_job(
-            make_lloyd_job(centers, granularity="split")
-        )
-        b = LocalMapReduceRuntime(X, n_splits=5, seed=0).run_job(
-            make_lloyd_job(centers, granularity="point")
-        )
-        ca, _ = collect_new_centers(a.output, centers)
-        cb, _ = collect_new_centers(b.output, centers)
-        np.testing.assert_allclose(ca, cb, atol=1e-9)
-
-    def test_no_combiner_equivalent_but_heavier(self, blobs):
-        X, _ = blobs
-        centers = X[:4].copy()
-        light = LocalMapReduceRuntime(X, n_splits=5, seed=0).run_job(
-            make_lloyd_job(centers, granularity="point", use_combiner=True)
-        )
-        heavy = LocalMapReduceRuntime(X, n_splits=5, seed=0).run_job(
-            make_lloyd_job(centers, granularity="point", use_combiner=False)
-        )
-        cl, _ = collect_new_centers(light.output, centers)
-        ch, _ = collect_new_centers(heavy.output, centers)
-        np.testing.assert_allclose(cl, ch, atol=1e-9)
-        assert heavy.stats.shuffle_bytes > light.stats.shuffle_bytes
-
-    def test_bad_granularity(self):
-        from repro.exceptions import JobSpecError
-
-        with pytest.raises(JobSpecError):
-            make_lloyd_job(np.zeros((2, 2)), granularity="row").mapper_factory()
-
 
 class TestUniformSampleJob:
     def test_returns_k_rows(self, runtime, blobs):

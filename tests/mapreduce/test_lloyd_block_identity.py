@@ -1,15 +1,15 @@
 """One ``(k, d+1)`` block per split folds to the per-cluster fold, bit for bit.
 
-A Lloyd job at ``"split"`` granularity ships one ``[sums | counts]`` block
-per split and adds the blocks in split order.  The per-cluster fold it
+A Lloyd job ships one ``[sums | counts]`` block per split and adds the
+blocks in split order.  The per-cluster fold it
 replaced is written out here as the oracle: per split, ``cluster_sums``
 and ``cluster_sizes`` of the split's assignment; per cluster, the
 ``(d+1,)`` records of the splits that hold it, added in split order from
 the first such split.  ``mr_lloyd``'s centers and potential must equal
-the oracle's bit for bit on every backend and under a spilling shuffle,
-because an empty cluster's row of zeros changes no partial sum.  The
-potential is the returned centers': after a capped last update, one more
-round of per-split phis scores them.
+the oracle's bit for bit on every backend, because an empty cluster's
+row of zeros changes no partial sum.  The potential is the returned
+centers': after a capped last update, one more round of per-split phis
+scores them, and that scoring job ships the phis alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 from repro.exec import ProcessBackend, SerialBackend, ThreadBackend
 from repro.linalg.centroids import cluster_sizes, cluster_sums
 from repro.linalg.distances import assign_labels, row_norms_sq
-from repro.mapreduce.jobs.lloyd_job import AGG_KEY, PHI_KEY, make_lloyd_job
+from repro.mapreduce.jobs import lloyd_job
 from repro.mapreduce.kmeans_mr import mr_lloyd
 from repro.mapreduce.runtime import LocalMapReduceRuntime
 
@@ -93,18 +93,13 @@ def _backend(name):
     return {"serial": SerialBackend, "thread": ThreadBackend}[name]()
 
 
-@pytest.mark.parametrize(
-    "name, budget",
-    [("serial", None), ("thread", None), ("process", None), ("thread", 512)],
-    ids=["serial", "thread", "process", "spill"],
-)
-def test_mr_lloyd_equals_the_per_cluster_fold(data, oracle, name, budget):
+@pytest.mark.parametrize("name", ["serial", "thread", "process"])
+def test_mr_lloyd_equals_the_per_cluster_fold(data, oracle, name):
     X, start = data
     backend = _backend(name)
     try:
         with LocalMapReduceRuntime(
             X, n_splits=N_SPLITS, seed=0, workers=2, backend=backend,
-            shuffle_budget=budget,
         ) as runtime:
             centers, phi, n_iter = mr_lloyd(runtime, start, max_iter=4)
             lloyd_jobs = [s for s in runtime.job_log if s.name == "lloyd/iteration"]
@@ -117,23 +112,29 @@ def test_mr_lloyd_equals_the_per_cluster_fold(data, oracle, name, budget):
     assert centers[-1].tobytes() == start[-1].tobytes()
     # Two records per split: the partial phi and the block.
     assert [s.shuffle_records for s in lloyd_jobs] == [2 * N_SPLITS] * 4
-    if budget is not None:
-        assert sum(s.spill_files for s in lloyd_jobs) > 0
 
 
-def test_split_block_shape_and_point_granularity_agree(data):
+def test_the_score_job_ships_phi_only(data, monkeypatch):
+    """A capped fit scores its returned centers with one record per split
+    and builds no sums block; its potential is the oracle's, bit for bit."""
     X, start = data
-    with LocalMapReduceRuntime(X, n_splits=N_SPLITS, seed=0) as runtime:
-        split = runtime.run_job(make_lloyd_job(start))
-        point = runtime.run_job(make_lloyd_job(start, granularity="point"))
-    (block,) = split.output[AGG_KEY]
-    assert block.shape == (start.shape[0], X.shape[1] + 1)
-    assert block[:, -1].sum() == X.shape[0]
-    for key, values in point.output.items():
-        if key == PHI_KEY:
-            continue
-        _, j = key
-        ((centroid, count),) = values
-        assert count == block[j, -1]
-        np.testing.assert_allclose(centroid, block[j, :-1] / count, rtol=1e-12)
-    assert point.stats.shuffle_records > split.stats.shuffle_records
+    calls = []
+    real = lloyd_job.cluster_sums
+
+    def counting(*args, **kwargs):
+        calls.append(len(runtime.job_log))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lloyd_job, "cluster_sums", counting)
+    with LocalMapReduceRuntime(
+        X, n_splits=N_SPLITS, seed=0, backend=SerialBackend()
+    ) as runtime:
+        centers, phi, n_iter = mr_lloyd(runtime, start, max_iter=1)
+    iteration, score = runtime.job_log
+    assert (iteration.name, score.name) == ("lloyd/iteration", "lloyd/score")
+    assert calls == [0] * N_SPLITS  # the Lloyd job's splits, none in scoring
+    assert iteration.shuffle_records == 2 * N_SPLITS
+    assert score.shuffle_records == N_SPLITS
+    expected_centers, expected_phi = _per_cluster_lloyd(X, start, N_SPLITS, 1)
+    assert centers.tobytes() == expected_centers.tobytes()
+    assert phi == expected_phi

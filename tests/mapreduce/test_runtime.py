@@ -45,13 +45,8 @@ class FailingReducer(Reducer):
         yield  # pragma: no cover
 
 
-def make_job(mapper=RowSumMapper, reducer=SumReducer, combiner=None):
-    return MapReduceJob(
-        name="test",
-        mapper_factory=mapper,
-        reducer_factory=reducer,
-        combiner_factory=combiner,
-    )
+def make_job(mapper=RowSumMapper, reducer=SumReducer):
+    return MapReduceJob(name="test", mapper_factory=mapper, reducer_factory=reducer)
 
 
 class TestEstimateNbytes:
@@ -76,7 +71,7 @@ class TestEstimateNbytes:
     def test_bytes(self):
         assert estimate_nbytes(b"xyz") == 3
 
-    # -- regression: undercounting fixed for the spilling shuffle ------
+    # -- regression: containers and wide scalars weigh what they hold ---
     def test_empty_containers_are_not_free(self):
         # Used to weigh 0 bytes; a container always costs its header.
         assert estimate_nbytes(()) == 8
@@ -102,8 +97,7 @@ class TestEstimateNbytes:
 
     def test_numpy_scalar_keys_consistent_between_stores(self):
         # The same scale prices the record whether the key is a Python
-        # or a NumPy scalar of the same width — the spilling store's
-        # byte budget must not depend on which one a mapper emitted.
+        # or a NumPy scalar of the same width.
         assert record_nbytes(np.int64(3), 1.0) == record_nbytes(3, 1.0)
 
     # -- regression: scipy sparse used to weigh 8 bytes ----------------
@@ -178,10 +172,10 @@ class TestShuffleKeyAccounting:
 class TestParallelExecution:
     """The map phase fans out over threads without changing any output."""
 
-    def _run(self, X, workers, mapper=RowSumMapper, combiner=None, seed=0):
+    def _run(self, X, workers, mapper=RowSumMapper, seed=0):
         rt = LocalMapReduceRuntime(X, n_splits=5, seed=seed, workers=workers)
         with rt:
-            return rt.run_job(make_job(mapper=mapper, combiner=combiner))
+            return rt.run_job(make_job(mapper=mapper))
 
     def test_output_identical_across_worker_counts(self, rng):
         X = rng.normal(size=(83, 3))
@@ -226,18 +220,6 @@ class TestParallelExecution:
         with LocalMapReduceRuntime(X, n_splits=2, workers=2) as rt:
             with pytest.raises(MapReduceError, match="mapper failed.*split 0"):
                 rt.run_job(make_job(mapper=FailingMapper))
-
-    def test_combiner_runs_inside_map_task(self, rng):
-        class PerRowMapper(BlockMapper):
-            def map_block(self, block):
-                for value in block[:, 0]:
-                    yield "sum", float(value)
-
-        X = rng.normal(size=(60, 2))
-        serial = self._run(X, 1, mapper=PerRowMapper, combiner=SumReducer)
-        threaded = self._run(X, 4, mapper=PerRowMapper, combiner=SumReducer)
-        assert serial.single("sum") == threaded.single("sum")
-        assert serial.stats.combine_emitted == threaded.stats.combine_emitted
 
     def test_failed_job_drains_stragglers_before_raising(self, rng):
         # Split 0 fails fast while the others are still running; run_job
@@ -463,9 +445,8 @@ class TestDeterministicOutputOrder:
 
     Before the exec refactor the output dict used grouped-dict insertion
     order — whatever key split 0 happened to emit first — which is not a
-    deterministic function of the job. Reduce keys are now processed (and
-    the output assembled) in sorted order; the parallel reduce fold
-    relies on this.
+    deterministic function of the job. Reduce keys are now folded (and
+    the output assembled) in sorted order.
     """
 
     class RotatingKeyMapper(BlockMapper):
@@ -479,7 +460,7 @@ class TestDeterministicOutputOrder:
                 yield key, 1
 
     class MixedKeyMapper(BlockMapper):
-        """Tuple and string keys together (the Lloyd-job shape)."""
+        """Tuple and string keys together."""
 
         def map_block(self, block):
             keys = [("agg", 2), "phi", ("agg", 0), ("agg", 1)]
@@ -526,32 +507,6 @@ class TestDeterministicOutputOrder:
         assert list(a.output) == list(b.output)
 
 
-class TestCombinerSemantics:
-    def test_combiner_preserves_result(self, rng):
-        X = rng.normal(size=(60, 2))
-        with_comb = LocalMapReduceRuntime(X, n_splits=6, seed=0).run_job(
-            make_job(combiner=SumReducer)
-        )
-        without = LocalMapReduceRuntime(X, n_splits=6, seed=0).run_job(make_job())
-        assert with_comb.single("sum") == pytest.approx(without.single("sum"))
-
-    def test_combiner_reduces_shuffle(self, rng):
-        class PerRowMapper(BlockMapper):
-            def map_block(self, block):
-                for value in block[:, 0]:
-                    yield "sum", float(value)
-
-        X = rng.normal(size=(60, 2))
-        with_comb = LocalMapReduceRuntime(X, n_splits=6, seed=0).run_job(
-            make_job(mapper=PerRowMapper, combiner=SumReducer)
-        )
-        without = LocalMapReduceRuntime(X, n_splits=6, seed=0).run_job(
-            make_job(mapper=PerRowMapper)
-        )
-        assert with_comb.stats.shuffle_records < without.stats.shuffle_records
-        assert with_comb.single("sum") == pytest.approx(without.single("sum"))
-
-
 class TestSimulatedClock:
     def test_clock_advances(self, rng):
         X = rng.normal(size=(30, 2))
@@ -579,136 +534,3 @@ class TestSimulatedClock:
         assert stats.n_splits == 3
         assert stats.time is not None
         assert rt.simulated_minutes == pytest.approx(rt.simulated_seconds / 60.0)
-
-
-class TestOutOfCoreShuffle:
-    """Runtime-level spill wiring: telemetry, clock, and file lifecycle."""
-
-    def _point_lloyd_job(self, X, k=4):
-        from repro.mapreduce.jobs.lloyd_job import make_lloyd_job
-
-        return make_lloyd_job(X[:k].copy(), granularity="point",
-                              use_combiner=False)
-
-    def test_stats_carry_spill_telemetry(self, rng):
-        X = rng.normal(size=(400, 3))
-        rt = LocalMapReduceRuntime(X, n_splits=4, seed=0, shuffle_budget=2048)
-        stats = rt.run_job(self._point_lloyd_job(X)).stats
-        assert stats.spill_bytes > 0
-        assert stats.spill_files > 0
-        assert 0 < stats.shuffle_peak_bytes < stats.shuffle_bytes
-        assert rt.peak_shuffle_bytes == stats.shuffle_peak_bytes
-        assert rt.shuffle_counters.value("shuffle", "spilled_jobs") == 1
-        assert rt.shuffle_counters.value("shuffle", "spill_bytes") == stats.spill_bytes
-
-    def test_memory_store_reports_zero_spill(self, rng):
-        X = rng.normal(size=(60, 3))
-        # shuffle_budget=0 forces the in-memory store even when the
-        # environment (e.g. the spill CI leg) sets a global budget.
-        rt = LocalMapReduceRuntime(X, n_splits=3, seed=0, shuffle_budget=0)
-        stats = rt.run_job(make_job()).stats
-        assert stats.spill_bytes == 0
-        assert stats.spill_files == 0
-        assert stats.shuffle_peak_bytes == stats.shuffle_bytes
-        assert stats.time.spill == 0.0
-        assert rt.shuffle_counters.value("shuffle", "spilled_jobs") == 0
-
-    def test_simulated_clock_charges_spill_io(self, rng):
-        X = rng.normal(size=(400, 3))
-        job = self._point_lloyd_job(X)
-        mem = LocalMapReduceRuntime(X, n_splits=4, seed=0, shuffle_budget=0)
-        spill = LocalMapReduceRuntime(X, n_splits=4, seed=0, shuffle_budget=2048)
-        t_mem = mem.run_job(job).stats.time
-        t_spill = spill.run_job(job).stats.time
-        assert t_spill.spill > 0.0
-        # Spill time is the *only* divergence between the stores' clocks.
-        assert t_spill.total - t_spill.spill == pytest.approx(t_mem.total)
-
-    def test_explicit_zero_budget_overrides_environment(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_SHUFFLE_BUDGET_MB", "0.001")
-        X = rng.normal(size=(400, 3))
-        env_rt = LocalMapReduceRuntime(X, n_splits=4, seed=0)
-        assert env_rt.shuffle_budget == 1048  # 0.001 MiB
-        forced = LocalMapReduceRuntime(X, n_splits=4, seed=0, shuffle_budget=0)
-        assert forced.shuffle_budget is None
-        stats = forced.run_job(self._point_lloyd_job(X)).stats
-        assert stats.spill_files == 0
-
-    def _tracked_tmpdirs(self, monkeypatch):
-        import tempfile
-
-        import repro.shuffle.store as store_mod
-
-        created = []
-        real = tempfile.mkdtemp
-
-        def tracking(*args, **kwargs):
-            path = real(*args, **kwargs)
-            created.append(path)
-            return path
-
-        monkeypatch.setattr(store_mod.tempfile, "mkdtemp", tracking)
-        return created
-
-    def test_spill_files_removed_after_job(self, rng, monkeypatch):
-        import os
-
-        created = self._tracked_tmpdirs(monkeypatch)
-        X = rng.normal(size=(400, 3))
-        rt = LocalMapReduceRuntime(X, n_splits=4, seed=0, shuffle_budget=2048)
-        rt.run_job(self._point_lloyd_job(X))
-        assert created  # the job really did spill somewhere
-        assert not any(os.path.exists(p) for p in created)
-
-    def test_keyboard_interrupt_leaves_no_spill_files(self, rng, monkeypatch):
-        import os
-
-        class InterruptingMapper(BlockMapper):
-            def map_block(self, block):
-                if self.ctx.split_id == 2:
-                    raise KeyboardInterrupt()
-                for i, row in enumerate(block):
-                    yield ("k", int(i % 5)), row.copy()
-
-        created = self._tracked_tmpdirs(monkeypatch)
-        X = rng.normal(size=(400, 3))
-        rt = LocalMapReduceRuntime(X, n_splits=4, seed=0, shuffle_budget=1024)
-        with pytest.raises(KeyboardInterrupt):
-            rt.run_job(make_job(mapper=InterruptingMapper))
-        assert created
-        assert not any(os.path.exists(p) for p in created)
-
-    def test_failed_reduce_leaves_no_spill_files(self, rng, monkeypatch):
-        import os
-
-        created = self._tracked_tmpdirs(monkeypatch)
-        X = rng.normal(size=(400, 3))
-        rt = LocalMapReduceRuntime(X, n_splits=4, seed=0, shuffle_budget=512)
-        with pytest.raises(MapReduceError, match="reducer failed"):
-            rt.run_job(self._make_fat_job(reducer=FailingReducer))
-        assert created
-        assert not any(os.path.exists(p) for p in created)
-
-    def _make_fat_job(self, reducer=SumReducer):
-        class FatMapper(BlockMapper):
-            def map_block(self, block):
-                for i, row in enumerate(block):
-                    yield int(i % 7), float(row.sum())
-
-        return make_job(mapper=FatMapper, reducer=reducer)
-
-    def test_shutdown_closes_interrupted_store(self, rng, monkeypatch):
-        import os
-
-        from repro.shuffle.store import SpillingShuffleStore
-
-        created = self._tracked_tmpdirs(monkeypatch)
-        X = rng.normal(size=(200, 3))
-        rt = LocalMapReduceRuntime(X, n_splits=2, seed=0, shuffle_budget=256)
-        # Simulate a store left active by an interrupted job.
-        store = SpillingShuffleStore(256)
-        store.add_split(0, [(int(i), float(i)) for i in range(100)])
-        rt._active_store = store
-        assert any(os.path.exists(p) for p in created)
-        rt.shutdown()
-        assert not any(os.path.exists(p) for p in created)

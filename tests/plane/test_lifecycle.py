@@ -1,9 +1,8 @@
 """Shared-memory segment lifecycle through the MapReduce runtime.
 
-Mirrors the spill-file finalizer tests in ``tests/shuffle`` /
-``tests/mapreduce``: whatever happens to a job — normal completion,
-``KeyboardInterrupt`` mid-map, a worker process dying, a fork — no
-``/dev/shm`` segment may outlive its owner's cleanup.
+Whatever happens to a job — normal completion, ``KeyboardInterrupt``
+mid-map, a worker process dying, a fork — no ``/dev/shm`` segment may
+outlive its owner's cleanup.
 """
 
 from __future__ import annotations

@@ -1,22 +1,19 @@
 """Chaos property: kill workers anywhere — outputs stay bit-identical.
 
 The fault-tolerance acceptance gate.  Workers are killed at random and
-at targeted points (before/after map tasks, before/after reduce tasks,
-under any retry budget >= 1), on the thread backend (inline simulated
-crashes) and the process backend (real ``os._exit`` worker deaths with
-resident plane state, at two worker counts, in-memory and spilling
-shuffle stores) —
-and every run must produce centers, costs, counters, and key order
-bit-identical to a fault-free serial run.  Crash cleanup must leak
-nothing: no ``/dev/shm`` segment and no ``repro-shuffle-*`` spill
-directory survives a run whose every retry was exhausted.
+at targeted points (before/after map tasks, under any retry budget
+>= 1), on the thread backend (inline simulated crashes) and the process
+backend (real ``os._exit`` worker deaths with resident plane state, at
+two worker counts) — and every run must produce centers, costs,
+counters, and key order bit-identical to a fault-free serial run.
+Crash cleanup must leak nothing: no ``/dev/shm`` segment survives a run
+whose every retry was exhausted.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-import tempfile
 
 import numpy as np
 import pytest
@@ -52,11 +49,6 @@ def shm_leftovers() -> list[str]:
     return sorted(p.name for p in _DEV_SHM.glob(f"{SEGMENT_PREFIX}*"))
 
 
-def spill_leftovers() -> list[str]:
-    tmp = pathlib.Path(tempfile.gettempdir())
-    return sorted(p.name for p in tmp.glob("repro-shuffle-*"))
-
-
 @pytest.fixture(autouse=True)
 def _clean_chaos_state():
     prev = set_fault_injector(None)
@@ -65,20 +57,19 @@ def _clean_chaos_state():
     # before it in the session.
     reset_region_ids()
     release_all_segments()
-    shm_before, spill_before = shm_leftovers(), spill_leftovers()
+    shm_before = shm_leftovers()
     yield
     set_fault_injector(prev)
     release_all_segments()
     assert shm_leftovers() == shm_before
-    assert spill_leftovers() == spill_before
 
 
 class KillRegion(FaultInjector):
     """Kill every first attempt in regions whose name matches a substring.
 
     Region names are ``{fn.__name__}#{serial}``, so ``_execute_map_task``
-    targets exactly the map phase and ``_execute_reduce_task`` the
-    reduce phase.  First attempts only: any retry budget >= 1 converges.
+    targets exactly the map phase.  First attempts only: any retry
+    budget >= 1 converges.
     """
 
     def __init__(self, region_substr, point="before"):
@@ -141,9 +132,7 @@ def _assert_identical(report, reference):
 
 class TestThreadChaosIdentity:
     @pytest.mark.parametrize("point", ["before", "after"])
-    @pytest.mark.parametrize(
-        "region_substr", ["_execute_map_task", "_execute_reduce_task"]
-    )
+    @pytest.mark.parametrize("region_substr", ["_execute_map_task"])
     @pytest.mark.parametrize("budget", [1, 3])
     def test_targeted_kills_bit_identical(
         self, dataset, reference, point, region_substr, budget
@@ -194,49 +183,9 @@ class TestProcessChaosIdentity:
         _assert_identical(report, reference)
         assert report.faults["retries"] >= 1
 
-    def test_spilling_shuffle_under_chaos_bit_identical(self, dataset, reference):
-        set_fault_injector(ChaosInjector(rate=0.08, seed=11))
-        backend = ProcessBackend(budget=WorkerBudget(3))
-        try:
-            report = _pipeline(
-                dataset,
-                backend=backend,
-                shuffle_budget=1,  # force every job's shuffle to spill
-            )
-        finally:
-            backend.shutdown()
-            set_fault_injector(None)
-        _assert_identical(report, reference)
-        assert report.faults["retries"] >= 1
-
-    def test_reduce_kill_mid_window_spilling_bit_identical(self, dataset, reference):
-        """Satellite regression: spill-run lifetime vs reduce retries.
-
-        A reduce task's worker is killed mid-window on the *spilling*
-        store (budget=1: every window streams from the external merge).
-        The retry must find the job's spill runs still on disk — they
-        are job-scoped, closed only at store close — and reproduce the
-        serial fault-free output bit-exactly, leaking no spill files.
-        """
-        set_fault_injector(KillRegion("_execute_reduce_task", point="before"))
-        backend = ProcessBackend(budget=WorkerBudget(3))
-        try:
-            report = _pipeline(
-                dataset,
-                backend=backend,
-                shuffle_budget=1,  # force every job's shuffle to spill
-                retry_policy=RetryPolicy(max_task_retries=2, backoff_s=0.0),
-            )
-        finally:
-            backend.shutdown()
-            set_fault_injector(None)
-        _assert_identical(report, reference)
-        assert report.faults["retries"] >= 1
-        assert report.faults["crashes"] >= 1
-
     def test_crashed_run_leaks_nothing(self, dataset):
         """Satellite regression: a run whose retries exhaust mid-map must
-        still free its shm broadcast segment and spill temp files."""
+        still free its shm broadcast segment."""
         set_fault_injector(KillForever())  # every attempt dies: retries exhaust
         backend = ProcessBackend(budget=WorkerBudget(3))
         runtime = LocalMapReduceRuntime(
@@ -245,7 +194,6 @@ class TestProcessChaosIdentity:
             seed=7,
             workers=3,
             backend=backend,
-            shuffle_budget=1,
             retry_policy=RetryPolicy(max_task_retries=1, backoff_s=0.0),
         )
         rng = np.random.default_rng(0)

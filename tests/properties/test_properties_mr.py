@@ -122,19 +122,3 @@ class TestDistributionInvariance:
             cb, pb = collect_new_centers(threaded.run_job(make_lloyd_job(C)).output, C)
         np.testing.assert_array_equal(ca, cb)  # bitwise
         assert pa == pb
-
-    @given(data=points_and_k(min_rows=2), n_splits=st.integers(1, 6))
-    @settings(**SETTINGS)
-    def test_combiner_invariance_on_lloyd(self, data, n_splits):
-        X, k = data
-        C = X[:k].copy()
-        with_comb = LocalMapReduceRuntime(X, n_splits=n_splits, seed=0).run_job(
-            make_lloyd_job(C, granularity="point", use_combiner=True)
-        )
-        without = LocalMapReduceRuntime(X, n_splits=n_splits, seed=0).run_job(
-            make_lloyd_job(C, granularity="point", use_combiner=False)
-        )
-        ca, pa = collect_new_centers(with_comb.output, C)
-        cb, pb = collect_new_centers(without.output, C)
-        np.testing.assert_allclose(ca, cb, rtol=1e-9, atol=1e-7)
-        assert pa == pytest.approx(pb, rel=1e-12)

@@ -4,10 +4,8 @@ Two families of guarantees (see :mod:`repro.linalg.sparse`):
 
 * **Schedule identity** — a CSR dataset produces bit-identical centers,
   costs, and counters on every backend (serial / thread / process), any
-  worker count, with and without shuffle spilling, in-memory or
-  mmap-backed from an on-disk CSR directory.  Nothing may leak: no
-  ``/dev/shm`` segment and no ``repro-shuffle-*`` spill directory
-  survives any run.
+  worker count, in-memory or mmap-backed from an on-disk CSR directory.
+  Nothing may leak: no ``/dev/shm`` segment survives any run.
 * **Densification contract** — against the dense pipeline on the same
   float values: :func:`~repro.linalg.centroids.cluster_sums` is bitwise
   equal; squared distances agree within
@@ -19,7 +17,6 @@ Two families of guarantees (see :mod:`repro.linalg.sparse`):
 from __future__ import annotations
 
 import pathlib
-import tempfile
 
 import numpy as np
 import pytest
@@ -48,22 +45,16 @@ def shm_leftovers() -> list[str]:
     return sorted(p.name for p in _DEV_SHM.glob(f"{SEGMENT_PREFIX}*"))
 
 
-def spill_leftovers() -> list[str]:
-    tmp = pathlib.Path(tempfile.gettempdir())
-    return sorted(p.name for p in tmp.glob("repro-shuffle-*"))
-
-
 @pytest.fixture(autouse=True)
 def _clean_state():
     prev = set_fault_injector(None)
     reset_region_ids()
     release_all_segments()
-    shm_before, spill_before = shm_leftovers(), spill_leftovers()
+    shm_before = shm_leftovers()
     yield
     set_fault_injector(prev)
     release_all_segments()
     assert shm_leftovers() == shm_before
-    assert spill_leftovers() == spill_before
 
 
 def _sparse_blobs(seed: int = 3, n: int = 300, d: int = 24, k: int = 5):
@@ -108,8 +99,7 @@ def dense_reference(data):
 
 
 def _assert_same_run(report, reference):
-    # Breakdown holds simulated-time components that legitimately vary
-    # with the shuffle/spill schedule; the model outputs may not.
+    # The model outputs, whatever schedule produced them.
     assert (report.centers == reference.centers).all()
     assert report.seed_cost == reference.seed_cost
     assert report.final_cost == reference.final_cost
@@ -131,16 +121,6 @@ class TestSparseScheduleIdentity:
         _, Xs = data
         report = _pipeline(Xs, backend=backend_factory(), workers=workers)
         _assert_same_run(report, sparse_reference)
-
-    @pytest.mark.parametrize("budget", [None, 4096])
-    def test_spilling_does_not_change_results(
-        self, data, sparse_reference, budget
-    ):
-        _, Xs = data
-        report = _pipeline(Xs, shuffle_budget=budget)
-        _assert_same_run(report, sparse_reference)
-        if budget is not None:
-            assert report.shuffle["spilled_jobs"] > 0
 
     def test_on_disk_csr_matches_in_memory(self, csr_dir, sparse_reference):
         report = _pipeline(csr_dir)

@@ -37,7 +37,6 @@ README = SRC.parent.parent / "README.md"
 CASES = {
     "REPRO_EXEC_BACKEND": (" Serial ", "serial", "gpu"),
     "REPRO_EXEC_WORKERS": ("3", 3, "0"),
-    "REPRO_SHUFFLE_BUDGET_MB": ("0.5", 512 * 1024, "lots"),
     "REPRO_FAULTS_MAX_RETRIES": ("0", 0, "-1"),
     "REPRO_FAULTS_TASK_TIMEOUT": ("2.5", 2.5, "0"),
     "REPRO_FAULTS_CHAOS": ("on", True, "sometimes"),
@@ -116,10 +115,6 @@ class TestEachSetting:
 
 class TestParsing:
     def test_kept_spellings(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHUFFLE_BUDGET_MB", "-1")
-        assert get_config().shuffle_budget is None  # <= 0 means in memory
-        monkeypatch.setenv("REPRO_SHUFFLE_BUDGET_MB", "1e-9")
-        assert get_config().shuffle_budget == 1  # never a zero-byte budget
         monkeypatch.setenv("REPRO_FAULTS_TASK_TIMEOUT", "None")
         assert get_config().faults_task_timeout is None
         for raw in ("0", "false", "no", "off", "OFF"):

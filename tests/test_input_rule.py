@@ -6,7 +6,7 @@ and object arrays to float64, and ``mr_scalable_kmeans`` ran them through
 its jobs, while the serve doors rejected them.  Every door now rejects
 numeric strings, object arrays of floats and complex numbers with
 :class:`~repro.exceptions.ValidationError`, before any work and without
-a cast warning.
+a cast warning; the MapReduce drivers run no job.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from repro import KMeans, lloyd, scalable_init
 from repro.data.gauss_mixture import make_gauss_mixture
 from repro.exceptions import ValidationError
-from repro.mapreduce import mr_scalable_kmeans
+from repro.mapreduce import LocalMapReduceRuntime, mr_random_kmeans, mr_scalable_kmeans
 from repro.serve import AssignmentService, ModelRegistry, StreamingRefresher
 
 NOT_REAL = {
@@ -67,6 +67,9 @@ DOORS = {
     "mr_scalable_kmeans": lambda bad, X, model: mr_scalable_kmeans(
         bad, 4, l=8.0, n_splits=2, seed=0
     ),
+    "mr_random_kmeans": lambda bad, X, model: mr_random_kmeans(
+        bad, 4, n_splits=2, seed=0
+    ),
     "AssignmentService.assign": _serve,
     "StreamingRefresher.observe": _observe,
 }
@@ -82,3 +85,15 @@ def test_door_rejects_non_real_points(data, door, kind):
         with pytest.raises(ValidationError, match="real numbers"):
             DOORS[door](bad, X, model)
 
+
+@pytest.mark.parametrize("kind", sorted(NOT_REAL))
+@pytest.mark.parametrize("door", ["mr_random_kmeans", "mr_scalable_kmeans"])
+def test_mr_door_runs_no_job_on_non_real_points(data, door, kind, monkeypatch):
+    X, model = data
+    jobs = []
+    monkeypatch.setattr(
+        LocalMapReduceRuntime, "run_job", lambda self, job: jobs.append(job.name)
+    )
+    with pytest.raises(ValidationError, match="real numbers"):
+        DOORS[door](NOT_REAL[kind](X[:200]), X, model)
+    assert jobs == []
