@@ -1,10 +1,10 @@
-"""One-pass seeding shootout: Partition vs StreamKM++ vs k-means||.
+"""One-pass seeding shootout: Partition vs k-means++ vs k-means||.
 
 The paper positions k-means|| against the streaming lineage it grew out
-of: the Partition baseline of Ailon et al. (Section 4.2.1) and the
-related StreamKM++ coreset tree [1]. This example runs all three plus
-the sequential k-means++ gold standard on the same data and compares
-quality against intermediate-state size — Table 5's trade-off, live.
+of: the Partition baseline of Ailon et al. (Section 4.2.1). This example
+runs it beside the sequential k-means++ gold standard and k-means|| on
+the same data and compares quality against intermediate-state size —
+Table 5's trade-off, live.
 
 Run with::
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines import MiniBatchKMeans, PartitionInit, StreamKMPlusPlus
+from repro.baselines import PartitionInit
 from repro.core import KMeansPlusPlus, ScalableKMeans, lloyd
 from repro.data import make_gauss_mixture
 from repro.evaluation.tables import render_table
@@ -31,7 +31,6 @@ def main() -> None:
     initializers = {
         "k-means++ (sequential)": KMeansPlusPlus(),
         "Partition": PartitionInit(),
-        "StreamKM++": StreamKMPlusPlus(),
         "k-means|| l=2k r=5": ScalableKMeans(oversampling_factor=2.0, n_rounds=5),
     }
 
@@ -58,18 +57,10 @@ def main() -> None:
         ["method", "seed cost", "final cost", "intermediate pts", "data passes"],
         rows,
         note=(
-            "k-means|| matches the streaming methods' quality from an "
-            "intermediate set 1-2 orders of magnitude smaller, at r+2 passes."
+            "k-means|| matches Partition's quality from an intermediate set "
+            "1-2 orders of magnitude smaller, in r+1 passes."
         ),
     ))
-    print()
-
-    # Bonus: stochastic refinement instead of Lloyd (Sculley's mini-batch),
-    # seeded two ways — good seeds still matter for stochastic solvers.
-    for label, seeder in (("k-means++ seed", KMeansPlusPlus()),
-                          ("k-means|| seed", ScalableKMeans())):
-        model = MiniBatchKMeans(k, n_iter=150, init=seeder, seed=0).fit(X)
-        print(f"mini-batch k-means with {label}: final cost {model.inertia_:,.0f}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Baselines the paper evaluates against, plus related-work extensions.
+"""The seeding baseline the paper evaluates against, and its inner routine.
 
 * :class:`KMeansSharp` — Ailon et al.'s ``k-means#``: k D^2-sampling
   rounds that each select ``3 ln k`` points; the inner routine of
@@ -6,21 +6,15 @@
 * :class:`PartitionInit` — the one-pass streaming baseline of Tables 3-5
   (Section 4.2.1), built on ``k-means#`` per group + a weighted
   ``k-means++`` reduction.
-* :class:`StreamKMPlusPlus` — Ackermann et al.'s coreset-tree streaming
-  algorithm (related work [1]; an extension, not in the paper's tables).
-* :class:`MiniBatchKMeans` — Sculley's web-scale mini-batch k-means
-  (related work [31]; extension).
+
+The paper's other baselines, Random and k-means++, live in
+:mod:`repro.core`.
 """
 
 from repro.baselines.kmeans_sharp import KMeansSharp
-from repro.baselines.minibatch import MiniBatchKMeans
 from repro.baselines.partition import PartitionInit
-from repro.baselines.streamkm import CoresetTree, StreamKMPlusPlus
 
 __all__ = [
     "KMeansSharp",
     "PartitionInit",
-    "StreamKMPlusPlus",
-    "CoresetTree",
-    "MiniBatchKMeans",
 ]

@@ -23,7 +23,6 @@ from repro.core.init_base import Initializer
 from repro.core.results import InitResult, RoundRecord
 from repro.exceptions import ValidationError
 from repro.linalg.distances import sq_dists_to_point, update_min_sq_dists
-from repro.types import FloatArray, SeedLike
 
 __all__ = ["KMeansSharp", "points_per_round"]
 
@@ -105,14 +104,3 @@ class KMeansSharp(Initializer):
             params={"k": k, "multiplier": self.multiplier, "batch": batch},
         )
 
-
-def kmeans_sharp_init(
-    X: FloatArray,
-    k: int,
-    *,
-    weights: FloatArray | None = None,
-    seed: SeedLike = None,
-    multiplier: float = 3.0,
-) -> FloatArray:
-    """Functional shortcut returning the full oversampled candidate array."""
-    return KMeansSharp(multiplier=multiplier).run(X, k, weights=weights, seed=seed).centers

@@ -31,12 +31,17 @@ __all__ = ["main", "build_parser", "settings_epilog"]
 
 
 #: argparse details of the global flags of :data:`repro.config.SETTINGS`.
+#: ``--task-timeout`` takes ``none`` as its variable does, so its value
+#: is parsed by the setting itself (:func:`repro.config.load_config`).
 _FLAG_ARGS: dict[str, dict] = {
     "--backend": {"choices": BACKEND_NAMES},
     "--exec-workers": {"type": int, "metavar": "N"},
     "--max-task-retries": {"type": int, "metavar": "N"},
-    "--task-timeout": {"type": float, "metavar": "SECONDS"},
+    "--task-timeout": {"metavar": "SECONDS"},
 }
+
+#: Global flags that take no value.
+_BARE_FLAGS = ("-h", "--help", "--version")
 
 
 def _dest(flag: str) -> str:
@@ -465,9 +470,30 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_global_flags(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Report an option before the subcommand that ``repro`` does not define.
+
+    argparse would read the value of such a flag (one removed, say) as
+    the subcommand, and report ``invalid choice`` for the value.
+    """
+    flags = [s.flag for s in SETTINGS if s.flag] + list(_BARE_FLAGS)
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        given = argv[i].split("=", 1)[0]
+        # argparse also takes a unique prefix of a long flag.
+        matches = [given] if given in flags else [
+            f for f in flags if given.startswith("--") and f.startswith(given)
+        ]
+        if not matches:
+            parser.error(f"unrecognized arguments: {given}")
+        i += 1 if "=" in argv[i] or matches[0] in _BARE_FLAGS else 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    _check_global_flags(parser, argv)
     args = parser.parse_args(argv)
     try:
         config = _cli_config(args)

@@ -17,9 +17,8 @@ report costs relative to a near-optimal reference clustering.
 
 from repro.data.dataset import Dataset
 from repro.data.gauss_mixture import GaussMixtureConfig, make_gauss_mixture
-from repro.data.io import dataset_cache_path, ensure_mmap_npy, load_dataset, save_dataset
+from repro.data.io import ensure_mmap_npy, load_dataset, save_dataset
 from repro.data.kddcup import KDDCupConfig, make_kddcup
-from repro.data.sampling import reservoir_sample, uniform_sample
 from repro.data.spambase import SpambaseConfig, make_spambase
 from repro.data.splits import (
     ArraySplitSource,
@@ -32,12 +31,7 @@ from repro.data.splits import (
     load_csr_dir,
     save_csr_dir,
 )
-from repro.data.synthetic import (
-    make_anisotropic_blobs,
-    make_blobs_with_outliers,
-    make_grid_clusters,
-    make_uniform_box,
-)
+from repro.data.synthetic import make_grid_clusters
 
 __all__ = [
     "Dataset",
@@ -47,15 +41,9 @@ __all__ = [
     "make_spambase",
     "KDDCupConfig",
     "make_kddcup",
-    "uniform_sample",
-    "reservoir_sample",
-    "make_uniform_box",
     "make_grid_clusters",
-    "make_anisotropic_blobs",
-    "make_blobs_with_outliers",
     "save_dataset",
     "load_dataset",
-    "dataset_cache_path",
     "ensure_mmap_npy",
     "SplitSource",
     "ArraySplitSource",

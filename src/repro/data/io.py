@@ -1,8 +1,8 @@
 """Dataset persistence: save/load :class:`~repro.data.dataset.Dataset`.
 
-Experiments at paper scale (4.8M rows) take minutes to generate; the
-harness caches generated datasets on disk so repeated runs of different
-tables against the same workload pay generation once. Format: a ``.npz``
+Datasets at paper scale (4.8M rows) take minutes to generate; ``repro
+data`` saves one so that later runs (``repro mr``, ``repro serve``) load
+it instead of generating it again. Format: a ``.npz``
 bundle (points / labels / true centers) plus a sidecar ``.json`` with the
 name and metadata — both human-inspectable, no pickle.
 
@@ -24,7 +24,7 @@ from repro.data.dataset import Dataset
 from repro.exceptions import ValidationError
 from repro.linalg import sparse as _sparse
 
-__all__ = ["save_dataset", "load_dataset", "dataset_cache_path", "ensure_mmap_npy"]
+__all__ = ["save_dataset", "load_dataset", "ensure_mmap_npy"]
 
 #: Suffixes this module owns. Only these are ever stripped from a user
 #: path — anything else (``thing.whatever``, ``gauss__l=0.5``) is part of
@@ -123,22 +123,6 @@ def load_dataset(path: str | pathlib.Path) -> Dataset:
     return Dataset(
         name=name, X=X, labels=labels, true_centers=true_centers, metadata=metadata
     )
-
-
-def dataset_cache_path(
-    cache_dir: str | pathlib.Path, name: str, **params
-) -> pathlib.Path:
-    """Deterministic cache location for a generated dataset.
-
-    ``params`` (e.g. ``n=100000, seed=0``) are folded into the filename in
-    sorted order so different configurations never collide. Float params
-    put dots in the name (``gauss__l=0.5_n=100000``); :func:`save_dataset`
-    and :func:`load_dataset` preserve them.
-    """
-    safe = name.replace("/", "_").replace(" ", "_")
-    suffix = "_".join(f"{k}={params[k]}" for k in sorted(params))
-    filename = f"{safe}__{suffix}" if suffix else safe
-    return pathlib.Path(cache_dir) / filename
 
 
 def ensure_mmap_npy(path: str | pathlib.Path) -> pathlib.Path:

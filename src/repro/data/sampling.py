@@ -1,8 +1,8 @@
-"""Sampling utilities shared by the data layer and the streaming baseline."""
+"""The group split of the ``Partition`` baseline."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -10,61 +10,7 @@ from repro.exceptions import ValidationError
 from repro.types import FloatArray, SeedLike
 from repro.utils.rng import ensure_generator
 
-__all__ = ["uniform_sample", "reservoir_sample", "split_into_groups"]
-
-
-def uniform_sample(
-    X: FloatArray,
-    fraction: float,
-    *,
-    seed: SeedLike = None,
-) -> FloatArray:
-    """Uniform subsample without replacement; keeps original row order.
-
-    Used for the "10% sample of KDDCup1999" in Figure 5.1.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
-    rng = ensure_generator(seed)
-    n = X.shape[0]
-    size = max(1, int(round(n * fraction)))
-    idx = np.sort(rng.choice(n, size=size, replace=False))
-    return X[idx].copy()
-
-
-def reservoir_sample(
-    stream: Iterable[np.ndarray],
-    size: int,
-    *,
-    seed: SeedLike = None,
-) -> FloatArray:
-    """Classic reservoir sampling (Vitter's Algorithm R) over a row stream.
-
-    The streaming baseline (:mod:`repro.baselines.partition`) consumes its
-    input once; this helper is how tests build uniform samples from the
-    same single-pass discipline without loading everything.
-
-    Parameters
-    ----------
-    stream:
-        An iterable of 1-d row arrays (all the same length).
-    size:
-        Reservoir capacity; if the stream is shorter, all rows are kept.
-    """
-    if size < 1:
-        raise ValidationError(f"size must be >= 1, got {size}")
-    rng = ensure_generator(seed)
-    reservoir: list[np.ndarray] = []
-    for i, row in enumerate(stream):
-        if i < size:
-            reservoir.append(np.asarray(row, dtype=np.float64))
-        else:
-            j = int(rng.integers(0, i + 1))
-            if j < size:
-                reservoir[j] = np.asarray(row, dtype=np.float64)
-    if not reservoir:
-        raise ValidationError("stream was empty")
-    return np.vstack(reservoir)
+__all__ = ["split_into_groups"]
 
 
 def split_into_groups(

@@ -202,9 +202,8 @@ class SplitSource(abc.ABC):
     def as_array(self) -> np.ndarray:
         """The full dataset as one array-like (a memmap for file sources).
 
-        Used by driver-side sections (seed-cost evaluation, top-up
-        sampling) whose kernels already walk rows in chunks, so a memmap
-        here still streams rather than materializing.
+        The driver's top-up draw gathers its rows from it, so a memmap
+        here reads only those rows rather than materializing.
         """
 
     # ------------------------------------------------------------------
@@ -331,126 +330,40 @@ class ShardedSplitDescriptor(SplitDescriptor):
 
 
 class ShardedRowReader:
-    """Lazy, NumPy-like row façade over a :class:`ShardedSplitSource`.
+    """Row gather over a :class:`ShardedSplitSource`.
 
-    The driver-side sections of the pipeline (seed-cost evaluation,
-    top-up sampling) access the dataset through ``as_array()`` — but
-    NumPy has no multi-file view, so a sharded source used to
-    *materialize the whole concatenation* there.  This reader keeps the
-    driver out-of-core instead: it exposes ``shape``/``dtype``/``ndim``
-    plus row indexing, and materializes **only the rows each access
-    asks for** — a contiguous slice inside one shard stays a zero-copy
-    memmap view; anything else copies just its own rows.  The chunked
-    linalg kernels (:func:`repro.linalg.distances.min_sq_dists` et al.)
-    slice their row blocks through ``__getitem__``, so a scan streams
-    shard by shard with the OS page cache as the working set.
-
-    ``peak_section_rows`` records the largest single materialization —
-    the regression tests pin that a full-dataset scan never exceeds the
-    kernel's chunk rows, i.e. the concatenation is never built.  (A
-    consumer that insists on a real ndarray — ``np.asarray``, or a
-    kernel promoting non-float64 shards to the compute dtype — still
-    gets one via ``__array__``, and the peak telemetry shows it; keep
-    shards in float64, the pipeline's native dtype, to stay fully
-    out-of-core.)
+    The driver's one read of the data, the top-up draw of at most
+    ``k - 1`` rows (:func:`~repro.core.reclustering.apply_top_up`), goes
+    through ``as_array()``.  NumPy has no multi-file view, and the
+    concatenation would hold the whole dataset, so this reader offers
+    ``shape`` and an integer-array row gather that reads each shard once
+    for its own rows.  ``peak_section_rows`` records the largest gather:
+    the tests pin that a fit reads no more rows than it draws.
     """
-
-    ndim = 2
 
     def __init__(self, source: "ShardedSplitSource"):
         self._source = source
-        #: Largest number of rows any single access materialized.
+        #: Largest number of rows any single gather materialized.
         self.peak_section_rows = 0
 
     @property
     def shape(self) -> tuple[int, int]:
         return self._source.shape
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self._source.dtype
-
-    @property
-    def nbytes(self) -> int:
+    def __getitem__(self, index) -> np.ndarray:
+        """Rows ``index`` (integers in ``[0, n)``), in the given order."""
+        idx = np.asarray(index, dtype=np.int64)
         n, d = self.shape
-        return n * d * self.dtype.itemsize
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def _record(self, rows: int) -> None:
-        if rows > self.peak_section_rows:
-            self.peak_section_rows = rows
-
-    def __getitem__(self, index):
-        n = self.shape[0]
-        cols = None
-        if isinstance(index, tuple):
-            if len(index) > 2:
-                raise IndexError(
-                    f"too many indices for a 2-d row reader: {index!r}"
-                )
-            index, cols = index[0], (index[1] if len(index) == 2 else None)
-        if isinstance(index, slice):
-            start, stop, step = index.indices(n)
-            if step > 0:
-                span = self._source.block(start, max(start, stop))
-                out = span if step == 1 else span[::step]
-                self._record(max(0, stop - start))
-            else:
-                # Negative step: read the ascending span once, then let
-                # the step walk it backwards from its last row (start).
-                lo, hi = stop + 1, start + 1
-                span = self._source.block(max(lo, 0), max(lo, hi))
-                out = span[::step]
-                self._record(max(0, hi - lo))
-        elif isinstance(index, (int, np.integer)):
-            i = int(index)
-            if i < 0:
-                i += n
-            if not 0 <= i < n:
-                raise IndexError(f"row {index} out of range for {n} rows")
-            self._record(1)
-            row = self._source.block(i, i + 1)[0]
-            return row if cols is None else row[cols]
-        else:
-            idx = np.asarray(index)
-            if idx.dtype == bool:
-                if idx.shape[0] != n:
-                    raise IndexError(
-                        f"boolean mask of length {idx.shape[0]} over {n} rows"
-                    )
-                idx = np.flatnonzero(idx)
-            idx = idx.astype(np.int64, copy=False)
-            out = self._gather(idx)
-            self._record(idx.shape[0])
-        return out if cols is None else out[:, cols] if out.ndim == 2 else out[cols]
-
-    def _gather(self, idx: np.ndarray) -> np.ndarray:
-        """Fancy row indexing, reading each shard once for its rows."""
-        n = self.shape[0]
-        idx = np.where(idx < 0, idx + n, idx)
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise IndexError(f"row indices out of range for {n} rows")
-        out = np.empty((idx.shape[0], self.shape[1]), dtype=self.dtype)
+        self.peak_section_rows = max(self.peak_section_rows, idx.shape[0])
+        out = np.empty((idx.shape[0], d), dtype=self._source.dtype)
         offsets = self._source._offsets
         shard_of = np.searchsorted(offsets, idx, side="right") - 1
         for s in np.unique(shard_of):
             mask = shard_of == s
             out[mask] = self._source._shard(s)[idx[mask] - int(offsets[s])]
         return out
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        # Full materialization — the escape hatch for consumers that
-        # need a real ndarray.  Deliberately not cached: the reader
-        # exists to avoid holding the concatenation.
-        self._record(self.shape[0])
-        full = self[0 : self.shape[0]]
-        return full if dtype is None else full.astype(dtype, copy=False)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        n, d = self.shape
-        return f"ShardedRowReader(shape=({n}, {d}), dtype={self.dtype})"
 
 
 class ShardedSplitSource(SplitSource):
@@ -469,10 +382,8 @@ class ShardedSplitSource(SplitSource):
     straddle a boundary concatenate (copy) just their own rows.
     Descriptors ship only paths and ranges, so the process backend
     stays out-of-core shard by shard.  ``as_array`` returns a
-    lazy :class:`ShardedRowReader` (NumPy has no multi-file view, so a
-    real ndarray would mean materializing the concatenation): driver
-    -side sections slice it chunk by chunk and only the requested rows
-    are ever read — the whole pipeline stays out-of-core end to end.
+    :class:`ShardedRowReader`, which reads only the rows the driver
+    draws, so the whole pipeline stays out-of-core end to end.
     """
 
     def __init__(self, directory: str | os.PathLike, pattern: str = "*.npy"):
@@ -556,9 +467,8 @@ class ShardedSplitSource(SplitSource):
         )
 
     def as_array(self) -> "ShardedRowReader":
-        """A lazy row reader over the shards — the concatenation is
-        never materialized here (see :class:`ShardedRowReader`); driver
-        sections stream their row blocks shard by shard instead."""
+        """A row reader over the shards; the concatenation is never
+        built (see :class:`ShardedRowReader`)."""
         if self._reader is None:
             self._reader = ShardedRowReader(self)
         return self._reader
@@ -806,10 +716,8 @@ class CsrSplitSource(SplitSource):
     def as_array(self):
         """The full dataset as one CSR matrix (mmap-backed on disk).
 
-        Driver-side sections (seed-cost scan, top-up sampling) hand this
-        to the chunked kernels, which dispatch sparse — an on-disk
-        source still streams, because the SpMM per row chunk touches
-        only that chunk's pages.
+        The driver's top-up draw gathers its rows from it; on disk the
+        matrix wraps the memory-mapped arrays (see :func:`_csr_rows`).
         """
         if self._X is not None:
             return self._X

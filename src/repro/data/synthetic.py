@@ -1,10 +1,8 @@
-"""Auxiliary synthetic generators for tests, examples and ablations.
+"""An auxiliary synthetic generator with a known optimum.
 
-None of these appear in the paper; they exist because a serious test
-suite needs datasets with *known* structure: perfectly separable grids
-(where the optimal clustering is computable by hand), adversarial outlier
-plants (where Random seeding provably fails), and anisotropic blobs
-(where squared-Euclidean k-means has known failure modes).
+Not in the paper: the theory tests need a dataset whose optimal
+clustering is computable by hand, and perfectly separable grid clusters
+are one.
 """
 
 from __future__ import annotations
@@ -16,30 +14,7 @@ from repro.exceptions import ValidationError
 from repro.types import SeedLike
 from repro.utils.rng import ensure_generator
 
-__all__ = [
-    "make_uniform_box",
-    "make_grid_clusters",
-    "make_anisotropic_blobs",
-    "make_blobs_with_outliers",
-]
-
-
-def make_uniform_box(
-    n: int = 1000,
-    d: int = 2,
-    *,
-    low: float = 0.0,
-    high: float = 1.0,
-    seed: SeedLike = None,
-) -> Dataset:
-    """Points uniform in a box — the structureless null case."""
-    if n < 1 or d < 1:
-        raise ValidationError("n and d must be >= 1")
-    if not low < high:
-        raise ValidationError(f"need low < high, got [{low}, {high}]")
-    rng = ensure_generator(seed)
-    X = rng.uniform(low, high, size=(n, d))
-    return Dataset(name="uniform-box", X=X, metadata={"low": low, "high": high})
+__all__ = ["make_grid_clusters"]
 
 
 def make_grid_clusters(
@@ -71,75 +46,4 @@ def make_grid_clusters(
         labels=labels,
         true_centers=grid,
         metadata={"k": k, "spacing": spacing, "noise": noise},
-    )
-
-
-def make_anisotropic_blobs(
-    k: int = 5,
-    points_per_cluster: int = 200,
-    *,
-    d: int = 2,
-    spread: float = 20.0,
-    elongation: float = 8.0,
-    seed: SeedLike = None,
-) -> Dataset:
-    """Gaussian blobs stretched along random directions.
-
-    Squared-Euclidean k-means prefers spherical clusters; these blobs
-    exercise the empty-cluster repair and tie-breaking paths.
-    """
-    if k < 1 or points_per_cluster < 1 or d < 1:
-        raise ValidationError("k, points_per_cluster, d must all be >= 1")
-    rng = ensure_generator(seed)
-    centers = rng.uniform(-spread, spread, size=(k, d))
-    labels = np.repeat(np.arange(k), points_per_cluster)
-    X = np.empty((k * points_per_cluster, d))
-    for i in range(k):
-        direction = rng.normal(size=d)
-        direction /= np.linalg.norm(direction)
-        radial = rng.normal(0.0, 1.0, size=(points_per_cluster, d))
-        along = rng.normal(0.0, elongation, size=points_per_cluster)
-        X[labels == i] = centers[i] + radial + along[:, None] * direction
-    return Dataset(
-        name="anisotropic-blobs",
-        X=X,
-        labels=labels,
-        true_centers=centers,
-        metadata={"k": k, "elongation": elongation},
-    )
-
-
-def make_blobs_with_outliers(
-    k: int = 10,
-    points_per_cluster: int = 100,
-    *,
-    d: int = 5,
-    n_outliers: int = 20,
-    outlier_scale: float = 1000.0,
-    seed: SeedLike = None,
-) -> Dataset:
-    """Tight blobs plus a sprinkle of extreme outliers.
-
-    The adversarial case for D^2 seeding: the outliers carry almost all of
-    the potential, so ``k-means++`` tends to burn centers on them, while
-    ``k-means||``'s reclustering step (weights!) discounts them — the
-    mechanism behind the paper's observation that "the centers produced by
-    k-means|| avoid outliers".
-    """
-    if min(k, points_per_cluster, d) < 1 or n_outliers < 0:
-        raise ValidationError("invalid sizes")
-    rng = ensure_generator(seed)
-    centers = rng.uniform(-50.0, 50.0, size=(k, d))
-    labels = np.repeat(np.arange(k), points_per_cluster)
-    X = centers[labels] + rng.normal(0.0, 0.5, size=(labels.size, d))
-    if n_outliers:
-        outliers = rng.uniform(-outlier_scale, outlier_scale, size=(n_outliers, d))
-        X = np.vstack([X, outliers])
-        labels = np.concatenate([labels, np.full(n_outliers, -1, dtype=np.int64)])
-    return Dataset(
-        name="blobs-with-outliers",
-        X=X,
-        labels=labels,
-        true_centers=centers,
-        metadata={"k": k, "n_outliers": n_outliers, "outlier_scale": outlier_scale},
     )

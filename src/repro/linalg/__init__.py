@@ -29,11 +29,10 @@ from repro.linalg.distances import (
     update_min_sq_dists_argmin,
 )
 from repro.linalg.engine import Engine, get_engine, set_engine, use_engine
-from repro.linalg.sparse import HAVE_SCIPY, is_csr, is_sparse, nnz_chunk_slices, to_csr
+from repro.linalg.sparse import HAVE_SCIPY, is_sparse, nnz_chunk_slices, to_csr
 
 __all__ = [
     "HAVE_SCIPY",
-    "is_csr",
     "is_sparse",
     "to_csr",
     "nnz_chunk_slices",

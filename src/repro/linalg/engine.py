@@ -91,15 +91,6 @@ class Engine:
         self.chunk_bytes = int(chunk_bytes)
 
     # ------------------------------------------------------------------
-    def shutdown(self) -> None:
-        """Retained for API compatibility; idempotent and always safe.
-
-        The engine no longer owns a pool — scheduling goes through the
-        process-wide exec backend, whose pools are fork-safe and rebuilt
-        lazily (see :mod:`repro.exec.backends`).
-        """
-
-    # ------------------------------------------------------------------
     def resolve_chunk_rows(
         self, row_scratch_bytes: int, chunk_bytes: int | None = None
     ) -> int:

@@ -73,7 +73,6 @@ except ImportError:  # pragma: no cover - exercised on scipy-less installs
 __all__ = [
     "HAVE_SCIPY",
     "is_sparse",
-    "is_csr",
     "to_csr",
     "densify_rows",
     "csr_nbytes",
@@ -97,13 +96,6 @@ NNZ_SCRATCH_BYTES = 24
 def is_sparse(x) -> bool:
     """True when ``x`` is any scipy sparse container (matrix or array)."""
     return HAVE_SCIPY and _scipy_sparse.issparse(x)
-
-
-def is_csr(x) -> bool:
-    """True when ``x`` is a scipy CSR matrix/array."""
-    return HAVE_SCIPY and isinstance(
-        x, (_scipy_sparse.csr_matrix, _scipy_sparse.csr_array)
-    )
 
 
 def to_csr(x):

@@ -22,7 +22,6 @@ from typing import Any, Callable, Hashable, Iterable
 import numpy as np
 
 from repro.exceptions import JobSpecError
-from repro.mapreduce.counters import Counters
 
 __all__ = ["KeyValue", "SplitContext", "BlockMapper", "Reducer", "MapReduceJob"]
 
@@ -49,8 +48,6 @@ class SplitContext:
         the split (an RDD cache / local-disk sidecar file) — e.g. the
         point-to-nearest-center distances that every ``k-means||`` round
         updates incrementally.
-    counters:
-        Job-wide counters (merged across splits after the map phase).
     broadcast:
         The job's resolved broadcast value (read-only by contract).
         In a worker process this is a view into a shared-memory
@@ -65,7 +62,6 @@ class SplitContext:
     n_splits: int
     rng: np.random.Generator
     state: dict[str, Any]
-    counters: Counters
     broadcast: Any = None
 
 

@@ -8,8 +8,8 @@ and the runtime folds each key's partials on the driver in split order
 * :mod:`cost_job` — update the per-split cached ``d^2`` profile with
   newly added centers and emit partial potentials (Steps 2 & 6);
 * :mod:`sample_job` — the per-point Bernoulli oversampling (Step 4);
-* :mod:`weight_job` — candidate weighting (Step 7), in the driver riding
-  on the last round's fold;
+* :mod:`weight_job` — candidate weighting (Step 7), riding on the last
+  round's fold;
 * :mod:`lloyd_job` — one Lloyd round as one ``[sums | counts]`` block
   and one partial potential per split, and the scoring pass that ships
   the potential only;
@@ -25,23 +25,16 @@ from repro.mapreduce.jobs.lloyd_job import (
 )
 from repro.mapreduce.jobs.random_init_job import make_uniform_sample_job
 from repro.mapreduce.jobs.sample_job import BernoulliSampleMapper, make_sample_job
-from repro.mapreduce.jobs.weight_job import (
-    FoldWeightMapper,
-    WeightMapper,
-    make_fold_weight_job,
-    make_weight_job,
-)
+from repro.mapreduce.jobs.weight_job import FoldWeightMapper, make_fold_weight_job
 
 __all__ = [
     "make_cost_job",
     "make_sample_job",
-    "make_weight_job",
     "make_fold_weight_job",
     "make_lloyd_job",
     "make_uniform_sample_job",
     "UpdateCostMapper",
     "BernoulliSampleMapper",
-    "WeightMapper",
     "FoldWeightMapper",
     "LloydMapper",
     "LloydScoreMapper",

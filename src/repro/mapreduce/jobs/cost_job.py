@@ -57,9 +57,6 @@ class UpdateCostMapper(BlockMapper):
         Global candidate index of ``new_centers[0]`` (candidates are
         numbered in the order the driver collected them); required to keep
         the cached argmin globally consistent.
-    reset:
-        Discard any cached profile and recompute from scratch (used when a
-        driver re-runs a pipeline on the same runtime).
     """
 
     def __init__(
@@ -67,7 +64,6 @@ class UpdateCostMapper(BlockMapper):
         new_centers: np.ndarray | None = None,
         *,
         offset: int = 0,
-        reset: bool = False,
     ):
         super().__init__()
         # ``None`` defers to the job broadcast at setup time, keeping the
@@ -78,7 +74,6 @@ class UpdateCostMapper(BlockMapper):
             else np.atleast_2d(np.asarray(new_centers, dtype=np.float64))
         )
         self.offset = int(offset)
-        self.reset = bool(reset)
 
     def setup(self, ctx) -> None:
         super().setup(ctx)
@@ -94,8 +89,8 @@ class UpdateCostMapper(BlockMapper):
             )
 
     def map_block(self, block: np.ndarray) -> Iterable[KeyValue]:
-        d2 = None if self.reset else self.ctx.state.get(STATE_D2)
-        nearest = None if self.reset else self.ctx.state.get(STATE_NEAREST)
+        d2 = self.ctx.state.get(STATE_D2)
+        nearest = self.ctx.state.get(STATE_NEAREST)
         if d2 is None or nearest is None:
             d2 = np.full(block.shape[0], np.inf)
             nearest = np.full(block.shape[0], -1, dtype=np.int64)
@@ -109,13 +104,10 @@ class UpdateCostMapper(BlockMapper):
         self.work += (
             block.shape[0] * self.new_centers.shape[0] * block.shape[1] * FLOPS_PER_DIST
         )
-        self.ctx.counters.increment("cost", "points", block.shape[0])
         yield PHI_KEY, float(d2.sum())
 
 
-def make_cost_job(
-    new_centers: np.ndarray, *, offset: int = 0, reset: bool = False
-) -> MapReduceJob:
+def make_cost_job(new_centers: np.ndarray, *, offset: int = 0) -> MapReduceJob:
     """Build the cost job for one round boundary."""
     # functools.partial (not a lambda) keeps the job picklable for the
     # process execution backend; the new centers ride only in
@@ -123,9 +115,7 @@ def make_cost_job(
     new_centers = np.atleast_2d(np.asarray(new_centers, dtype=np.float64))
     return MapReduceJob(
         name="kmeans||/update-cost",
-        mapper_factory=functools.partial(
-            UpdateCostMapper, offset=offset, reset=reset
-        ),
+        mapper_factory=functools.partial(UpdateCostMapper, offset=offset),
         reducer_factory=ScalarSumReducer,
         broadcast=new_centers,
     )

@@ -53,9 +53,7 @@ class BernoulliSampleMapper(BlockMapper):
             mask = np.zeros(block.shape[0], dtype=bool)
         # One coin flip + one compare per point.
         self.work += 2.0 * block.shape[0]
-        picked = int(mask.sum())
-        self.ctx.counters.increment("sample", "selected", picked)
-        if picked:
+        if mask.any():
             # Candidate centers are always dense, whatever the data
             # representation — only O(l) rows per round ever densify.
             yield CANDIDATES_KEY, _sparse.densify_rows(block[mask])

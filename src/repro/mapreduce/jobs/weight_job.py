@@ -6,11 +6,9 @@ the reducer sums vectors. The emitted value is a dense ``(m,)`` vector
 rather than ``m`` scalar records: the split pre-aggregates its own
 counts.
 
-Two forms: :class:`WeightMapper` assigns the split's points to the
-broadcast candidates (a full distance pass), and :class:`FoldWeightMapper`
-— what :func:`~repro.mapreduce.kmeans_mr.mr_scalable_kmeans` runs — folds
-the last round's candidates into the cost jobs' cached argmin column and
-bin-counts it, in the same job.
+:class:`FoldWeightMapper` folds the last round's candidates into the
+cost jobs' cached argmin column and bin-counts it, in the same job, so
+the weights need no distance pass of their own.
 """
 
 from __future__ import annotations
@@ -21,61 +19,18 @@ from typing import Any, Hashable, Iterable
 import numpy as np
 
 from repro.exceptions import MapReduceError
-from repro.linalg.centroids import cluster_sizes
-from repro.linalg.distances import assign_labels
-from repro.mapreduce.job import BlockMapper, KeyValue, MapReduceJob, Reducer
+from repro.mapreduce.job import KeyValue, MapReduceJob, Reducer
 from repro.mapreduce.jobs.common import (
-    FLOPS_PER_DIST,
     STATE_NEAREST,
     ArraySumReducer,
     ScalarSumReducer,
 )
 from repro.mapreduce.jobs.cost_job import PHI_KEY, UpdateCostMapper
 
-__all__ = [
-    "WeightMapper",
-    "FoldWeightMapper",
-    "make_weight_job",
-    "make_fold_weight_job",
-    "WEIGHTS_KEY",
-]
+__all__ = ["FoldWeightMapper", "make_fold_weight_job", "WEIGHTS_KEY"]
 
 #: Output key of the summed weight vector.
 WEIGHTS_KEY = "weights"
-
-
-class WeightMapper(BlockMapper):
-    """Nearest-candidate count vector for one split."""
-
-    def __init__(self, candidates: np.ndarray | None = None):
-        super().__init__()
-        # ``None`` defers to the job broadcast at setup (data plane).
-        self.candidates = (
-            None
-            if candidates is None
-            else np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-        )
-
-    def setup(self, ctx) -> None:
-        super().setup(ctx)
-        if self.candidates is None:
-            if ctx.broadcast is None:
-                raise MapReduceError(
-                    "WeightMapper needs candidates: pass them to the "
-                    "constructor or run it through a job whose broadcast "
-                    "carries them"
-                )
-            self.candidates = np.atleast_2d(
-                np.asarray(ctx.broadcast, dtype=np.float64)
-            )
-
-    def map_block(self, block: np.ndarray) -> Iterable[KeyValue]:
-        labels = assign_labels(block, self.candidates)
-        counts = cluster_sizes(labels, self.candidates.shape[0])
-        self.work += (
-            block.shape[0] * self.candidates.shape[0] * block.shape[1] * FLOPS_PER_DIST
-        )
-        yield WEIGHTS_KEY, counts
 
 
 class FoldWeightMapper(UpdateCostMapper):
@@ -124,20 +79,6 @@ class _PhiWeightsReducer(Reducer):
         inner = ScalarSumReducer() if key == PHI_KEY else ArraySumReducer()
         yield from inner.reduce(key, values)
         self.work += inner.work
-
-
-def make_weight_job(candidates: np.ndarray) -> MapReduceJob:
-    """Build the Step-7 weighting job for the full candidate set."""
-    # functools.partial (not a lambda) keeps the job picklable for the
-    # process execution backend; the candidate block rides only in
-    # ``broadcast`` so the data plane can ship a descriptor per task.
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    return MapReduceJob(
-        name="kmeans||/weights",
-        mapper_factory=WeightMapper,
-        reducer_factory=ArraySumReducer,
-        broadcast=candidates,
-    )
 
 
 def make_fold_weight_job(

@@ -83,7 +83,6 @@ __all__ = [
     "mr_random_kmeans",
     "mr_lloyd",
     "naive_kmeanspp_flops",
-    "simulate_partition_time",
 ]
 
 
@@ -447,49 +446,3 @@ def mr_random_kmeans(
             faults=_fault_telemetry(runtime),
         )
 
-
-def simulate_partition_time(
-    cluster: ClusterModel,
-    *,
-    n: int,
-    d: int,
-    k: int,
-    m: int,
-    n_intermediate: int,
-    lloyd_iters: int,
-) -> dict[str, float]:
-    """Closed-form simulated minutes for the ``Partition`` baseline.
-
-    Phase 1: ``m`` independent ``k-means#`` group runs scheduled on the
-    cluster's workers (each: k rounds of incremental D^2 updates against
-    ``3 ln k``-point batches over ``n/m`` points, plus the per-round
-    distribution build). Phase 2: sequential vanilla ``k-means++`` over
-    the ``n_intermediate`` weighted centers (see
-    :func:`naive_kmeanspp_flops`). Finally ``lloyd_iters`` MapReduce
-    Lloyd rounds over the full data.
-
-    Returns a phase breakdown in minutes (key ``"total"`` included);
-    Table 4 sums exactly these terms.
-    """
-    import math
-
-    batch = max(1, math.ceil(3.0 * math.log(max(k, 2))))
-    group_size = max(1, n // max(1, m))
-    group_flops = FLOPS_PER_DIST * k * group_size * batch * d + 2.0 * k * group_size
-    phase1 = cluster.parallel_group_seconds([group_flops] * m) + cluster.job_overhead_s
-
-    phase2 = cluster.sequential_seconds(naive_kmeanspp_flops(n_intermediate, k, d))
-
-    lloyd_flops_per_iter = FLOPS_PER_DIST * n * k * d
-    lloyd = lloyd_iters * (
-        cluster.job_overhead_s
-        + lloyd_flops_per_iter / (cluster.n_workers * cluster.worker_flops)
-        + (n * d * 8.0) / (cluster.n_workers * cluster.scan_bytes_per_s)
-    )
-    total = phase1 + phase2 + lloyd
-    return {
-        "phase1_groups": phase1 / 60.0,
-        "phase2_sequential": phase2 / 60.0,
-        "lloyd": lloyd / 60.0,
-        "total": total / 60.0,
-    }

@@ -1,9 +1,8 @@
 """The local MapReduce execution engine.
 
 Executes :class:`~repro.mapreduce.job.MapReduceJob` specifications over
-real input splits, with Hadoop-style counters, per-split persistent
-state, and a simulated clock driven by
-:class:`~repro.mapreduce.cluster.ClusterModel`.
+real input splits, with per-split persistent state and a simulated clock
+driven by :class:`~repro.mapreduce.cluster.ClusterModel`.
 
 One job is one parallel region of map tasks, one per split, followed by
 one fold per output key on the driver.  Every shipped job's mapper emits
@@ -12,8 +11,8 @@ reducer can simply add these values from all mappers": for each key, in
 sorted reduce-key order, a fresh reducer runs on the driver's thread
 over that key's values in split order.  Every emitted record is still
 charged through :func:`~repro.shuffle.accounting.record_nbytes` to the
-job's shuffle counters and the simulated shuffle term, and the reducers'
-work to the reduce term.
+job's ``shuffle_records``/``shuffle_bytes`` and the simulated shuffle
+term, and the reducers' work to the reduce term.
 
 Parallelism: map tasks fan out through the process-wide execution
 backend (:mod:`repro.exec`) — serial, threads, or real worker processes,
@@ -28,10 +27,10 @@ process backend stays out-of-core end to end.  The worker count is the
 :mod:`repro.config`, else the linalg engine's worker count.
 
 Determinism: every (job, split) pair gets its own RNG pre-spawned from
-the runtime seed *before* dispatch, results and counters are collected
-in split order, reduce keys are folded in one deterministic sorted order
-(and :attr:`JobResult.output` preserves it), and the simulated clock is
-computed from measured work — so output, counters, and simulated time
+the runtime seed *before* dispatch, results are collected in split
+order, reduce keys are folded in one deterministic sorted order (and
+:attr:`JobResult.output` preserves it), and the simulated clock is
+computed from measured work — so output, telemetry, and simulated time
 are bit-identical for any backend, any worker count, and between
 in-memory and memory-mapped split sources (the property tests rely on
 this).
@@ -74,7 +73,6 @@ from repro.exec import (
 )
 from repro.linalg.engine import get_engine
 from repro.mapreduce.cluster import ClusterModel, PhaseTime
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob, SplitContext
 from repro.plane.broadcast import publish_broadcast, resolve_broadcast
 from repro.plane.state import (
@@ -108,10 +106,8 @@ class JobStats:
     name: str
     n_splits: int
     map_records: int
-    map_emitted: int
     shuffle_records: int
     shuffle_bytes: int
-    reduce_emitted: int
     map_flops_per_split: list[float] = field(default_factory=list)
     reduce_flops: float = 0.0
     broadcast_bytes: int = 0  #: the job's broadcast payload, charged once
@@ -141,7 +137,6 @@ class JobResult:
     """
 
     output: dict[Hashable, list[Any]]
-    counters: Counters
     stats: JobStats
 
     def single(self, key: Hashable) -> Any:
@@ -172,7 +167,6 @@ class _MapTaskResult:
 
     emissions: list[tuple[Hashable, Any]]
     flops: float
-    counters: Counters
     state: dict[str, Any] | None = None
     state_update: SplitStateUpdate | None = None
 
@@ -190,13 +184,12 @@ def _execute_map_task(
     Module-level and driven entirely by picklable arguments, so the
     execution backend may run it on the calling thread, a pool thread, or
     a worker process; everything it touches is split-private (descriptor,
-    state spec/dict, RNG, fresh counters), so tasks never share mutable
-    state.  The job's broadcast arrives as the value itself or, across
-    processes, as a :class:`~repro.plane.broadcast.BroadcastRef` (an
-    O(1) descriptor), and is resolved here, in the executing process.
+    state spec/dict, RNG), so tasks never share mutable state.  The job's
+    broadcast arrives as the value itself or, across processes, as a
+    :class:`~repro.plane.broadcast.BroadcastRef` (an O(1) descriptor), and
+    is resolved here, in the executing process.
     """
     block = descriptor.load()
-    counters = Counters()
     spec = state_arg if isinstance(state_arg, SplitStateSpec) else None
     state = spec.materialize() if spec is not None else state_arg
     ctx = SplitContext(
@@ -204,7 +197,6 @@ def _execute_map_task(
         n_splits=n_splits,
         rng=rng,
         state=state,
-        counters=counters,
         broadcast=resolve_broadcast(job.broadcast),
     )
     mapper = job.mapper_factory()
@@ -219,7 +211,6 @@ def _execute_map_task(
     return _MapTaskResult(
         emissions=emissions,
         flops=float(mapper.work),
-        counters=counters,
         state=None if spec is not None else state,
         state_update=collect_state_update(spec, state) if spec is not None else None,
     )
@@ -353,7 +344,6 @@ class LocalMapReduceRuntime:
         self._recover_lock = _FORK_LOCK
         self.job_log: list[JobStats] = []
         self.simulated_seconds: float = 0.0
-        self._job_counter = 0
 
     # ------------------------------------------------------------------
     @property
@@ -371,11 +361,6 @@ class LocalMapReduceRuntime:
         these dicts exactly as before.
         """
         return self._state.states
-
-    @property
-    def X(self) -> np.ndarray:
-        """The full dataset (a memmap for file-backed sources)."""
-        return self.source.as_array()
 
     @property
     def splits(self) -> list[np.ndarray]:
@@ -421,7 +406,6 @@ class LocalMapReduceRuntime:
         thread, each output key's values are folded by a fresh reducer
         in split order, keys taken in sorted reduce-key order.
         """
-        self._job_counter += 1
         backend = self.backend
         # Pre-spawn every split's RNG on the driver thread, before any
         # dispatch: stream identity depends only on (seed, job index,
@@ -500,9 +484,6 @@ class LocalMapReduceRuntime:
                 else:
                     self._state.install(i, result.state)
 
-            counters = Counters()
-            for result in task_results:  # merged in split order: deterministic
-                counters.merge(result.counters)
             map_flops = [r.flops for r in task_results]
             map_records = int(self._bounds[-1] - self._bounds[0])
 
@@ -521,7 +502,6 @@ class LocalMapReduceRuntime:
             # ---- reduce: one fresh reducer per key, on the driver ----
             output: dict[Hashable, list[Any]] = {}
             reduce_flops = 0.0
-            reduce_emitted = 0
             for key in _sorted_reduce_keys(grouped):  # deterministic order
                 reducer = job.reducer_factory()
                 try:
@@ -533,7 +513,6 @@ class LocalMapReduceRuntime:
                 reduce_flops += float(reducer.work)
                 for out_key, out_value in results:
                     output.setdefault(out_key, []).append(out_value)
-                    reduce_emitted += 1
 
             # ---- simulated clock ----
             # The broadcast crosses the simulated network once per job
@@ -547,10 +526,8 @@ class LocalMapReduceRuntime:
                 name=job.name,
                 n_splits=self.n_splits,
                 map_records=map_records,
-                map_emitted=shuffle_records,
                 shuffle_records=shuffle_records,
                 shuffle_bytes=shuffle_bytes,
-                reduce_emitted=reduce_emitted,
                 map_flops_per_split=map_flops,
                 reduce_flops=reduce_flops,
                 broadcast_bytes=broadcast_bytes,
@@ -570,7 +547,7 @@ class LocalMapReduceRuntime:
             # The job is now part of history: record its lineage so a
             # later worker loss can replay it for the affected split.
             self._lineage.append((job, rng_blobs))
-            return JobResult(output=output, counters=counters, stats=stats)
+            return JobResult(output=output, stats=stats)
         finally:
             # Normal completion, failure, or interrupt: the job's
             # published broadcast segment is gone before the caller sees
@@ -660,10 +637,8 @@ class LocalMapReduceRuntime:
             name=f"[sequential] {label}",
             n_splits=1,
             map_records=0,
-            map_emitted=0,
             shuffle_records=0,
             shuffle_bytes=0,
-            reduce_emitted=0,
             map_flops_per_split=[flops],
             time=PhaseTime(overhead=0.0, map=seconds, shuffle=0.0, reduce=0.0),
         )

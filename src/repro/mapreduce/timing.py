@@ -27,8 +27,12 @@ cost/sample phases as separate jobs for exactness: one uniform-sample
 job, ``r`` update-cost jobs and ``r`` sample-round jobs, one
 fold-and-weigh job (the last round's fold, which also counts the
 candidate weights — the model's weighting pass), then one job per Lloyd
-iteration, the first of which also scores the seed.  That is 22 jobs at
-``r = 5`` with 10 Lloyd iterations.
+iteration, the first of which also scores the seed, and, when the
+iteration cap stops Lloyd while the centers still move, one job that
+scores the returned centers.  That is 23 jobs at ``r = 5`` with 10
+capped Lloyd iterations.
+
+Every method's Lloyd rounds are charged by :func:`time_lloyd_iters`.
 
 Each function returns a per-phase breakdown in *minutes* with a
 ``"total"`` key.
@@ -36,9 +40,10 @@ Each function returns a per-phase breakdown in *minutes* with a
 
 from __future__ import annotations
 
+from repro.baselines.kmeans_sharp import points_per_round
 from repro.mapreduce.cluster import ClusterModel
 from repro.mapreduce.jobs.common import FLOPS_PER_DIST
-from repro.mapreduce.kmeans_mr import naive_kmeanspp_flops, simulate_partition_time
+from repro.mapreduce.kmeans_mr import naive_kmeanspp_flops
 
 __all__ = [
     "time_mr_job",
@@ -148,13 +153,27 @@ def time_partition(
     n_intermediate: int,
     lloyd_iters: int,
 ) -> dict[str, float]:
-    """Simulated minutes of the ``Partition`` baseline (re-exported)."""
-    return simulate_partition_time(
-        cluster,
-        n=n,
-        d=d,
-        k=k,
-        m=m,
-        n_intermediate=n_intermediate,
-        lloyd_iters=lloyd_iters,
-    )
+    """Simulated minutes of the ``Partition`` baseline.
+
+    Phase 1: ``m`` independent ``k-means#`` group runs scheduled on the
+    cluster's workers (each: ``k`` rounds of incremental D^2 updates
+    against ``3 ln k``-point batches over ``n/m`` points, plus the
+    per-round distribution build), under one job's overhead.  Phase 2:
+    sequential vanilla ``k-means++`` over the ``n_intermediate`` weighted
+    centers (see :func:`~repro.mapreduce.kmeans_mr.naive_kmeanspp_flops`).
+    Then ``lloyd_iters`` MapReduce Lloyd rounds over the full data,
+    charged by :func:`time_lloyd_iters` as for the other methods.
+    """
+    batch = points_per_round(k)
+    group_size = max(1, n // max(1, m))
+    group_flops = FLOPS_PER_DIST * k * group_size * batch * d + 2.0 * k * group_size
+    phase1 = cluster.parallel_group_seconds([group_flops] * m) + cluster.job_overhead_s
+    phase2 = cluster.sequential_seconds(naive_kmeanspp_flops(n_intermediate, k, d))
+    lloyd = time_lloyd_iters(cluster, n=n, d=d, k=k, iters=lloyd_iters)
+    total = phase1 + phase2 + lloyd
+    return {
+        "phase1_groups": phase1 / 60.0,
+        "phase2_sequential": phase2 / 60.0,
+        "lloyd": lloyd / 60.0,
+        "total": total / 60.0,
+    }

@@ -1,4 +1,4 @@
-"""Shared typing aliases and protocols used across :mod:`repro`.
+"""Shared typing aliases used across :mod:`repro`.
 
 Centralizing these keeps signatures short and lets static checkers verify
 that, e.g., every initializer returns the same shape of result.
@@ -6,7 +6,7 @@ that, e.g., every initializer returns the same shape of result.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Protocol, Sequence, TypeAlias, Union
+from typing import Sequence, TypeAlias, Union
 
 import numpy as np
 
@@ -16,8 +16,6 @@ __all__ = [
     "IntArray",
     "RandomState",
     "SeedLike",
-    "Initializer",
-    "SupportsFit",
 ]
 
 #: Anything convertible to a 2-d float array of points (n, d).
@@ -34,16 +32,3 @@ RandomState: TypeAlias = np.random.Generator
 
 #: Anything accepted by :func:`repro.utils.rng.ensure_generator`.
 SeedLike: TypeAlias = Union[None, int, np.random.SeedSequence, np.random.Generator]
-
-#: A bare-function initializer: (X, k, rng) -> centers (k, d).
-Initializer: TypeAlias = Callable[[FloatArray, int, RandomState], FloatArray]
-
-
-class SupportsFit(Protocol):
-    """Structural type for estimator-like objects (``fit`` + ``predict``)."""
-
-    def fit(self, X: ArrayLike) -> "SupportsFit":  # pragma: no cover - protocol
-        ...
-
-    def predict(self, X: ArrayLike) -> IntArray:  # pragma: no cover - protocol
-        ...

@@ -5,26 +5,23 @@ blocks (random-number plumbing, argument validation, chunked iteration,
 timers) that the algorithmic layers are written against.
 """
 
-from repro.utils.chunking import chunk_slices, iter_chunks
+from repro.utils.chunking import chunk_slices
 from repro.utils.rng import ensure_generator, spawn_generators
 from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_array,
     check_in_range,
     check_positive_int,
-    check_probability_vector,
     check_weights,
 )
 
 __all__ = [
     "chunk_slices",
-    "iter_chunks",
     "ensure_generator",
     "spawn_generators",
     "Timer",
     "check_array",
     "check_in_range",
     "check_positive_int",
-    "check_probability_vector",
     "check_weights",
 ]

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.exceptions import ValidationError
 
-__all__ = ["chunk_slices", "iter_chunks", "rows_per_chunk"]
+__all__ = ["chunk_slices", "rows_per_chunk"]
 
 #: Default scratch budget per chunk: 32 MiB keeps the working set inside
 #: typical L3 + a small slab, while being large enough to amortize Python
@@ -48,13 +46,3 @@ def chunk_slices(n: int, chunk_rows: int) -> Iterator[slice]:
         raise ValidationError(f"chunk_rows must be >= 1, got {chunk_rows}")
     for start in range(0, n, chunk_rows):
         yield slice(start, min(start + chunk_rows, n))
-
-
-def iter_chunks(X: np.ndarray, chunk_rows: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield ``(slice, view)`` pairs over the rows of *X*.
-
-    The views are not copies; callers must not mutate them unless they own
-    the underlying array.
-    """
-    for sl in chunk_slices(X.shape[0], chunk_rows):
-        yield sl, X[sl]

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.types import RandomState, SeedLike
 
-__all__ = ["ensure_generator", "spawn_generators", "random_indices"]
+__all__ = ["ensure_generator", "spawn_generators"]
 
 
 def ensure_generator(seed: SeedLike = None) -> RandomState:
@@ -65,16 +65,3 @@ def spawn_generators(seed: SeedLike, n: int) -> list[RandomState]:
         return [np.random.default_rng(s) for s in seed.spawn(n)]
     base = np.random.SeedSequence(seed) if seed is not None else np.random.SeedSequence()
     return [np.random.default_rng(s) for s in base.spawn(n)]
-
-
-def random_indices(rng: RandomState, n: int, size: int, replace: bool = False) -> np.ndarray:
-    """Draw ``size`` indices from ``range(n)`` (uniform), as int64.
-
-    Thin wrapper that exists so the (surprisingly subtle) ``replace``
-    semantics are spelled once: ``replace=False`` with ``size > n`` is an
-    error rather than a silent numpy exception bubbling from deep inside
-    an initializer.
-    """
-    if size > n and not replace:
-        raise ValueError(f"cannot draw {size} distinct indices from a pool of {n}")
-    return rng.choice(n, size=size, replace=replace).astype(np.int64, copy=False)

@@ -38,7 +38,3 @@ class Timer:
         if self._started is not None:
             self.elapsed += time.perf_counter() - self._started
             self._started = None
-
-    def reset(self) -> None:
-        """Zero the accumulated time (does not stop a running block)."""
-        self.elapsed = 0.0

@@ -21,7 +21,6 @@ __all__ = [
     "check_weights",
     "check_positive_int",
     "check_in_range",
-    "check_probability_vector",
     "check_matching_dims",
 ]
 
@@ -154,19 +153,6 @@ def check_in_range(
         hi_b = "]" if high_inclusive else ")"
         raise ValidationError(f"{name}={value} outside {lo_b}{low}, {high}{hi_b}")
     return value
-
-
-def check_probability_vector(p: ArrayLike, *, name: str = "p", atol: float = 1e-8) -> FloatArray:
-    """Validate a probability vector: non-negative entries summing to 1."""
-    arr = np.asarray(p, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValidationError(f"{name} is empty")
-    if (arr < 0).any() or not np.isfinite(arr).all():
-        raise ValidationError(f"{name} has negative or non-finite entries")
-    total = arr.sum()
-    if abs(total - 1.0) > atol:
-        raise ValidationError(f"{name} sums to {total}, expected 1 +/- {atol}")
-    return arr
 
 
 def check_matching_dims(X: FloatArray, centers: FloatArray) -> None:

@@ -7,12 +7,7 @@ import pytest
 
 from repro.data.dataset import Dataset
 from repro.data.gauss_mixture import make_gauss_mixture
-from repro.data.io import (
-    dataset_cache_path,
-    ensure_mmap_npy,
-    load_dataset,
-    save_dataset,
-)
+from repro.data.io import ensure_mmap_npy, load_dataset, save_dataset
 from repro.exceptions import ValidationError
 
 
@@ -69,29 +64,12 @@ class TestRoundTrip:
 
 
 class TestCachePath:
-    def test_params_in_name_sorted(self, tmp_path):
-        p = dataset_cache_path(tmp_path, "kdd", seed=3, n=100)
-        assert p.name == "kdd__n=100_seed=3"
-
-    def test_no_params(self, tmp_path):
-        assert dataset_cache_path(tmp_path, "spam").name == "spam"
-
-    def test_unsafe_chars_replaced(self, tmp_path):
-        p = dataset_cache_path(tmp_path, "gauss mixture/R=1")
-        assert "/" not in p.name and " " not in p.name
-
-    def test_distinct_configs_distinct_paths(self, tmp_path):
-        a = dataset_cache_path(tmp_path, "kdd", n=100)
-        b = dataset_cache_path(tmp_path, "kdd", n=200)
-        assert a != b
-
     def test_float_params_round_trip(self, tmp_path):
-        # Regression: float params put dots in the cache filename
+        # Regression: float params put dots in a filename
         # (gauss__l=0.5_n=100000); with_suffix()-based stripping truncated
         # everything after the last dot, so the entry written at l=0.5
         # could not be found again under its own name.
-        path = dataset_cache_path(tmp_path, "gauss", l=0.5, n=100000)
-        assert path.name == "gauss__l=0.5_n=100000"
+        path = tmp_path / "gauss__l=0.5_n=100000"
         ds = Dataset(name="gauss", X=np.full((3, 2), 0.5))
         npz = save_dataset(ds, path)
         assert npz.name == "gauss__l=0.5_n=100000.npz"
@@ -100,8 +78,8 @@ class TestCachePath:
     def test_dotted_cache_names_do_not_collide(self, tmp_path):
         # Regression: distinct float configs used to be truncated to the
         # same file (gauss__l=0) and silently overwrite each other.
-        half = dataset_cache_path(tmp_path, "gauss", l=0.5, n=100)
-        quarter = dataset_cache_path(tmp_path, "gauss", l=0.25, n=100)
+        half = tmp_path / "gauss__l=0.5_n=100"
+        quarter = tmp_path / "gauss__l=0.25_n=100"
         ds_half = Dataset(name="half", X=np.full((2, 2), 0.5))
         ds_quarter = Dataset(name="quarter", X=np.full((2, 2), 0.25))
         save_dataset(ds_half, half)

@@ -5,62 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.sampling import reservoir_sample, split_into_groups, uniform_sample
+from repro.data.sampling import split_into_groups
 from repro.exceptions import ValidationError
-
-
-class TestUniformSample:
-    def test_size(self, rng):
-        X = rng.normal(size=(100, 3))
-        assert uniform_sample(X, 0.1, seed=0).shape == (10, 3)
-
-    def test_rows_from_source(self, rng):
-        X = rng.normal(size=(50, 2))
-        sub = uniform_sample(X, 0.2, seed=1)
-        for row in sub:
-            assert (np.abs(X - row).sum(axis=1) < 1e-12).any()
-
-    def test_order_preserved(self, rng):
-        X = np.arange(100, dtype=float).reshape(100, 1)
-        sub = uniform_sample(X, 0.3, seed=2).ravel()
-        assert (np.diff(sub) > 0).all()
-
-    def test_full_fraction(self, rng):
-        X = rng.normal(size=(10, 2))
-        assert uniform_sample(X, 1.0, seed=0).shape == X.shape
-
-    def test_bad_fraction(self, rng):
-        X = rng.normal(size=(10, 2))
-        with pytest.raises(ValidationError):
-            uniform_sample(X, 0.0)
-
-
-class TestReservoirSample:
-    def test_short_stream_kept_whole(self):
-        rows = [np.array([float(i)]) for i in range(3)]
-        out = reservoir_sample(iter(rows), 10, seed=0)
-        assert out.shape == (3, 1)
-
-    def test_capacity_respected(self):
-        rows = (np.array([float(i)]) for i in range(1000))
-        out = reservoir_sample(rows, 25, seed=0)
-        assert out.shape == (25, 1)
-
-    def test_approximately_uniform(self):
-        # Sample 1 of 4 elements many times; each should appear ~25%.
-        counts = np.zeros(4)
-        for s in range(400):
-            out = reservoir_sample((np.array([float(i)]) for i in range(4)), 1, seed=s)
-            counts[int(out[0, 0])] += 1
-        assert (counts / 400 > 0.15).all()
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ValidationError, match="empty"):
-            reservoir_sample(iter([]), 5)
-
-    def test_bad_size(self):
-        with pytest.raises(ValidationError):
-            reservoir_sample(iter([np.zeros(1)]), 0)
 
 
 class TestSplitIntoGroups:

@@ -3,27 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.data.synthetic import (
-    make_anisotropic_blobs,
-    make_blobs_with_outliers,
-    make_grid_clusters,
-    make_uniform_box,
-)
-from repro.exceptions import ValidationError
-
-
-class TestUniformBox:
-    def test_bounds(self):
-        ds = make_uniform_box(n=500, d=3, low=-2.0, high=2.0, seed=0)
-        assert ds.X.min() >= -2.0
-        assert ds.X.max() <= 2.0
-        assert ds.X.shape == (500, 3)
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValidationError):
-            make_uniform_box(low=1.0, high=1.0)
+from repro.data.synthetic import make_grid_clusters
 
 
 class TestGridClusters:
@@ -48,43 +29,3 @@ class TestGridClusters:
         phi_truth = potential(ds.X, ds.true_centers)
         phi_one = potential(ds.X, ds.X.mean(axis=0, keepdims=True))
         assert phi_truth < phi_one / 100
-
-
-class TestAnisotropicBlobs:
-    def test_shapes(self):
-        ds = make_anisotropic_blobs(k=4, points_per_cluster=30, d=3, seed=0)
-        assert ds.X.shape == (120, 3)
-        assert ds.true_centers.shape == (4, 3)
-
-    def test_elongation_visible(self):
-        ds = make_anisotropic_blobs(k=1, points_per_cluster=500,
-                                    elongation=20.0, seed=0)
-        # Largest principal stddev must dwarf the smallest.
-        cov = np.cov(ds.X.T)
-        eigs = np.sort(np.linalg.eigvalsh(cov))
-        assert eigs[-1] > 20 * eigs[0]
-
-
-class TestBlobsWithOutliers:
-    def test_outlier_labels_negative(self):
-        ds = make_blobs_with_outliers(k=3, points_per_cluster=10, n_outliers=5, seed=0)
-        assert (ds.labels == -1).sum() == 5
-
-    def test_no_outliers(self):
-        ds = make_blobs_with_outliers(k=3, points_per_cluster=10, n_outliers=0, seed=0)
-        assert (ds.labels >= 0).all()
-
-    def test_outliers_dominate_potential(self):
-        from repro.core.costs import potential
-
-        ds = make_blobs_with_outliers(
-            k=5, points_per_cluster=50, n_outliers=10, outlier_scale=5000.0, seed=0
-        )
-        phi_truth = potential(ds.X, ds.true_centers)
-        inliers = ds.X[ds.labels >= 0]
-        phi_inliers = potential(inliers, ds.true_centers)
-        assert phi_truth > 100 * phi_inliers  # the outliers carry the cost
-
-    def test_bad_sizes(self):
-        with pytest.raises(ValidationError):
-            make_blobs_with_outliers(k=0)

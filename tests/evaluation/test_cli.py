@@ -242,9 +242,43 @@ class TestExecFlags:
             main(["--shuffle-budget-mib", "1", "mr",
                   "--splits-from", str(tmp_path / "d.npy"), "-k", "2"])
         assert exc.value.code == 2
-        # argparse reads the unknown flag's value as the command.
-        assert "invalid choice: '1'" in capsys.readouterr().err
+        # Reported as the flag it is, not by its value read as the command.
+        assert "unrecognized arguments: --shuffle-budget-mib" in (
+            capsys.readouterr().err
+        )
         assert "--shuffle-budget-mib" not in build_parser().format_help()
+
+    @pytest.mark.parametrize("flags, unknown", [
+        (["--shuffle-budget-mib=1"], "--shuffle-budget-mib"),
+        (["--backend", "serial", "--no-such-flag", "3"], "--no-such-flag"),
+        (["--exec-workers=2", "-x"], "-x"),
+    ])
+    def test_unknown_global_flag_named_with_or_without_value(
+        self, flags, unknown, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, "list"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {unknown}" in err
+        assert "invalid choice" not in err
+
+    def test_valid_global_flags_pass_the_check(self, during_run, capsys):
+        seen = during_run("--backend", "serial", "--exec-workers", "4",
+                          "--task-timeout", "none", "--max-task-retries=3")
+        assert seen["backend"] == "serial"
+        assert (seen["config"].exec_workers, seen["config"].faults_task_timeout,
+                seen["config"].faults_max_retries) == (4, None, 3)
+        assert during_run("--task-timeout", "2.5")["config"].faults_task_timeout == 2.5
+        capsys.readouterr()
+
+    def test_bad_task_timeout_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--task-timeout", "soon", "list"])
+        assert exc.value.code == 2
+        assert "--task-timeout must be a number of seconds > 0, or none" in (
+            capsys.readouterr().err
+        )
 
     def test_backend_flag_installs_backend(self, during_run, capsys):
         assert during_run("--backend", "serial")["backend"] == "serial"

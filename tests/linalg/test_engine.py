@@ -139,13 +139,11 @@ class TestScheduling:
 
         eng.run_chunks(1000, 8, work)
         np.testing.assert_array_equal(out, np.arange(1000))
-        eng.shutdown()
 
     def test_map_chunks_preserves_order(self):
         eng = Engine(workers=4, chunk_bytes=64)
         starts = eng.map_chunks(100, 8, lambda sl: sl.start)
         assert starts == sorted(starts)
-        eng.shutdown()
 
     def test_worker_exception_propagates(self):
         eng = Engine(workers=2, chunk_bytes=8)
@@ -155,7 +153,6 @@ class TestScheduling:
 
         with pytest.raises(ValueError, match="kernel failure"):
             eng.run_chunks(10, 8, work)
-        eng.shutdown()
 
     def test_chunk_bytes_override(self):
         eng = Engine(workers=1, chunk_bytes=10**9)
@@ -252,14 +249,12 @@ class TestKernelInvariance:
             eng = Engine(workers=workers, chunk_bytes=64)
             total = eng.reduce_chunks(100, 8, lambda sl: np.arange(sl.start, sl.stop).sum())
             assert total == np.arange(100).sum()
-            eng.shutdown()
 
     def test_reduce_chunks_fold_order_is_chunk_order(self):
         # Strings make the fold order observable: + is concatenation.
         eng = Engine(workers=4, chunk_bytes=16)
         out = eng.reduce_chunks(10, 8, lambda sl: f"[{sl.start}:{sl.stop}]")
         assert out == "[0:2][2:4][4:6][6:8][8:10]"
-        eng.shutdown()
 
     def test_reduce_chunks_rejects_empty(self):
         with pytest.raises(ValidationError):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import JobSpecError
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import BlockMapper, MapReduceJob, Reducer, SplitContext
 
 
@@ -41,8 +40,7 @@ class TestLifecycle:
     def test_setup_stores_context(self):
         mapper = NoopMapper()
         ctx = SplitContext(
-            split_id=0, n_splits=1, rng=np.random.default_rng(0),
-            state={}, counters=Counters(),
+            split_id=0, n_splits=1, rng=np.random.default_rng(0), state={},
         )
         mapper.setup(ctx)
         assert mapper.ctx is ctx

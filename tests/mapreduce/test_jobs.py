@@ -17,11 +17,7 @@ from repro.mapreduce.jobs.lloyd_job import (
 )
 from repro.mapreduce.jobs.random_init_job import SAMPLE_KEY, make_uniform_sample_job
 from repro.mapreduce.jobs.sample_job import CANDIDATES_KEY, make_sample_job
-from repro.mapreduce.jobs.weight_job import (
-    WEIGHTS_KEY,
-    make_fold_weight_job,
-    make_weight_job,
-)
+from repro.mapreduce.jobs.weight_job import WEIGHTS_KEY, make_fold_weight_job
 from repro.mapreduce.runtime import LocalMapReduceRuntime
 
 
@@ -43,12 +39,6 @@ class TestCostJob:
         runtime.run_job(make_cost_job(X[:2], offset=0))
         phi = runtime.run_job(make_cost_job(X[2:5], offset=2)).single(PHI_KEY)
         assert phi == pytest.approx(potential(X, X[:5]))
-
-    def test_reset_recomputes(self, runtime, blobs):
-        X, _ = blobs
-        runtime.run_job(make_cost_job(X[:5]))
-        phi = runtime.run_job(make_cost_job(X[:1], reset=True)).single(PHI_KEY)
-        assert phi == pytest.approx(potential(X, X[:1]))
 
     def test_argmin_cache_consistent(self, runtime, blobs):
         X, _ = blobs
@@ -99,17 +89,27 @@ class TestSampleJob:
 
 
 class TestWeightJob:
+    @staticmethod
+    def _weights(runtime, candidates):
+        # Step 7 as the driver runs it: the cost jobs fold every earlier
+        # candidate, and the last fold counts the cached argmin column.
+        runtime.run_job(make_cost_job(candidates[:1], offset=0))
+        job = make_fold_weight_job(
+            candidates[1:], offset=1, n_candidates=candidates.shape[0]
+        )
+        return runtime.run_job(job).single(WEIGHTS_KEY)
+
     def test_weights_match_sequential(self, runtime, blobs):
         X, _ = blobs
         candidates = X[:7]
-        weights = runtime.run_job(make_weight_job(candidates)).single(WEIGHTS_KEY)
+        weights = self._weights(runtime, candidates)
         expected = cluster_sizes(assign_labels(X, candidates), 7)
-        np.testing.assert_allclose(weights, expected)
+        np.testing.assert_array_equal(weights, expected)
 
     def test_weights_sum_to_n(self, runtime, blobs):
         X, _ = blobs
-        weights = runtime.run_job(make_weight_job(X[:4])).single(WEIGHTS_KEY)
-        assert weights.sum() == pytest.approx(X.shape[0])
+        weights = self._weights(runtime, X[:4])
+        assert weights.sum() == X.shape[0]
 
     # The "cached variant" is Step 7 from the cost jobs' cached argmin
     # column, counted by the job that folds the last round's candidates.
@@ -119,7 +119,7 @@ class TestWeightJob:
         rt.run_job(make_cost_job(X[:2], offset=0))
         result = rt.run_job(make_fold_weight_job(X[2:4], offset=2, n_candidates=4))
         cached = result.single(WEIGHTS_KEY)
-        direct = rt.run_job(make_weight_job(X[:4])).single(WEIGHTS_KEY)
+        direct = cluster_sizes(assign_labels(X, X[:4]), 4)
         np.testing.assert_array_equal(cached, direct)
         # The fold is a cost job's fold: the same profile and phi.
         assert result.single(PHI_KEY) == pytest.approx(potential(X, X[:4]))

@@ -147,7 +147,7 @@ class TestParallelAndOutOfCoreInvariance:
     This is the MR-layer extension of the PR-1 engine worker-invariance
     property: per-(job, split) RNGs are pre-spawned before dispatch and
     results are folded in split order, so the pipeline output — centers,
-    costs, counters, simulated minutes — is a pure function of
+    costs, simulated minutes — is a pure function of
     (data, seed, n_splits).
     """
 

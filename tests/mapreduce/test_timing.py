@@ -91,3 +91,17 @@ class TestPaperShape:
         for breakdown in (random, km_2k, km_01k, part):
             parts = sum(v for key, v in breakdown.items() if key != "total")
             assert parts == pytest.approx(breakdown["total"], rel=1e-9)
+
+
+class TestOneRuler:
+    """Partition's Lloyd rounds are charged as every method's are."""
+
+    @pytest.mark.parametrize("k", [500, 1000])
+    def test_partition_lloyd_is_time_lloyd_iters(self, cluster, k):
+        part = time_partition(
+            cluster, n=PAPER_N, d=PAPER_D, k=k, m=int(round(math.sqrt(PAPER_N / k))),
+            n_intermediate=int(3 * math.sqrt(PAPER_N * k) * math.log(k)),
+            lloyd_iters=20,
+        )
+        lloyd_s = time_lloyd_iters(cluster, n=PAPER_N, d=PAPER_D, k=k, iters=20)
+        assert part["lloyd"] == lloyd_s / 60.0

@@ -3,8 +3,8 @@
 The exec-layer contract: for any backend (serial / thread / process),
 any worker count, and either split-source kind (in-memory or
 memory-mapped), the MapReduce pipelines produce bit-identical centers,
-costs, counters, and simulated minutes.  Determinism rests on
-pre-spawned per-(job, split) RNGs, split-order counter merges, and the
+costs, per-job telemetry, and simulated minutes.  Determinism rests on
+pre-spawned per-(job, split) RNGs, split-order result collection, and the
 sorted-key reduce fold — exactly the invariants these tests attack with
 adversarial instances.
 """
@@ -106,7 +106,7 @@ class TestPipelineBackendInvariance:
 
 
 class TestJobLevelBackendInvariance:
-    """Counters and per-job telemetry, not just the end-to-end report."""
+    """Per-job outputs and telemetry, not just the end-to-end report."""
 
     @given(
         data=points_and_k(min_rows=4, max_rows=40),
@@ -130,7 +130,6 @@ class TestJobLevelBackendInvariance:
             centers, phi = collect_new_centers(lloyd.output, C)
             outcomes[name] = {
                 "phi0": cost.single(PHI_KEY),
-                "counters": cost.counters.as_dict(),
                 "centers": centers.tobytes(),
                 "phi1": phi,
                 "keys": list(lloyd.output),

@@ -18,7 +18,7 @@ from repro.linalg.centroids import cluster_sizes
 from repro.linalg.distances import assign_labels, pairwise_sq_dists
 from repro.mapreduce.jobs.cost_job import PHI_KEY, make_cost_job
 from repro.mapreduce.jobs.lloyd_job import collect_new_centers, make_lloyd_job
-from repro.mapreduce.jobs.weight_job import WEIGHTS_KEY, make_weight_job
+from repro.mapreduce.jobs.weight_job import WEIGHTS_KEY, make_fold_weight_job
 from repro.mapreduce.runtime import LocalMapReduceRuntime
 from tests.properties.strategies import cost_atol, d2_atol, points_and_k
 
@@ -54,10 +54,14 @@ class TestDistributionInvariance:
     @given(data=points_and_k(min_rows=2), n_splits=st.integers(1, 9))
     @settings(**SETTINGS)
     def test_weight_job_split_invariant(self, data, n_splits):
+        # Step 7 as the driver runs it: a cost job folds C[:1], and the
+        # fold-and-weigh job folds C[1:] and counts the cached argmin.
         X, k = data
         C = X[:k]
         rt = LocalMapReduceRuntime(X, n_splits=n_splits, seed=0)
-        weights = rt.run_job(make_weight_job(C)).single(WEIGHTS_KEY)
+        rt.run_job(make_cost_job(C[:1], offset=0))
+        job = make_fold_weight_job(C[1:], offset=1, n_candidates=k)
+        weights = rt.run_job(job).single(WEIGHTS_KEY)
         # Total mass is conserved no matter how ties break.
         assert weights.sum() == pytest.approx(X.shape[0])
         if not has_assignment_ties(X, C):

@@ -1,48 +1,15 @@
-"""Property-based tests for the streaming substrates."""
+"""Property-based tests for Partition's group split."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.streamkm import CoresetTree
 from repro.data.sampling import split_into_groups
 from tests.properties.strategies import points
 
 SETTINGS = dict(max_examples=25, deadline=None)
-
-
-class TestCoresetTreeProperties:
-    @given(X=points(min_rows=1, max_rows=60), size=st.integers(2, 12),
-           seed=st.integers(0, 2**16))
-    @settings(**SETTINGS)
-    def test_weight_conservation(self, X, size, seed):
-        tree = CoresetTree(size, np.random.default_rng(seed))
-        tree.insert_block(X)
-        _, mass = tree.coreset()
-        assert mass.sum() == pytest.approx(X.shape[0], rel=1e-9)
-
-    @given(X=points(min_rows=1, max_rows=60), size=st.integers(2, 12),
-           seed=st.integers(0, 2**16))
-    @settings(**SETTINGS)
-    def test_representatives_are_input_points(self, X, size, seed):
-        tree = CoresetTree(size, np.random.default_rng(seed))
-        tree.insert_block(X)
-        reps, _ = tree.coreset()
-        for r in reps:
-            assert (np.abs(X - r).max(axis=1) < 1e-9).any()
-
-    @given(X=points(min_rows=1, max_rows=80), size=st.integers(2, 8),
-           seed=st.integers(0, 2**16))
-    @settings(**SETTINGS)
-    def test_live_memory_bounded(self, X, size, seed):
-        tree = CoresetTree(size, np.random.default_rng(seed))
-        tree.insert_block(X)
-        live = sum(c[0].shape[0] for c in tree.levels.values()) + len(tree._buffer)
-        n_buckets = max(1, X.shape[0] // size)
-        assert live <= size * (2 + int(np.log2(n_buckets)))
 
 
 class TestGroupSplitProperties:

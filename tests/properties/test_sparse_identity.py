@@ -2,8 +2,8 @@
 
 Two families of guarantees (see :mod:`repro.linalg.sparse`):
 
-* **Schedule identity** — a CSR dataset produces bit-identical centers,
-  costs, and counters on every backend (serial / thread / process), any
+* **Schedule identity** — a CSR dataset produces bit-identical centers
+  and costs on every backend (serial / thread / process), any
   worker count, in-memory or mmap-backed from an on-disk CSR directory.
   Nothing may leak: no ``/dev/shm`` segment survives any run.
 * **Densification contract** — against the dense pipeline on the same

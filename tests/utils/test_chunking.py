@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.utils.chunking import chunk_slices, iter_chunks, rows_per_chunk
+from repro.utils.chunking import chunk_slices, rows_per_chunk
 
 
 class TestRowsPerChunk:
@@ -54,15 +53,3 @@ class TestChunkSlices:
         for s in chunk_slices(23, 4):
             covered.extend(range(s.start, s.stop))
         assert covered == list(range(23))
-
-
-class TestIterChunks:
-    def test_views_not_copies(self):
-        X = np.arange(12, dtype=float).reshape(6, 2)
-        for sl, block in iter_chunks(X, 2):
-            assert np.shares_memory(block, X)
-
-    def test_reassembly(self):
-        X = np.random.default_rng(0).normal(size=(11, 3))
-        parts = [block for _, block in iter_chunks(X, 4)]
-        np.testing.assert_array_equal(np.vstack(parts), X)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_generator, random_indices, spawn_generators
+from repro.utils.rng import ensure_generator, spawn_generators
 
 
 class TestEnsureGenerator:
@@ -70,21 +70,3 @@ class TestSpawnGenerators:
     def test_spawn_from_seed_sequence(self):
         gens = spawn_generators(np.random.SeedSequence(11), 2)
         assert len(gens) == 2
-
-
-class TestRandomIndices:
-    def test_without_replacement_unique(self, rng):
-        idx = random_indices(rng, 50, 50)
-        assert sorted(idx.tolist()) == list(range(50))
-
-    def test_with_replacement_allows_oversize(self, rng):
-        idx = random_indices(rng, 3, 10, replace=True)
-        assert idx.shape == (10,)
-        assert set(idx.tolist()) <= {0, 1, 2}
-
-    def test_oversize_without_replacement_rejected(self, rng):
-        with pytest.raises(ValueError, match="cannot draw"):
-            random_indices(rng, 3, 5)
-
-    def test_dtype_int64(self, rng):
-        assert random_indices(rng, 10, 4).dtype == np.int64

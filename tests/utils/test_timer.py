@@ -18,13 +18,6 @@ class TestTimer:
             time.sleep(0.01)
         assert t.elapsed > first
 
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
-
     def test_context_returns_self(self):
         t = Timer()
         with t as inner:

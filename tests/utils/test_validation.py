@@ -14,7 +14,6 @@ from repro.utils.validation import (
     check_in_range,
     check_matching_dims,
     check_positive_int,
-    check_probability_vector,
     check_weights,
 )
 
@@ -168,24 +167,6 @@ class TestCheckInRange:
     def test_non_real_rejected(self):
         with pytest.raises(ValidationError, match="real number"):
             check_in_range("x", name="p")
-
-
-class TestCheckProbabilityVector:
-    def test_valid(self):
-        out = check_probability_vector([0.25, 0.75])
-        assert out.sum() == pytest.approx(1.0)
-
-    def test_not_normalized(self):
-        with pytest.raises(ValidationError, match="sums to"):
-            check_probability_vector([0.5, 0.6])
-
-    def test_negative(self):
-        with pytest.raises(ValidationError, match="negative"):
-            check_probability_vector([-0.1, 1.1])
-
-    def test_empty(self):
-        with pytest.raises(ValidationError, match="empty"):
-            check_probability_vector([])
 
 
 class TestCheckMatchingDims:
